@@ -35,7 +35,6 @@ from .engine import (
     RunStatus,
     decode,
     run,
-    run_list,
 )
 from .graphs import Graph, GraphFormatError, load_graph
 from .planar import EmbeddingError, PlaneGraph, load_rotation
@@ -98,5 +97,4 @@ __all__ = [
     "optimal_alpha",
     "optimize_ratio",
     "run",
-    "run_list",
 ]

@@ -9,6 +9,7 @@ error, 3 broken internal contract.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -95,10 +96,13 @@ def _parse_terms(text: str) -> list[tuple[float, int]]:
     for token in text.replace(",", " ").split():
         c_text, _, s_text = token.partition(":")
         try:
-            terms.append((float(c_text), int(s_text)))
+            ceiling, size = float(c_text), int(s_text)
         except ValueError:
             raise ValueError(
                 f"bad term {token!r}, expected CEILING:SIZE") from None
+        if not math.isfinite(ceiling):
+            raise ValueError(f"bad term {token!r}, the ceiling must be finite")
+        terms.append((ceiling, size))
     return terms
 
 
@@ -263,6 +267,23 @@ def _cmd_roundtrip(args) -> int:
     return 1
 
 
+def _bound_cell(prefactor: float, base: float, t: int):
+    """prefactor * base^t: the float while it is finite, past that the same
+    value in scientific notation computed from its base-10 logarithm."""
+    try:
+        value = prefactor * base ** t
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    exponent = math.log10(prefactor) + t * math.log10(base)
+    whole = math.floor(exponent)
+    mantissa = round(10 ** (exponent - whole), 11)
+    if mantissa >= 10:
+        mantissa, whole = mantissa / 10, whole + 1
+    return f"{mantissa:.12g}e+{whole}"
+
+
 def _cmd_count_records(args) -> int:
     if args.terms:
         terms = _parse_terms(args.terms)
@@ -281,7 +302,7 @@ def _cmd_count_records(args) -> int:
     report = growth_check(terms, args.tmax)
     _emit("t", "b", "r", "bound")
     for t in range(args.tmax + 1):
-        _emit(t, b[t], r[t], report.prefactor * report.base ** t)
+        _emit(t, b[t], r[t], _bound_cell(report.prefactor, report.base, t))
     if args.brute:
         for t in range(min(args.tmax, 12) + 1):
             brute = len(enumerate_records(terms, args.level_cap, t))

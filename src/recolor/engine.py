@@ -1,7 +1,8 @@
 """Randomized recoloring engine with a losslessly invertible execution record.
 
 The forward direction (`run`) repeatedly colors the family's next uncolored
-object from a color source, and whenever the family detects a bad event it
+object from a color source (the family's per-run frontier names that
+object, see `BadEventFamily`), and whenever the family detects a bad event it
 uncolors the event's designated set and logs the event's type and class
 index.  The record plus the final partial coloring determine the entire
 color stream: `decode` replays the record forward on colored *sets* alone to
@@ -119,6 +120,16 @@ class BadEventFamily(Protocol):
     ``rebuild_event`` returns the erased colors {u: color} of the unique
     type-j class-k event at v whose uncolored set was erased from a state
     with colored set ``colored_before | {v}`` leaving ``after``.
+
+    A family may also define ``frontier()``, returning a fresh object that
+    tracks one run's colored set incrementally: ``pick()`` returns the next
+    object, ``took(v)`` reports that v (the object ``pick()`` just returned)
+    was colored, and ``released(target)`` that the objects in ``target``
+    were uncolored.  ``pick()`` must always equal ``next_uncolored`` of the
+    colored set those calls describe, which stays the specification.  The
+    engine builds one frontier per run and per decode and never stores it on
+    the family, since one family may serve many runs.  Families without
+    ``frontier`` get one that calls ``next_uncolored`` on every pick.
     """
 
     name: str
@@ -135,6 +146,31 @@ class BadEventFamily(Protocol):
         self, j: int, v: int, colored_before: frozenset[int], k: int,
         after: PartialColoring,
     ) -> dict[int, int]: ...
+
+
+class _NextUncolored:
+    """Frontier of a family without one: asks ``next_uncolored`` each pick."""
+
+    __slots__ = ("fam", "colored")
+
+    def __init__(self, fam: BadEventFamily):
+        self.fam = fam
+        self.colored: set[int] = set()
+
+    def pick(self) -> Optional[int]:
+        return self.fam.next_uncolored(self.colored)
+
+    def took(self, v: int) -> None:
+        self.colored.add(v)
+
+    def released(self, target: Sequence[int]) -> None:
+        self.colored.difference_update(target)
+
+
+def frontier_of(fam: BadEventFamily):
+    """A fresh frontier for one run or decode of ``fam``."""
+    make = getattr(fam, "frontier", None)
+    return make() if make is not None else _NextUncolored(fam)
 
 
 @dataclass(frozen=True)
@@ -264,6 +300,14 @@ def _checked_event(fam, metas, j: int, k: int, exc) -> EventTypeMeta:
     return meta
 
 
+def _checked_pick(fam, frontier, colored, exc) -> Optional[int]:
+    v = frontier.pick()
+    if v is not None and (
+            not (isinstance(v, int) and 1 <= v <= fam.n_objects) or v in colored):
+        raise exc(f"family {fam.name!r} picked invalid object {v}")
+    return v
+
+
 def _checked_uncolor_set(fam, meta, v, colored, k, exc) -> tuple[int, ...]:
     target = tuple(fam.uncolor_set(meta.type_id, v, frozenset(colored), k))
     if len(set(target)) != len(target) or len(target) != meta.uncolor_size:
@@ -287,6 +331,7 @@ def run(g, fam: BadEventFamily, inp: EngineInput) -> RunResult:
     """
     metas = {m.type_id: m for m in fam.metas}
     pc = PartialColoring(fam.n_objects)
+    frontier = frontier_of(fam)
     vector = inp.vector
     rng = random.Random(inp.seed) if vector is None else None
     steps: list[Optional[tuple[int, int]]] = []
@@ -294,17 +339,16 @@ def run(g, fam: BadEventFamily, inp: EngineInput) -> RunResult:
     status = None
     used = 0
     for i in range(inp.budget):
-        v = fam.next_uncolored(pc.colored)
+        v = _checked_pick(fam, frontier, pc.colored, FamilyContractError)
         if v is None:
             status = RunStatus.COMPLETED
             break
-        if not (isinstance(v, int) and 1 <= v <= fam.n_objects) or v in pc.colored:
-            raise FamilyContractError(f"family {fam.name!r} picked invalid object {v}")
         idx = vector[i] if vector is not None else rng.randint(1, inp.kappa)
         color = inp.list_for(v)[idx - 1] if inp.lists is not None else idx
         if color < 1:
             raise ValueError(f"color {color} for object {v} is not a positive integer")
         pc.assign(v, color)
+        frontier.took(v)
         used = i + 1
         last_step[v] = i
         hit = fam.detect(pc, v)
@@ -316,48 +360,45 @@ def run(g, fam: BadEventFamily, inp: EngineInput) -> RunResult:
         target = _checked_uncolor_set(fam, meta, v, pc.colored, k, FamilyContractError)
         for u in target:
             pc.unassign(u)
+        frontier.released(target)
         steps.append((j, k))
     if status is None:
         status = (
             RunStatus.COMPLETED
-            if fam.next_uncolored(pc.colored) is None
+            if _checked_pick(fam, frontier, pc.colored, FamilyContractError) is None
             else RunStatus.BUDGET_EXHAUSTED
         )
     order = tuple(sorted(pc.colored, key=last_step.__getitem__))
     return RunResult(pc, Record(tuple(steps)), status, used, order)
 
 
-def run_list(g, fam: BadEventFamily, lists: Mapping[int, Sequence[int]],
-             inp: EngineInput) -> RunResult:
-    """`run` in list mode: drawn values index into per-object color lists."""
-    return run(g, fam, EngineInput(
-        kappa=inp.kappa, vector=inp.vector, seed=inp.seed,
-        budget=None if inp.vector is not None else inp.budget, lists=lists,
-    ))
-
-
 def replay_colored_sets(g, fam: BadEventFamily,
-                        record: Record) -> list[tuple[int, frozenset[int]]]:
+                        record: Record) -> list[tuple[int, tuple[int, ...]]]:
     """Forward replay of a record on colored sets alone.
 
-    Returns one (object colored, colored set after the step) pair per step.
-    Colors never enter: the next object is a function of the colored set and
-    the uncolor set is a function of (type, anchor, colored set, class).
+    Returns one (object colored, objects uncolored) pair per step, the
+    second empty for a surviving color.  Colors never enter: the next object
+    is a function of the colored set and the uncolor set is a function of
+    (type, anchor, colored set, class).
     """
     metas = {m.type_id: m for m in fam.metas}
     colored: set[int] = set()
-    out: list[tuple[int, frozenset[int]]] = []
+    frontier = frontier_of(fam)
+    out: list[tuple[int, tuple[int, ...]]] = []
     for step in record.steps:
-        v = fam.next_uncolored(colored)
+        v = _checked_pick(fam, frontier, colored, DecodeError)
         if v is None:
             raise DecodeError("record is longer than the run it claims to describe")
         colored.add(v)
+        frontier.took(v)
+        target: tuple[int, ...] = ()
         if step is not None:
             j, k = step
             meta = _checked_event(fam, metas, j, k, DecodeError)
             target = _checked_uncolor_set(fam, meta, v, colored, k, DecodeError)
             colored.difference_update(target)
-        out.append((v, frozenset(colored)))
+            frontier.released(target)
+        out.append((v, target))
     return out
 
 
@@ -365,16 +406,21 @@ def decode(g, fam: BadEventFamily, final: PartialColoring, record: Record,
            lists: Mapping[int, Sequence[int]] | None = None) -> list[int]:
     """Recover the color stream that produced (final, record).
 
-    Forward-replays the record to learn each step's object and colored set,
-    checks the final set matches, then walks backward: a surviving step's
-    value is the color it left behind (its list index in list mode); an
-    uncolored step's value comes from the family rebuilding the erased event.
-    The walk must end at the empty coloring.
+    Forward-replays the record to learn each step's object and uncolored
+    set, checks the final set matches, then walks backward: a surviving
+    step's value is the color it left behind (its list index in list mode);
+    an uncolored step's value comes from the family rebuilding the erased
+    event.  The colored set before an event step is (after | target) - {v},
+    so only one colored set is ever held.  The walk must end at the empty
+    coloring.
     """
     pairs = replay_colored_sets(g, fam, record)
-    if (pairs[-1][1] if pairs else frozenset()) != final.colored:
+    colored: set[int] = set()
+    for v, target in pairs:
+        colored.add(v)
+        colored.difference_update(target)
+    if colored != final.colored:
         raise DecodeError("final coloring does not match the record's replay")
-    befores = [frozenset()] + [after for _, after in pairs[:-1]]
     pc = final.copy()
     values = [0] * len(pairs)
 
@@ -387,24 +433,24 @@ def decode(g, fam: BadEventFamily, final: PartialColoring, record: Record,
             raise DecodeError(f"color {color} not in the list of object {v}") from None
 
     for i in range(len(pairs) - 1, -1, -1):
-        v, _ = pairs[i]
+        v, target = pairs[i]
         step = record.steps[i]
         if step is None:
             if v not in pc.colored:
                 raise DecodeError(f"step {i + 1} colored {v} but it is gone")
-            values[i] = value_of(v, pc.color_of(v))
-            pc.unassign(v)
         else:
             j, k = step
-            rebuilt = dict(fam.rebuild_event(j, v, befores[i], k, pc))
+            before = pc.colored.union(target)
+            before.discard(v)
+            rebuilt = dict(fam.rebuild_event(j, v, frozenset(before), k, pc))
             if v not in rebuilt:
                 raise DecodeError(f"rebuilt event at step {i + 1} misses its anchor {v}")
             for u, c in rebuilt.items():
                 if u in pc.colored:
                     raise DecodeError(f"rebuilt event recolors surviving object {u}")
                 pc.assign(u, c)
-            values[i] = value_of(v, pc.color_of(v))
-            pc.unassign(v)
+        values[i] = value_of(v, pc.color_of(v))
+        pc.unassign(v)
     if pc.colored:
         raise DecodeError("backward walk did not end at the empty coloring")
     return values

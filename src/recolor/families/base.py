@@ -9,6 +9,8 @@ class ranks the stable bijection the decoder relies on.
 
 from __future__ import annotations
 
+import heapq
+import math
 from array import array
 
 from .._kernels import first_repetition
@@ -31,6 +33,9 @@ class Family:
             return next(pool, None)
         return min(pool, key=self._rank, default=None)
 
+    def frontier(self) -> "RankFrontier":
+        return RankFrontier(self.n_objects, self._rank)
+
     def witness_rows(self, v: int, j: int) -> tuple[tuple[tuple[int, ...], ...], array]:
         """Canonical witness list for (anchor, type) plus its flattened form."""
         key = (v, j)
@@ -43,6 +48,29 @@ class Family:
 
     def _enumerate(self, v: int, j: int):
         raise NotImplementedError
+
+
+class RankFrontier:
+    """`Family.next_uncolored` kept incrementally: a heap holding exactly the
+    uncolored objects keyed by (rank, index), so `pick` is its top and each
+    change costs O(log n)."""
+
+    __slots__ = ("_heap", "_key")
+
+    def __init__(self, n_objects: int, rank):
+        self._key = rank or (lambda v: v)
+        self._heap = [(self._key(v), v) for v in range(1, n_objects + 1)]
+        heapq.heapify(self._heap)
+
+    def pick(self):
+        return self._heap[0][1] if self._heap else None
+
+    def took(self, v: int) -> None:
+        heapq.heappop(self._heap)
+
+    def released(self, target) -> None:
+        for u in target:
+            heapq.heappush(self._heap, (self._key(u), u))
 
 
 def clamped(cost: float) -> float:
@@ -107,10 +135,14 @@ class RepetitionFamily(Family):
 
     Subclasses supply `_enumerate(v, j)` yielding witness rows of 2j objects;
     the class index of a row is its rank in that (sorted) enumeration.
+    ``widest`` caps the witness width 2j any row can have; detection skips
+    the wider types, whose row lists are empty.
     """
 
+    widest = math.inf
+
     def detect(self, coloring, v):
-        budget = len(coloring.colored)
+        budget = min(len(coloring.colored), self.widest)
         for meta in self.metas:
             j = meta.type_id
             if 2 * j > budget:

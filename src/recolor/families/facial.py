@@ -8,10 +8,14 @@ one on the face shared with e', 2j on the anchor's other face).  That
 requires one distinguished edge to stay uncolored forever and the uncolored
 edge set to stay connected in the medial graph; the traversal maintains both
 by coloring leaves of a medial spanning tree rooted at the reserved edge.
+
+A window of 2j objects fits only on a face of length at least 2j, so both
+families stop probing event types at the longest face.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 
 from ..engine import EventTypeMeta
@@ -22,6 +26,10 @@ from .base import RepetitionFamily, canonical, clamped
 
 class MedialConnectivityError(RuntimeError):
     """Uncolored edges no longer induce a connected medial subgraph."""
+
+
+def _longest_face(pg: PlaneGraph) -> int:
+    return max((len(face) for face in pg.faces), default=0)
 
 
 class _FacialVertexFamily(RepetitionFamily):
@@ -37,6 +45,7 @@ class _FacialVertexFamily(RepetitionFamily):
                          rank=g.rank.__getitem__)
         self.pg = pg
         self.g = g
+        self.widest = _longest_face(pg)
 
     def _enumerate(self, v, j):
         windows = {
@@ -63,6 +72,7 @@ class _FacialEdgeFamily(RepetitionFamily):
         self.g = g
         self.e_star = e_star
         self.medial = medial_graph(pg)
+        self.widest = _longest_face(pg)
 
     def _enumerate(self, e, j):
         rows = set()
@@ -102,6 +112,9 @@ class _FacialEdgeFamily(RepetitionFamily):
             )
         return min(reached - interior - {self.e_star})
 
+    def frontier(self) -> "_LeafFrontier":
+        return _LeafFrontier(self)
+
     def _class_index(self, e, j, idx, colored):
         paths, _ = self.witness_rows(e, j)
         ep = self._uncolored_neighbor(e, colored)
@@ -124,6 +137,99 @@ class _FacialEdgeFamily(RepetitionFamily):
                 if seen == k:
                     return row
         raise ValueError(f"type {j} class {k} at edge {e} has no witness path")
+
+
+class _LeafFrontier:
+    """`_FacialEdgeFamily.next_uncolored` kept incrementally for one run.
+
+    Holds the breadth-first tree of the uncolored medial subgraph rooted at
+    the reserved edge, with a min-heap of its leaves (entries whose node has
+    since gained a child or been colored are dropped lazily).  Coloring a
+    leaf leaves exactly the tree of the remaining edges, since the leaf
+    discovered nothing, so `took` detaches it and its parent becomes a leaf
+    when it was the only child.  Releasing exactly the leaf just taken puts
+    it back; any other release marks the tree stale, and the next `pick`
+    rebuilds it from scratch with the same checks as `next_uncolored`.
+    """
+
+    __slots__ = ("fam", "uncolored", "parent", "children", "heap", "queued",
+                 "stale", "last")
+
+    def __init__(self, fam: _FacialEdgeFamily):
+        m = fam.n_objects
+        self.fam = fam
+        self.uncolored = bytearray(b"\0" + b"\1" * m)
+        self.parent = [0] * (m + 1)
+        self.children = [0] * (m + 1)
+        self.heap: list[int] = []
+        self.queued = bytearray(m + 1)
+        self.stale = True
+        self.last = None  # the leaf `took` detached, until the next release
+
+    def _rebuild(self) -> None:
+        root = self.fam.e_star
+        uncolored, parent, adj = self.uncolored, self.parent, self.fam.medial.adj
+        if not uncolored[root]:
+            raise MedialConnectivityError("the reserved edge must stay uncolored")
+        children = [0] * len(parent)
+        reached = bytearray(len(parent))
+        reached[root] = 1
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if uncolored[y] and not reached[y]:
+                    reached[y] = 1
+                    parent[y] = x
+                    children[x] += 1
+                    queue.append(y)
+        if reached != uncolored:
+            raise MedialConnectivityError(
+                "uncolored edges induce a disconnected medial subgraph"
+            )
+        self.children = children
+        self.heap = [x for x in range(1, len(parent))
+                     if reached[x] and not children[x] and x != root]
+        self.queued = bytearray(len(parent))
+        for x in self.heap:
+            self.queued[x] = 1
+        self.stale = False
+
+    def pick(self):
+        if self.stale:
+            self._rebuild()
+        heap, uncolored, children = self.heap, self.uncolored, self.children
+        while heap:
+            x = heap[0]
+            if uncolored[x] and not children[x]:
+                return x
+            heapq.heappop(heap)
+            self.queued[x] = 0
+        return None
+
+    def took(self, v: int) -> None:
+        heapq.heappop(self.heap)
+        self.queued[v] = 0
+        self.uncolored[v] = 0
+        p = self.parent[v]
+        self.children[p] -= 1
+        if not self.children[p] and p != self.fam.e_star and not self.queued[p]:
+            heapq.heappush(self.heap, p)
+            self.queued[p] = 1
+        self.last = v
+
+    def released(self, target) -> None:
+        last, self.last = self.last, None
+        for u in target:
+            self.uncolored[u] = 1
+        if self.stale:
+            return
+        if len(target) == 1 and target[0] == last:
+            self.children[self.parent[last]] += 1
+            heapq.heappush(self.heap, last)
+            self.queued[last] = 1
+        else:
+            self.stale = True
 
 
 def facial_thue_edge_family(pg: PlaneGraph, e_star: int) -> _FacialEdgeFamily:

@@ -4,7 +4,18 @@ import random
 
 from hypothesis import strategies as st
 
+from recolor.engine import EngineInput
+from recolor.families import (
+    acyclic_gamma_family,
+    acyclic_v1_family,
+    acyclic_v2_family,
+    facial_thue_edge_family,
+    facial_thue_vertex_family,
+    nonrepetitive_edge_family,
+    nonrepetitive_vertex_family,
+)
 from recolor.graphs import Graph
+from recolor.planar import PlaneGraph, random_triangulation
 
 K3_TEXT = "3 3\n1 2\n2 3\n1 3\n"
 C4_TEXT = "4 4\n1 2\n2 3\n3 4\n4 1\n"
@@ -68,3 +79,86 @@ def assert_roundtrip(g, fam, inp):
         level += 1 if step is None else 1 - sizes[step[0]]
     assert level == len(res.coloring.colored)
     return res
+
+
+def plane_with_long_faces(n: int, drop: int, rng: random.Random):
+    """A random stacked triangulation on n vertices with up to `drop` edges
+    deleted from its rotation system, keeping the graph connected; each
+    deletion merges two faces, so faces of length >= 4 appear."""
+    tri = random_triangulation(n, rng)
+    rotation = {v: list(rot) for v, rot in tri.rotation.items()}
+
+    def connected():
+        seen, stack = {1}, [1]
+        while stack:
+            for w in rotation[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == n
+
+    edges = tri.graph.edges
+    for u, v in rng.sample(edges, min(drop, len(edges))):
+        iu, iv = rotation[u].index(v), rotation[v].index(u)
+        del rotation[u][iu], rotation[v][iv]
+        if not connected():
+            rotation[u].insert(iu, v)
+            rotation[v].insert(iv, u)
+    kept = {(min(u, v), max(u, v)) for u, rot in rotation.items() for v in rot}
+    return PlaneGraph(Graph(n, kept), {v: tuple(r) for v, r in rotation.items()})
+
+
+def _plain(lo, hi, p_lo, p_hi):
+    def make(rng):
+        return random_graph(rng.randint(lo, hi), rng.uniform(p_lo, p_hi), rng)
+    return make
+
+
+def _plane(lo, hi):
+    """Triangulations, or plane graphs with longer faces (half of the time)."""
+    def make(rng):
+        n = rng.randint(lo, hi)
+        if rng.random() < 0.5:
+            return random_triangulation(n, rng)
+        return plane_with_long_faces(n, rng.randint(n, 2 * n), rng)
+    return make
+
+
+ALPHAS = (0.05, 0.25, 1.0)  # small special sets let the cycle types fire
+
+# Fuzzed instances of every family, small enough that many runs stay cheap:
+# family -> (rng -> graph or plane graph, (host, rng) -> family, kappa range)
+FAMILY_CASES = {
+    "acyclic-gamma": (
+        _plain(8, 13, 0.3, 0.6),
+        lambda g, rng: acyclic_gamma_family(g, rng.randint(1, 3)), (3, 6)),
+    "acyclic-v1": (
+        _plain(8, 14, 0.3, 0.6),
+        lambda g, rng: acyclic_v1_family(g, rng.choice(ALPHAS)), (3, 6)),
+    "acyclic-v2": (
+        _plain(8, 13, 0.3, 0.6),
+        lambda g, rng: acyclic_v2_family(g, rng.choice(ALPHAS)), (3, 6)),
+    "nonrepetitive-vertex": (
+        _plain(4, 9, 0.25, 0.6),
+        lambda g, rng: nonrepetitive_vertex_family(g), (3, 6)),
+    "nonrepetitive-edge": (
+        _plain(4, 7, 0.25, 0.6),
+        lambda g, rng: nonrepetitive_edge_family(g), (3, 6)),
+    "facial-thue-vertex": (
+        _plane(4, 14),
+        lambda pg, rng: facial_thue_vertex_family(pg), (2, 5)),
+    "facial-thue-edge": (
+        _plane(5, 12),
+        lambda pg, rng: facial_thue_edge_family(pg, rng.randint(1, pg.graph.m)),
+        (2, 5)),
+}
+
+
+def fuzzed_instance(name: str, rng: random.Random):
+    """(graph, family, seeded engine input) for one instance of `name`."""
+    make_graph, make_family, (lo, hi) = FAMILY_CASES[name]
+    host = make_graph(rng)
+    fam = make_family(host, rng)
+    inp = EngineInput(rng.randint(lo, hi), seed=rng.randrange(2 ** 31),
+                      budget=rng.randint(0, 12 * fam.n_objects))
+    return getattr(host, "graph", host), fam, inp

@@ -329,8 +329,9 @@ def test_facial_edge_invariants_on_100_triangulations():
         # the uncolored edge set stays medially connected at every step
         medial = medial_graph(pg)
         all_edges = frozenset(range(1, g.m + 1))
-        states = [frozenset()] + [cs for _, cs in
-                                  replay_colored_sets(g, fam, res.record)]
+        states = [frozenset()]
+        for v, target in replay_colored_sets(g, fam, res.record):
+            states.append(states[-1].union((v,)).difference(target))
         for colored in states:
             uncolored = all_edges - colored
             assert e_star in uncolored

@@ -4,6 +4,7 @@ Exit code map under test: 0 accept/complete, 1 reject/incomplete,
 2 usage or domain error, 3 broken run contract.
 """
 
+import math
 import subprocess
 import sys
 
@@ -245,6 +246,41 @@ def test_count_records_catalan(capsys):
     assert rows[0] == ["t", "b", "r", "bound"]
     assert [r[1] for r in rows[1:]] == ["1", "0", "1", "0", "2", "0", "5"]
     assert "agrees" in err
+
+
+def test_count_records_bound_past_float_range(capsys):
+    # the bound column leaves the float range near t = 209; the rows go on
+    # in scientific notation instead of raising OverflowError
+    code, out, _ = run_cli(capsys, "count-records", "--problem",
+                           "nonrepetitive-vertex", "--delta", "3",
+                           "--exact-n", "20", "--level-cap", "20",
+                           "--tmax", "240")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(241))
+    bounds = [float(r[3]) for r in rows]
+    assert all(b < c for b, c in zip(bounds[:200], bounds[1:201]))
+    mantissa, _, exponent = rows[240][3].partition("e+")
+    assert 1 <= float(mantissa) < 10 and int(exponent) > 308
+    log_ratio = (math.log10(float(mantissa)) + int(exponent)
+                 - math.log10(bounds[200])) / 40
+    assert log_ratio == pytest.approx(math.log10(bounds[200] / bounds[199]))
+
+
+def test_count_records_huge_ceiling(capsys):
+    code, out, _ = run_cli(capsys, "count-records", "--terms", "1e300:1",
+                           "--level-cap", "3", "--tmax", "3")
+    assert code == 0
+    bounds = [line.split("\t")[3] for line in out.splitlines()[1:]]
+    assert bounds == ["1e+300", "1e+600", "1e+900", "1e+1200"]
+
+
+@pytest.mark.parametrize("term", ["1e400:1", "inf:2", "nan:1"])
+def test_count_records_rejects_non_finite_ceiling(capsys, term):
+    code, out, err = run_cli(capsys, "count-records", "--terms", term,
+                             "--level-cap", "3", "--tmax", "3")
+    assert code == 2 and out == ""
+    assert "must be finite" in err
 
 
 def test_count_records_preset_needs_exact_terms(capsys):

@@ -24,7 +24,6 @@ from recolor.engine import (
     decode,
     replay_colored_sets,
     run,
-    run_list,
 )
 from recolor.graphs import Graph, load_graph
 
@@ -150,8 +149,13 @@ class TestReplayAndDecode:
         fam = MonoEdgeFamily(K3)
         res = run(K3, fam, EngineInput(kappa=3, vector=(1, 1, 2, 2, 3)))
         pairs = replay_colored_sets(K3, fam, res.record)
-        assert [v for v, _ in pairs] == [1, 2, 2, 3, 3]
-        assert [sorted(s) for _, s in pairs] == [[1], [1], [1, 2], [1, 2], [1, 2, 3]]
+        assert pairs == [(1, ()), (2, (2,)), (2, ()), (3, (3,)), (3, ())]
+        colored, sets = set(), []
+        for v, target in pairs:
+            colored.add(v)
+            colored.difference_update(target)
+            sets.append(sorted(colored))
+        assert sets == [[1], [1], [1, 2], [1, 2], [1, 2, 3]]
 
     def test_empty_record(self):
         assert replay_colored_sets(K3, MonoEdgeFamily(K3), Record(())) == []
@@ -159,7 +163,7 @@ class TestReplayAndDecode:
     def test_single_color_on_k1(self):
         g = Graph(1, [])
         pairs = replay_colored_sets(g, MonoEdgeFamily(g), Record((None,)))
-        assert pairs == [(1, frozenset({1}))]
+        assert pairs == [(1, ())]
 
     def test_triangle_decode(self):
         fam = MonoEdgeFamily(K3)
@@ -221,8 +225,8 @@ class TestListMode:
 
     def test_disjoint_enough_lists_never_clash(self):
         fam = MonoEdgeFamily(K3)
-        res = run_list(K3, fam, self.LISTS,
-                       EngineInput(kappa=3, vector=(1, 1, 2, 2, 3)))
+        res = run(K3, fam, EngineInput(kappa=3, vector=(1, 1, 2, 2, 3),
+                                       lists=self.LISTS))
         assert res.record.steps == (None, None, None)
         assert res.coloring.as_dict() == {1: 4, 2: 5, 3: 7}
         assert res.status is RunStatus.COMPLETED
@@ -233,8 +237,8 @@ class TestListMode:
         fam = MonoEdgeFamily(K3)
         vec = (1, 1, 2, 2, 3)
         plain = run(K3, fam, EngineInput(kappa=3, vector=vec))
-        listed = run_list(K3, fam, {v: (1, 2, 3) for v in (1, 2, 3)},
-                          EngineInput(kappa=3, vector=vec))
+        listed = run(K3, fam, EngineInput(
+            kappa=3, vector=vec, lists={v: (1, 2, 3) for v in (1, 2, 3)}))
         assert listed.record == plain.record
         assert listed.coloring.as_dict() == plain.coloring.as_dict()
 
@@ -253,23 +257,23 @@ class TestListMode:
         g = Graph(1, [])
         fam = MonoEdgeFamily(g)
         lists = {1: (1, 1)}
-        res = run_list(g, fam, lists, EngineInput(kappa=2, vector=(2,)))
+        res = run(g, fam, EngineInput(kappa=2, vector=(2,), lists=lists))
         decoded = decode(g, fam, res.coloring, res.record, lists=lists)
         assert decoded == [1]
-        again = run_list(g, fam, lists, EngineInput(kappa=2, vector=tuple(decoded)))
+        again = run(g, fam, EngineInput(kappa=2, vector=tuple(decoded), lists=lists))
         assert again.record == res.record
         assert again.coloring.as_dict() == res.coloring.as_dict()
 
     def test_short_list_rejected(self):
         fam = MonoEdgeFamily(K3)
         with pytest.raises(ValueError, match="needs >= 3"):
-            run_list(K3, fam, {1: (1, 2), 2: (1, 2, 3), 3: (1, 2, 3)},
-                     EngineInput(kappa=3, vector=(1,)))
+            run(K3, fam, EngineInput(kappa=3, vector=(1,), lists={
+                1: (1, 2), 2: (1, 2, 3), 3: (1, 2, 3)}))
 
     def test_missing_list_rejected(self):
         fam = MonoEdgeFamily(K3)
         with pytest.raises(ValueError, match="no color list"):
-            run_list(K3, fam, {1: (1, 2, 3)}, EngineInput(kappa=3, vector=(1, 1)))
+            run(K3, fam, EngineInput(kappa=3, vector=(1, 1), lists={1: (1, 2, 3)}))
 
 
 class TestEngineInput:

@@ -14,7 +14,7 @@ from recolor.families import (
 )
 from recolor.planar import load_rotation, random_triangulation
 
-from _util import assert_roundtrip
+from _util import assert_roundtrip, plane_with_long_faces
 
 K3_ROT = "3 3\n1: 2 3\n2: 3 1\n3: 1 2\n"
 C4_ROT = "4 4\n1: 2 4\n2: 3 1\n3: 4 2\n4: 1 3\n"
@@ -159,3 +159,35 @@ class TestEdgeFamilyRuns:
         fam = facial_thue_edge_family(pg, rng.randint(1, pg.graph.m))
         assert_roundtrip(pg.graph, fam, EngineInput(
             kappa=rng.randint(1, 6), seed=seed, budget=rng.randint(0, 150)))
+
+
+class TestTypeCap:
+    """Detection stops at the longest face: no witness window is wider."""
+
+    @staticmethod
+    def _assert_empty_past_cap(pg, fam, objects):
+        longest = max(len(face) for face in pg.faces)
+        assert fam.widest == longest
+        past = [m.type_id for m in fam.metas if 2 * m.type_id > longest]
+        for x in range(1, objects + 1):
+            for j in past:
+                assert fam.witness_rows(x, j)[0] == ()
+        return past
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=15, deadline=None)
+    def test_triangulations_probe_one_type(self, seed):
+        rng = random.Random(seed)
+        pg = random_triangulation(rng.randint(4, 12), rng)
+        for fam, objects in ((facial_thue_vertex_family(pg), pg.graph.n),
+                             (facial_thue_edge_family(pg, 1), pg.graph.m)):
+            past = self._assert_empty_past_cap(pg, fam, objects)
+            assert past == [m.type_id for m in fam.metas][1:]
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=15, deadline=None)
+    def test_long_faces(self, seed):
+        rng = random.Random(seed)
+        pg = plane_with_long_faces(rng.randint(6, 14), rng.randint(3, 30), rng)
+        self._assert_empty_past_cap(pg, facial_thue_vertex_family(pg), pg.graph.n)
+        self._assert_empty_past_cap(pg, facial_thue_edge_family(pg, 1), pg.graph.m)
