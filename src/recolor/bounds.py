@@ -123,7 +123,12 @@ def _bisect_root(q: QPolynomial, lo: float, hi: float, rel_tol: float) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    x = 0.5 * (lo + hi)
+    if x == 0:
+        # p overflowed at every positive point: some (s_j - 1) C_j does
+        raise ValueError("the ceilings times their sizes are past the float "
+                         "range; the ratio's minimizer underflows to 0")
+    return x
 
 
 def optimize_ratio(q: QPolynomial, rel_tol: float = 1e-12) -> RatioResult:

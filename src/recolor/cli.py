@@ -300,9 +300,6 @@ def _cmd_count_records(args) -> int:
     b = count_b(terms, args.tmax)
     r = count_r(terms, args.level_cap, args.tmax)
     report = growth_check(terms, args.tmax)
-    _emit("t", "b", "r", "bound")
-    for t in range(args.tmax + 1):
-        _emit(t, b[t], r[t], _bound_cell(report.prefactor, report.base, t))
     if args.brute:
         for t in range(min(args.tmax, 12) + 1):
             brute = len(enumerate_records(terms, args.level_cap, t))
@@ -314,6 +311,9 @@ def _cmd_count_records(args) -> int:
                 _note(f"enumeration disagrees at t={t}: {brute} vs {r[t]}")
                 return 1
         _note(f"enumeration agrees up to t={min(args.tmax, 12)}")
+    _emit("t", "b", "r", "bound")
+    for t in range(args.tmax + 1):
+        _emit(t, b[t], r[t], _bound_cell(report.prefactor, report.base, t))
     if not report.ok:
         _note("growth bound violated")
         return 1
@@ -435,6 +435,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (GraphFormatError, EmbeddingError, ValueError, OSError) as exc:
         _note(f"error: {exc}")
+        return 2
+    except OverflowError as exc:
+        _note(f"error: a value is past the float range ({exc})")
         return 2
     except (FamilyContractError, DecodeError, MedialConnectivityError) as exc:
         _note(f"contract violation: {exc}")

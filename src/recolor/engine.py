@@ -67,8 +67,9 @@ class EventTypeMeta:
 class PartialColoring:
     """Color assignment over objects 1..n; color 0 means uncolored.
 
-    ``colors`` is an int array (index 0 unused) so scan kernels can take it
-    as a typed buffer; ``colored`` is the set of currently colored objects.
+    ``colors`` is an int array indexed by object (index 0 unused), which the
+    row scans read directly; ``colored`` is the set of currently colored
+    objects.
     """
 
     __slots__ = ("colors", "colored")

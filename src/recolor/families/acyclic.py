@@ -12,10 +12,48 @@ from __future__ import annotations
 
 from array import array
 
-from .._kernels import first_bicolored, first_equal
 from ..engine import EventTypeMeta
 from ..graphs import Graph, SpecialStructure
-from .base import Family, arms, bicolored_rebuild, clamped, neighbor_meta
+from .base import Family, arms, clamped, neighbor_meta
+
+
+def first_equal(colors, anchor_color, candidates):
+    """Index of the first candidate object carrying ``anchor_color``, or -1."""
+    for i, obj in enumerate(candidates):
+        if colors[obj] == anchor_color:
+            return i
+    return -1
+
+
+def first_bicolored(colors, rows, width):
+    """First fully colored row (flat array, ``width`` objects each)
+    alternating between two distinct colors (even positions one color, odd
+    positions the other), or -1.  Color 0 means uncolored."""
+    nrows = len(rows) // width
+    for r in range(nrows):
+        base = r * width
+        a = colors[rows[base]]
+        b = colors[rows[base + 1]]
+        if a == 0 or b == 0 or a == b:
+            continue
+        ok = True
+        for i in range(2, width):
+            c = colors[rows[base + i]]
+            if c != (a if i % 2 == 0 else b):
+                ok = False
+                break
+        if ok:
+            return r
+    return -1
+
+
+def bicolored_rebuild(row: tuple[int, ...], after) -> dict[int, int]:
+    """Erased colors of an alternating witness whose last two objects
+    survived: row[0], row[2], ... carried row[-2]'s color and row[1],
+    row[3], ... carried row[-1]'s."""
+    a = after.color_of(row[-2])
+    b = after.color_of(row[-1])
+    return {row[i]: (a if i % 2 == 0 else b) for i in range(len(row) - 2)}
 
 
 def _cycles_anchor_first(g: Graph, v: int, length: int) -> list[tuple[int, ...]]:
@@ -44,19 +82,57 @@ def _cycles_anchor_first(g: Graph, v: int, length: int) -> list[tuple[int, ...]]
     return rows
 
 
-class _NeighborEventMixin:
-    """Type-1 detection and rebuild: class = conflicting neighbor's position
-    in the anchor's index-sorted neighbor list."""
+class _AcyclicFamily(Family):
+    """Event loop shared by the acyclic families, declared by two lists.
 
-    def _neighbor_hit(self, coloring, v):
-        idx = first_equal(coloring.colors, coloring.color_of(v), self._adj[v])
-        return None if idx < 0 else (1, idx + 1)
+    ``tables`` holds one candidate list per anchor for each of the first
+    types: type i fires when the anchor's color recurs on its i-th list, the
+    class is the first such candidate's position, the anchor alone is
+    uncolored and regains that candidate's color.  Every later meta is a
+    bicolored row type: its witness rows are ``uncolor_size + 2`` objects
+    alternating two colors, all but the last two are uncolored, and the two
+    survivors rebuild them.
+    """
 
-    def _neighbor_rebuild(self, v, k, after):
-        return {v: after.color_of(self.g.adj[v][k - 1])}
+    def __init__(self, g: Graph, name: str, metas, tables):
+        super().__init__(name, g.n, metas, rank=g.rank.__getitem__)
+        self.g = g
+        self._tables = tuple(
+            tuple(array("i", lists[v]) for v in range(g.n + 1))
+            for lists in tables)
+        self._row_types = tuple(
+            (meta.type_id, meta.uncolor_size + 2)
+            for meta in self.metas[len(tables):])
+
+    def detect(self, coloring, v):
+        colors = coloring.colors
+        color = coloring.color_of(v)
+        for j, table in enumerate(self._tables, start=1):
+            idx = first_equal(colors, color, table[v])
+            if idx >= 0:
+                return j, idx + 1
+        for j, width in self._row_types:
+            if width > len(coloring.colored):
+                break
+            rows, flat = self.witness_rows(v, j)
+            if rows:
+                idx = first_bicolored(colors, flat, width)
+                if idx >= 0:
+                    return j, idx + 1
+        return None
+
+    def uncolor_set(self, j, v, colored, k):
+        if j <= len(self._tables):
+            return (v,)
+        return self.witness_rows(v, j)[0][k - 1][:-2]
+
+    def rebuild_event(self, j, v, colored_before, k, after):
+        if j <= len(self._tables):
+            return {v: after.color_of(self._tables[j - 1][v][k - 1])}
+        return bicolored_rebuild(self.witness_rows(v, j)[0][k - 1], after)
 
 
-class _GammaFamily(_NeighborEventMixin, Family):
+class _GammaFamily(_AcyclicFamily):
     def __init__(self, g: Graph, gamma: int):
         if gamma < 1:
             raise ValueError("gamma must be a positive integer")
@@ -66,40 +142,11 @@ class _GammaFamily(_NeighborEventMixin, Family):
             EventTypeMeta(k, clamped(0.5 * gamma * d ** (2 * k - 2)), 2 * k - 2)
             for k in range(2, g.n // 2 + 1)
         ]
-        super().__init__(f"acyclic-gamma({gamma})", g.n, metas,
-                         rank=g.rank.__getitem__)
-        self.g = g
+        super().__init__(g, f"acyclic-gamma({gamma})", metas, (g.adj,))
         self.gamma = gamma
-        self._adj = tuple(array("i", g.adj[v]) for v in range(g.n + 1))
 
     def _enumerate(self, v, j):
         return _cycles_anchor_first(self.g, v, 2 * j)
-
-    def detect(self, coloring, v):
-        hit = self._neighbor_hit(coloring, v)
-        if hit:
-            return hit
-        for meta in self.metas[1:]:
-            k = meta.type_id
-            if 2 * k > len(coloring.colored):
-                break
-            rows, flat = self.witness_rows(v, k)
-            if rows:
-                idx = first_bicolored(coloring.colors, flat, 2 * k)
-                if idx >= 0:
-                    return k, idx + 1
-        return None
-
-    def uncolor_set(self, j, v, colored, k):
-        if j == 1:
-            return (v,)
-        return self.witness_rows(v, j)[0][k - 1][: 2 * j - 2]
-
-    def rebuild_event(self, j, v, colored_before, k, after):
-        if j == 1:
-            return self._neighbor_rebuild(v, k, after)
-        row = self.witness_rows(v, j)[0][k - 1]
-        return bicolored_rebuild(row, 2 * j - 2, after)
 
 
 def acyclic_gamma_family(g: Graph, gamma: int) -> _GammaFamily:
@@ -110,11 +157,9 @@ def acyclic_gamma_family(g: Graph, gamma: int) -> _GammaFamily:
     return _GammaFamily(g, gamma)
 
 
-class _SpecialPairFamily(_NeighborEventMixin, Family):
+class _SpecialPairFamily(_AcyclicFamily):
     """Common core of the two special-pair variants: neighbor event, then a
     same-color event against the anchor's special set."""
-
-    S_TYPE = 2
 
     @staticmethod
     def _check_alpha(alpha: float) -> float:
@@ -123,18 +168,11 @@ class _SpecialPairFamily(_NeighborEventMixin, Family):
         return alpha
 
     def __init__(self, g: Graph, alpha: float, name: str, metas):
-        super().__init__(name, g.n, metas, rank=g.rank.__getitem__)
-        self.g = g
+        special = SpecialStructure(g, alpha)
+        special_lists = [special.special(v) for v in range(g.n + 1)]
+        super().__init__(g, name, metas, (g.adj, special_lists))
         self.alpha = alpha
-        self.special = SpecialStructure(g, alpha)
-        self._adj = tuple(array("i", g.adj[v]) for v in range(g.n + 1))
-        self._special_rows = tuple(
-            array("i", self.special.special(v)) for v in range(g.n + 1)
-        )
-
-    def _special_hit(self, coloring, v):
-        idx = first_equal(coloring.colors, coloring.color_of(v), self._special_rows[v])
-        return None if idx < 0 else (self.S_TYPE, idx + 1)
+        self.special = special
 
     def _anchor_pairs(self, v):
         rank = self.g.rank
@@ -145,7 +183,7 @@ class _SpecialPairFamily(_NeighborEventMixin, Family):
 
 
 class _V1Family(_SpecialPairFamily):
-    C_TYPE, P_TYPE = 3, 4
+    C_TYPE = 3
 
     def __init__(self, g: Graph, alpha: float):
         self._check_alpha(alpha)
@@ -178,34 +216,6 @@ class _V1Family(_SpecialPairFamily):
                     rows.append((u1, v, u3) + ext)
         rows.sort(key=lambda r: [rank[x] for x in r])
         return rows
-
-    def detect(self, coloring, v):
-        hit = self._neighbor_hit(coloring, v) or self._special_hit(coloring, v)
-        if hit:
-            return hit
-        for j, width in ((self.C_TYPE, 4), (self.P_TYPE, 6)):
-            if width > len(coloring.colored):
-                break
-            rows, flat = self.witness_rows(v, j)
-            if rows:
-                idx = first_bicolored(coloring.colors, flat, width)
-                if idx >= 0:
-                    return j, idx + 1
-        return None
-
-    def uncolor_set(self, j, v, colored, k):
-        if j in (1, 2):
-            return (v,)
-        row = self.witness_rows(v, j)[0][k - 1]
-        return row[:2] if j == self.C_TYPE else row[:4]
-
-    def rebuild_event(self, j, v, colored_before, k, after):
-        if j == 1:
-            return self._neighbor_rebuild(v, k, after)
-        if j == 2:
-            return {v: after.color_of(self.special.special(v)[k - 1])}
-        row = self.witness_rows(v, j)[0][k - 1]
-        return bicolored_rebuild(row, 2 if j == self.C_TYPE else 4, after)
 
 
 def acyclic_v1_family(g: Graph, alpha: float) -> _V1Family:
@@ -251,34 +261,6 @@ class _V2Family(_SpecialPairFamily):
                         rows.append((u1, v, u3) + ext)
         rows.sort(key=lambda r: [rank[x] for x in r])
         return rows
-
-    def detect(self, coloring, v):
-        hit = self._neighbor_hit(coloring, v) or self._special_hit(coloring, v)
-        if hit:
-            return hit
-        for meta in self.metas[2:]:
-            width = meta.uncolor_size + 2
-            if width > len(coloring.colored):
-                break
-            rows, flat = self.witness_rows(v, meta.type_id)
-            if rows:
-                idx = first_bicolored(coloring.colors, flat, width)
-                if idx >= 0:
-                    return meta.type_id, idx + 1
-        return None
-
-    def uncolor_set(self, j, v, colored, k):
-        if j in (1, 2):
-            return (v,)
-        return self.witness_rows(v, j)[0][k - 1][: 2 * (j - 1) - 2]
-
-    def rebuild_event(self, j, v, colored_before, k, after):
-        if j == 1:
-            return self._neighbor_rebuild(v, k, after)
-        if j == 2:
-            return {v: after.color_of(self.special.special(v)[k - 1])}
-        row = self.witness_rows(v, j)[0][k - 1]
-        return bicolored_rebuild(row, 2 * (j - 1) - 2, after)
 
 
 def acyclic_v2_family(g: Graph, alpha: float) -> _V2Family:

@@ -13,7 +13,6 @@ import heapq
 import math
 from array import array
 
-from .._kernels import first_repetition
 from ..engine import EventTypeMeta
 
 
@@ -37,7 +36,8 @@ class Family:
         return RankFrontier(self.n_objects, self._rank)
 
     def witness_rows(self, v: int, j: int) -> tuple[tuple[tuple[int, ...], ...], array]:
-        """Canonical witness list for (anchor, type) plus its flattened form."""
+        """Canonical witness list for (anchor, type) plus the same rows laid
+        back to back in one int array, the form the row scans read."""
         key = (v, j)
         hit = self._rows.get(key)
         if hit is None:
@@ -129,6 +129,26 @@ def edge_paths_through(g, edge_id: int, length: int) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
+def first_repetition(colors, rows, width):
+    """First row (flat array, ``width`` objects each) that is fully colored
+    with its first half colored identically to its second half, or -1.
+    Color 0 means uncolored."""
+    half = width // 2
+    nrows = len(rows) // width
+    for r in range(nrows):
+        base = r * width
+        ok = True
+        for i in range(half):
+            a = colors[rows[base + i]]
+            if a == 0 or a != colors[rows[base + half + i]]:
+                ok = False
+                break
+        if ok:
+            # the first half being colored forces the second half colored too
+            return r
+    return -1
+
+
 class RepetitionFamily(Family):
     """Families whose type-j event is a colored 2j-repetition on a witness
     path through the anchor; the uncolored set is the half containing it.
@@ -170,19 +190,6 @@ class RepetitionFamily(Family):
         if row.index(v) < j:
             return {row[i]: after.color_of(row[i + j]) for i in range(j)}
         return {row[i + j]: after.color_of(row[i]) for i in range(j)}
-
-
-def bicolored_uncolor(row: tuple[int, ...], count: int) -> tuple[int, ...]:
-    return row[:count]
-
-
-def bicolored_rebuild(row: tuple[int, ...], count: int, after) -> dict[int, int]:
-    """Erased colors of the first `count` objects of an alternating witness:
-    odd positions carried the last-but-one survivor's color, even positions
-    the last survivor's."""
-    a = after.color_of(row[-2])
-    b = after.color_of(row[-1])
-    return {row[i]: (a if i % 2 == 0 else b) for i in range(count)}
 
 
 def neighbor_meta(g) -> EventTypeMeta:

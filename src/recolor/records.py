@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _ENUMERATION_CAP = 14
+_RECORD_CAP = 1_000_000
 
 
 def _normalize(terms) -> tuple[tuple[int, int], ...]:
@@ -98,11 +99,16 @@ def enumerate_records(terms, n: int, t: int) -> list[tuple]:
 
     Entries mirror engine records: None for a plain climb, (j, k) when the
     climb is followed by a type-j descent with class annotation k; j is the
-    1-based term index.
+    1-based term index.  Refuses when `count_r` (exact for n >= t, an upper
+    bound below) counts more than a million records.
     """
     if t > _ENUMERATION_CAP:
         raise ValueError(
             f"refusing to enumerate records longer than {_ENUMERATION_CAP}")
+    if count_r(terms, n, t)[t] > _RECORD_CAP:
+        raise ValueError(
+            f"refusing to enumerate more than {_RECORD_CAP} records "
+            f"(t={t}, level cap {n})")
     norm = _normalize(terms)
     out: list[tuple] = []
     path: list = [None] * t
@@ -159,8 +165,12 @@ def growth_check(terms, t_max: int) -> GrowthReport:
         ok = all(
             math.log(b[t]) <= math.log(prefactor) + t * math.log(base) + 1e-9
             for t in range(1, t_max + 1) if b[t])
+    if not (math.isfinite(base) and math.isfinite(prefactor)):
+        raise ValueError(
+            "growth check: the ceiling sum is past the float range "
+            f"(base {base}, prefactor {prefactor})")
     trajectory = tuple(
-        math.exp(math.log(b[t]) / t) / base
+        math.exp(math.log(b[t]) / t - math.log(base))
         for t in range(1, t_max + 1) if b[t])
     return GrowthReport(ok, base, prefactor, trajectory)
 

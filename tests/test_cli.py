@@ -9,7 +9,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from recolor.bounds import PROBLEMS
 from recolor.cli import main
 
 K3_GRAPH = "3 3\n1 2\n1 3\n2 3\n"
@@ -91,6 +94,18 @@ def test_bound_family_file(capsys, tmp_path):
     assert code == 0
     pairs, _ = kv(out)
     assert pairs["optimized_kappa"] == "6"
+
+
+@pytest.mark.parametrize("terms", [
+    "8.98846567431158e+307:3",  # the ratio's minimizer underflows to 0
+    "8.0:2 8.98846567431158e+307:1 8.98846567431158e+307:1",  # ratio is inf
+])
+def test_bound_family_file_past_float_range(capsys, tmp_path, terms):
+    path = tmp_path / "terms.txt"
+    path.write_text(terms)
+    code, out, err = run_cli(capsys, "bound", "--family-file", str(path))
+    assert code == 2 and out == ""
+    assert "float range" in err
 
 
 def test_bound_domain_error(capsys):
@@ -283,6 +298,21 @@ def test_count_records_rejects_non_finite_ceiling(capsys, term):
     assert "must be finite" in err
 
 
+def test_count_records_ceiling_sum_past_float_range(capsys):
+    code, out, err = run_cli(capsys, "count-records", "--terms",
+                             "1.7e308:1 1.7e308:1 1.7e308:1",
+                             "--level-cap", "3", "--tmax", "3")
+    assert code == 2 and out == ""
+    assert "ceiling sum" in err
+
+
+def test_count_records_brute_refuses_huge_counts(capsys):
+    code, out, err = run_cli(capsys, "count-records", "--terms", "1e300:1",
+                             "--level-cap", "3", "--tmax", "3", "--brute")
+    assert code == 2 and out == ""
+    assert "refusing to enumerate" in err
+
+
 def test_count_records_preset_needs_exact_terms(capsys):
     code, _, err = run_cli(capsys, "count-records", "--problem",
                            "facial-thue-edge", "--level-cap", "3",
@@ -381,3 +411,50 @@ def test_argparse_usage_error_is_exit_two():
         [sys.executable, "-m", "recolor.cli", "bound", "--problem", "nope"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+# --- fuzzed argv ---------------------------------------------------------------
+
+_CEILINGS = st.one_of(
+    st.floats(),
+    st.floats(min_value=1e300, max_value=sys.float_info.max),
+    st.integers(0, 5).map(float))
+_TERMS = st.lists(st.tuples(_CEILINGS, st.integers(-1, 5)), max_size=4).map(
+    lambda terms: " ".join(f"{c!r}:{s}" for c, s in terms))
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        return exc.code
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=_TERMS, level_cap=st.integers(-1, 30), tmax=st.integers(-1, 30))
+def test_count_records_fuzzed_argv_keeps_exit_codes(terms, level_cap, tmax):
+    code = _exit_code(["count-records", f"--terms={terms}",
+                       f"--level-cap={level_cap}", f"--tmax={tmax}"])
+    assert code in (0, 1, 2, 3)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_bound_fuzzed_argv_keeps_exit_codes(tmp_path, data):
+    if data.draw(st.booleans(), label="family file"):
+        path = tmp_path / "terms.txt"
+        path.write_text(data.draw(_TERMS, label="terms"))
+        argv = ["bound", f"--family-file={path}"]
+    else:
+        argv = ["bound", f"--problem={data.draw(st.sampled_from(PROBLEMS))}",
+                f"--delta={data.draw(st.integers(-1, 10 ** 6))}",
+                f"--alpha={data.draw(st.floats())!r}",
+                f"--gamma={data.draw(st.integers(-1, 5))}",
+                f"--r={data.draw(st.integers(-1, 8))}",
+                f"--form={data.draw(st.sampled_from(('vertex', 'edge')))}"]
+        if data.draw(st.booleans(), label="exact n"):
+            argv.append(f"--exact-n={data.draw(st.integers(-1, 30))}")
+        if data.draw(st.booleans(), label="optimize alpha"):
+            argv.append("--optimize-alpha")
+    assert _exit_code(argv) in (0, 1, 2, 3)

@@ -119,6 +119,15 @@ def test_enumerate_refuses_large_sizes():
         enumerate_records([(1, 2)], 3, 15)
 
 
+def test_enumerate_refuses_large_counts():
+    # one climb of a 1e300-ceiling system already has 1e300 annotations
+    with pytest.raises(ValueError, match="more than 1000000 records"):
+        enumerate_records([(1e300, 1)], 3, 1)
+    with pytest.raises(ValueError, match="more than 1000000 records"):
+        enumerate_records([(10, 1)], 6, 6)  # 11**6 records
+    assert len(enumerate_records([(9, 1)], 5, 5)) == 10 ** 5
+
+
 def test_tight_cap_enumeration_is_smaller():
     # partials of size 3 under cap 1: every climb except a final one must
     # be cancelled at once, giving 2*2*3 = 12 paths; the series counts 20
