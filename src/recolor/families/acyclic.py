@@ -5,7 +5,9 @@ differ in how they cover bicolored cycles: a global cycle-count budget, an
 induced-4-cycle/6-path pair over a special-pair structure, or a cycle ladder
 over the same structure.  Cycle witnesses are stored in traversal order, so
 uncoloring is always a prefix of the row and rebuilding alternates the two
-colors still readable at the row's tail.
+colors still readable at the row's tail.  The long bicolored types are
+detected by a search inside the two-colored subgraph at the anchor, and
+their witnesses enumerated only to rank a hit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from array import array
 
 from ..engine import EventTypeMeta
 from ..graphs import Graph, SpecialStructure
-from .base import Family, arms, clamped, neighbor_meta
+from .base import Family, alternating_path, arms, clamped, neighbor_meta
 
 
 def first_equal(colors, anchor_color, candidates):
@@ -91,8 +93,11 @@ class _AcyclicFamily(Family):
     uncolored and regains that candidate's color.  Every later meta is a
     bicolored row type: its witness rows are ``uncolor_size + 2`` objects
     alternating two colors, all but the last two are uncolored, and the two
-    survivors rebuild them.
+    survivors rebuild them.  Row types from ``first_searched`` on are
+    detected by the family's `fires` search before their rows are read.
     """
+
+    first_searched: int
 
     def __init__(self, g: Graph, name: str, metas, tables):
         super().__init__(name, g.n, metas, rank=g.rank.__getitem__)
@@ -101,7 +106,8 @@ class _AcyclicFamily(Family):
             tuple(array("i", lists[v]) for v in range(g.n + 1))
             for lists in tables)
         self._row_types = tuple(
-            (meta.type_id, meta.uncolor_size + 2)
+            (meta.type_id, meta.uncolor_size + 2,
+             meta.type_id >= self.first_searched)
             for meta in self.metas[len(tables):])
 
     def detect(self, coloring, v):
@@ -111,9 +117,11 @@ class _AcyclicFamily(Family):
             idx = first_equal(colors, color, table[v])
             if idx >= 0:
                 return j, idx + 1
-        for j, width in self._row_types:
+        for j, width, searched in self._row_types:
             if width > len(coloring.colored):
                 break
+            if searched and not self.fires(coloring, v, j):
+                continue
             rows, flat = self.witness_rows(v, j)
             if rows:
                 idx = first_bicolored(colors, flat, width)
@@ -133,6 +141,8 @@ class _AcyclicFamily(Family):
 
 
 class _GammaFamily(_AcyclicFamily):
+    first_searched = 2
+
     def __init__(self, g: Graph, gamma: int):
         if gamma < 1:
             raise ValueError("gamma must be a positive integer")
@@ -148,6 +158,22 @@ class _GammaFamily(_AcyclicFamily):
     def _enumerate(self, v, j):
         return _cycles_anchor_first(self.g, v, 2 * j)
 
+    def fires(self, coloring, v, j) -> bool:
+        """Whether v lies on a 2j-cycle alternating its color with the color
+        b of a neighbor, searched inside the subgraph colored c(v) and b."""
+        colors, g = coloring.colors, self.g
+        a = colors[v]
+
+        def close(w, _):
+            return g.has_edge(w, v)
+
+        for u2 in g.adj[v]:
+            b = colors[u2]
+            if b and b != a and alternating_path(g.adj, colors, [v, u2],
+                                                 2 * j, close):
+                return True
+        return False
+
 
 def acyclic_gamma_family(g: Graph, gamma: int) -> _GammaFamily:
     """Events: monochromatic edge at the anchor, or a bicolored 2k-cycle with
@@ -159,7 +185,11 @@ def acyclic_gamma_family(g: Graph, gamma: int) -> _GammaFamily:
 
 class _SpecialPairFamily(_AcyclicFamily):
     """Common core of the two special-pair variants: neighbor event, then a
-    same-color event against the anchor's special set."""
+    same-color event against the anchor's special set.  Their witnesses
+    from type 4 on start (u1, v, u3) with u1, u3 neighbors of the anchor v,
+    and are searched from each such pair colored alike."""
+
+    first_searched = 4
 
     @staticmethod
     def _check_alpha(alpha: float) -> float:
@@ -180,6 +210,24 @@ class _SpecialPairFamily(_AcyclicFamily):
         for i, a in enumerate(nb):
             for b in nb[i + 1:]:
                 yield (a, b) if rank[a] < rank[b] else (b, a)
+
+    def fires(self, coloring, v, j) -> bool:
+        """Whether a type-j row (u1, v, u3, ...) alternates two colors: a
+        search from u3 over the subgraph colored c(u1) = c(u3) and c(v)."""
+        colors = coloring.colors
+        b = colors[v]
+        width = self.metas[j - 1].uncolor_size + 2
+        for u1, u3 in self._anchor_pairs(v):
+            a = colors[u1]
+            if a and a != b and colors[u3] == a and alternating_path(
+                    self.g.adj, colors, [u1, v, u3], width, self._closing(u1)):
+                return True
+        return False
+
+    def _closing(self, u1):
+        """`alternating_path` check on a row's last vertex and the one
+        before it; type-4 rows of v1 are open paths."""
+        return None
 
 
 class _V1Family(_SpecialPairFamily):
@@ -261,6 +309,14 @@ class _V2Family(_SpecialPairFamily):
                         rows.append((u1, v, u3) + ext)
         rows.sort(key=lambda r: [rank[x] for x in r])
         return rows
+
+    def _closing(self, u1):
+        has_edge, sp = self.g.has_edge, self.special.is_special
+
+        def close(w, prev):
+            return has_edge(w, u1) and not (sp(u1, prev) and sp(prev, u1))
+
+        return close
 
 
 def acyclic_v2_family(g: Graph, alpha: float) -> _V2Family:

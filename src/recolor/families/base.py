@@ -1,10 +1,21 @@
 """Shared plumbing for bad-event families.
 
-Witness enumeration happens lazily per (anchor, type) and is memoized: the
-lists are pure functions of the immutable graph, so the memo is shared by
-concurrent runs without affecting behavior.  Enumerations are canonicalized
-(a path equals its reversal) and sorted by the graph's vertex order, making
-class ranks the stable bijection the decoder relies on.
+Detection searches on fire and ranks on hit.  Where a family declares a
+search for a type (`fires`), `detect` asks it whether some witness of that
+type through the anchor is bad, and only then enumerates the type's
+witnesses to rank the hit.  The searches walk colored objects only and drop
+a partial witness at the first color that breaks its pattern: repetitions
+grow two mirrored objects at a time (`PathRepetitionFamily`), bicolored
+cycles and paths stay inside the two-colored subgraph (`alternating_path`).
+Types without a search (the short cycle types and the facial windows) scan
+their witness list on every probe.
+
+Witness enumeration (`witness_rows`) happens lazily per (anchor, type) and
+is memoized: the lists are pure functions of the immutable graph, so the
+memo is shared by concurrent runs without affecting behavior.  Enumerations
+are canonicalized (a path equals its reversal) and sorted by the graph's
+vertex order, making class ranks the stable bijection the decoder relies
+on; they stay the ranking and the oracle the searches are tested against.
 """
 
 from __future__ import annotations
@@ -129,6 +140,36 @@ def edge_paths_through(g, edge_id: int, length: int) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
+def alternating_path(adj, colors, path, width, close=None) -> bool:
+    """Whether the colored ``path``, whose last two vertices carry two
+    different colors, extends by fresh vertices to ``width`` vertices that
+    keep alternating those colors, the last vertex w also satisfying
+    ``close(w, x)`` with x the vertex before it.  A depth-first search
+    inside the two-colored subgraph, so it never leaves it; ``path`` is
+    consumed.
+    """
+    used = set(path)
+    stack = [iter(adj[path[-1]])]
+    while stack:
+        want = colors[path[-2]]
+        for w in stack[-1]:
+            if w in used or colors[w] != want:
+                continue
+            if len(path) + 1 == width:
+                if close is None or close(w, path[-1]):
+                    return True
+                continue
+            path.append(w)
+            used.add(w)
+            stack.append(iter(adj[w]))
+            break
+        else:
+            stack.pop()
+            if stack:
+                used.discard(path.pop())
+    return False
+
+
 def first_repetition(colors, rows, width):
     """First row (flat array, ``width`` objects each) that is fully colored
     with its first half colored identically to its second half, or -1.
@@ -190,6 +231,97 @@ class RepetitionFamily(Family):
         if row.index(v) < j:
             return {row[i]: after.color_of(row[i + j]) for i in range(j)}
         return {row[i + j]: after.color_of(row[i]) for i in range(j)}
+
+
+class PathRepetitionFamily(RepetitionFamily):
+    """Repetition families whose type-j witnesses are all the simple paths
+    of 2j objects through the anchor.  A search (`_repetitions`) finds the
+    lengths of the bad ones, and only the type that fires is enumerated, to
+    rank the hit.
+
+    Subclasses set ``_steps[x]``, the (vertex w, object) pairs of the steps
+    from vertex x (the object is w itself for vertex paths and the edge xw
+    for edge paths), and supply ``_ends(x)``, the (first, last) vertices of
+    object x in each direction a path can run through it.
+    ``shared_joint`` is true when consecutive objects share a vertex (edge
+    paths) rather than an edge (vertex paths).
+    """
+
+    shared_joint = False
+
+    def detect(self, coloring, v):
+        j = next(self._repetitions(coloring, v), None)
+        if j is None:
+            return None
+        flat = self.witness_rows(v, j)[1]
+        return j, first_repetition(coloring.colors, flat, 2 * j) + 1
+
+    def fires(self, coloring, x, j) -> bool:
+        for length in self._repetitions(coloring, x):
+            if length >= j:
+                return length == j
+        return False
+
+    def _repetitions(self, coloring, x):
+        """Yield, ascending, every j for which a colored simple path of 2j
+        objects through x reads its first half twice.
+
+        Breadth-first over pairs of tracks: track A holds x and track B the
+        objects j positions away, x's partner first.  Each layer grows both
+        tracks by one object at the same end, and only by two objects of
+        one color, so every step places a mirrored pair.  Growth runs
+        forwards, then backwards, so each pair of tracks is reached once.
+        A layer of length j yields j when some pair joins into one path,
+        A's last object followed by B's first or B's last by A's first.
+        """
+        colors, steps = coloring.colors, self._steps
+        shared, nbr = self.shared_joint, self.g.nbr
+        c = colors[x]
+        a_first, a_last = self._ends(x)[0]
+        layer, joined = [], False
+        for y in range(1, self.n_objects + 1):
+            if colors[y] != c or y == x:
+                continue
+            for b_first, b_last in self._ends(y):
+                ends = {a_first, a_last, b_first, b_last}
+                if {a_first, a_last}.isdisjoint((b_first, b_last)):
+                    layer.append((a_first, a_last, b_first, b_last,
+                                  frozenset(ends), True))
+                elif shared and len(ends) == 3 and (
+                        a_last == b_first or b_last == a_first):
+                    joined = True
+        length = 1
+        while layer or joined:
+            # vertex tracks grow from single vertices both ways alike, so a
+            # pair that joins B to A is also reached reversed, joining A to B
+            if joined or not shared and any(
+                    bf in nbr[al] for _, al, bf, _, _, _ in layer):
+                yield length
+            joined = False
+            grown = []
+            for af, al, bf, bl, used, forwards in layer:
+                for back in (False, True) if forwards else (True,):
+                    # grow at A's and B's ends: last ones forwards, first
+                    # ones backwards; a new end may only meet the other
+                    # track at the joint
+                    a_end, b_end = (af, bf) if back else (al, bl)
+                    a_meet, b_meet = (bl, al) if back else (bf, af)
+                    for a, oa in steps[a_end]:
+                        ca = colors[oa]
+                        if not ca:
+                            continue
+                        for b, ob in steps[b_end]:
+                            if colors[ob] != ca:
+                                continue
+                            if a not in used and b not in used and a != b:
+                                grown.append(
+                                    (a, al, b, bl, used | {a, b}, False) if back
+                                    else (af, a, bf, b, used | {a, b}, True))
+                            elif shared and (a == a_meet and b not in used
+                                             or b == b_meet and a not in used):
+                                joined = True
+            layer = grown
+            length += 1
 
 
 def neighbor_meta(g) -> EventTypeMeta:

@@ -3,17 +3,24 @@
 The type-j event is a colored repetition on a 2j-object simple path through
 the anchor; both variants uncolor the half containing the anchor and rebuild
 by mirroring the surviving half, which pins the anchor's erased color because
-repetition pairs positions i and i+j.
+repetition pairs positions i and i+j.  Detection searches the colored
+paths through the anchor two mirrored objects at a time
+(`PathRepetitionFamily`).
 """
 
 from __future__ import annotations
 
 from ..engine import EventTypeMeta
 from ..graphs import Graph
-from .base import RepetitionFamily, clamped, edge_paths_through, vertex_paths_through
+from .base import (
+    PathRepetitionFamily,
+    clamped,
+    edge_paths_through,
+    vertex_paths_through,
+)
 
 
-class _NonrepVertexFamily(RepetitionFamily):
+class _NonrepVertexFamily(PathRepetitionFamily):
     def __init__(self, g: Graph):
         d = g.max_degree
         metas = [
@@ -23,6 +30,10 @@ class _NonrepVertexFamily(RepetitionFamily):
         super().__init__("nonrepetitive-vertex", g.n, metas,
                          rank=g.rank.__getitem__)
         self.g = g
+        self._steps = tuple(tuple(zip(nb, nb)) for nb in g.adj)
+
+    def _ends(self, v):
+        return ((v, v),)
 
     def _enumerate(self, v, j):
         return vertex_paths_through(self.g, v, 2 * j)
@@ -35,7 +46,7 @@ def nonrepetitive_vertex_family(g: Graph) -> _NonrepVertexFamily:
     return _NonrepVertexFamily(g)
 
 
-class _NonrepEdgeFamily(RepetitionFamily):
+class _NonrepEdgeFamily(PathRepetitionFamily):
     def __init__(self, g: Graph):
         d = g.max_degree
         metas = [
@@ -44,6 +55,15 @@ class _NonrepEdgeFamily(RepetitionFamily):
         ]
         super().__init__("nonrepetitive-edge", g.m, metas)
         self.g = g
+        self._steps = tuple(
+            tuple((w, g.edge_index[(min(x, w), max(x, w))]) for w in nb)
+            for x, nb in enumerate(g.adj))
+
+    shared_joint = True
+
+    def _ends(self, e):
+        a, b = self.g.endpoints(e)
+        return ((a, b), (b, a))
 
     def _enumerate(self, e, j):
         return edge_paths_through(self.g, e, 2 * j)

@@ -29,7 +29,8 @@ class PlaneGraph:
     and sorted, so equal embeddings trace equal face lists.
     """
 
-    __slots__ = ("graph", "rotation", "faces", "_vertex_walks", "_face_edge_sets")
+    __slots__ = ("graph", "rotation", "faces", "_vertex_walks", "_face_edge_sets",
+                 "_faces_at")
 
     def __init__(self, graph: Graph, rotation: dict[int, tuple[int, ...]]):
         for v in range(1, graph.n + 1):
@@ -48,6 +49,7 @@ class PlaneGraph:
             frozenset(self.graph.edge_index[(min(u, v), max(u, v))] for u, v in face)
             for face in self.faces
         )
+        self._faces_at = None
         if self._connected() and self.graph.m > 0:
             euler = self.graph.n - self.graph.m + len(self.faces)
             if euler != 2:
@@ -55,6 +57,22 @@ class PlaneGraph:
                     f"face tracing gave n - m + f = {euler}, expected 2 "
                     "for a connected plane embedding"
                 )
+
+    def faces_at(self, x) -> tuple[int, ...]:
+        """Ascending indices into ``faces`` of the faces whose boundary
+        passes through vertex ``x`` or edge ``x = (u, v)`` with u < v.
+        The index is built on first use, so a graph never asked pays
+        nothing for it."""
+        if self._faces_at is None:
+            index: dict = {}
+            for i, face in enumerate(self.faces):
+                for u, v in face:
+                    for key in (u, (min(u, v), max(u, v))):
+                        seen = index.setdefault(key, [])
+                        if not seen or seen[-1] != i:
+                            seen.append(i)
+            self._faces_at = {key: tuple(ids) for key, ids in index.items()}
+        return self._faces_at.get(x, ())
 
     def _next(self, u: int, v: int) -> tuple[int, int]:
         rot = self.rotation[v]
@@ -152,13 +170,14 @@ def facial_paths_through(pg: PlaneGraph, x, length: int) -> list[tuple]:
     when ``x`` is an edge pair ``(u, v)`` they are edge paths (tuples of
     sorted edge pairs).  The same geometric path shows up once per containing
     (face, offset), in face order then offset order; callers that need the
-    distinct-path set deduplicate.
+    distinct-path set deduplicate.  Only the faces through ``x`` are read.
     """
     if length < 2:
         raise ValueError("a path needs at least 2 elements")
     out = []
     if isinstance(x, int):
-        for walk in pg._vertex_walks:
+        for i in pg.faces_at(x):
+            walk = pg._vertex_walks[i]
             f = len(walk)
             if f < length:
                 continue
@@ -169,7 +188,8 @@ def facial_paths_through(pg: PlaneGraph, x, length: int) -> list[tuple]:
     else:
         u, v = x
         target = (min(u, v), max(u, v))
-        for face in pg.faces:
+        for i in pg.faces_at(target):
+            face = pg.faces[i]
             f = len(face)
             if f < length:
                 continue

@@ -154,11 +154,13 @@ FAMILY_CASES = {
 }
 
 
-def fuzzed_instance(name: str, rng: random.Random):
-    """(graph, family, seeded engine input) for one instance of `name`."""
+def fuzzed_instance(name: str, rng: random.Random, kappas=None):
+    """(graph, family, seeded engine input) for one instance of `name`;
+    `kappas` = (lo, hi) overrides the family's kappa range."""
     make_graph, make_family, (lo, hi) = FAMILY_CASES[name]
     host = make_graph(rng)
     fam = make_family(host, rng)
+    lo, hi = kappas or (lo, hi)
     inp = EngineInput(rng.randint(lo, hi), seed=rng.randrange(2 ** 31),
                       budget=rng.randint(0, 12 * fam.n_objects))
     return getattr(host, "graph", host), fam, inp

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from recolor.engine import decode, run
+from recolor.engine import FamilyContractError, decode, run
 
 from _util import fuzzed_instance
 
@@ -37,12 +37,42 @@ GOLDEN = {
 }
 
 
-def family_digest(name: str) -> str:
-    rng = random.Random(f"golden {name}")
+# Kappa 2-3: most steps fire, and over many triples the types above the
+# first (longer repetitions, bicolored cycles) fire and are ranked too.
+# Pinned on the engine whose detection enumerated every witness of a type
+# before scanning it.
+HIT_HEAVY_TRIPLES = 200
+HIT_HEAVY = {
+    "acyclic-gamma":
+        "0816d35991d5547ee98bcddb899c0d28ca994c79edca43203544451c728a2b92",
+    "acyclic-v1":
+        "809114e08a23d38e07b87494d020f8e41761afe53896677d9332ec18940573ac",
+    "acyclic-v2":
+        "e22de773131c62d0232d4cc5bc9aa953086908edfd9942083e5773293b6cb0f0",
+    "facial-thue-edge":
+        "aa05506e256d90048e0584f60e77225ff98bb6b7ba10eed6c006592d6770198d",
+    "facial-thue-vertex":
+        "78e189687a63f824211cb1e30d733b3f09f50dd394d34f42d2506cce32ace879",
+    "nonrepetitive-edge":
+        "9547135e36dd41d0641c5fc32af15af1a1c8135637ac21ae681791a58307f9b0",
+    "nonrepetitive-vertex":
+        "682da1e1e9d1f58aa5541408cb42d61c8e1b209c96024a33619b81f1ef175838",
+}
+
+
+def family_digest(name: str, seed: str = "golden", kappas=None,
+                  triples: int = TRIPLES) -> str:
+    rng = random.Random(f"{seed} {name}")
     digest = hashlib.sha256()
-    for _ in range(TRIPLES):
-        g, fam, inp = fuzzed_instance(name, rng)
-        res = run(g, fam, inp)
+    for _ in range(triples):
+        g, fam, inp = fuzzed_instance(name, rng, kappas)
+        try:
+            res = run(g, fam, inp)
+        except FamilyContractError as exc:
+            # pinned as it is: facial-thue-edge exceeds its 1+2j ceiling on
+            # faces that visit a vertex twice
+            digest.update(f"{exc}\0".encode())
+            continue
         values = decode(g, fam, res.coloring, res.record)
         assert tuple(values) == inp.make_vector()[: res.steps_used]
         coloring = "".join(f"{v} {res.coloring.color_of(v)}\n"
@@ -56,3 +86,9 @@ def family_digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_records_match_golden_digest(name):
     assert family_digest(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(HIT_HEAVY))
+def test_hit_heavy_records_match_golden_digest(name):
+    digest = family_digest(name, "hit-heavy", (2, 3), HIT_HEAVY_TRIPLES)
+    assert digest == HIT_HEAVY[name]

@@ -16,6 +16,8 @@ from recolor.planar import (
     random_triangulation,
 )
 
+from _util import plane_with_long_faces
+
 K3_ROT = "3 3\n1: 2 3\n2: 3 1\n3: 1 2\n"
 C4_ROT = "4 4\n1: 2 4\n2: 3 1\n3: 4 2\n4: 1 3\n"
 K4_ROT = "4 6\n1: 2 3 4\n2: 3 1 4\n3: 1 2 4\n4: 3 2 1\n"
@@ -133,6 +135,63 @@ class TestFacialPaths:
         pg = load_rotation(K3_ROT)
         with pytest.raises(ValueError, match="at least 2"):
             facial_paths_through(pg, 1, 1)
+
+
+def windows_over_all_faces(pg, x, length):
+    """`facial_paths_through` as a scan of every face, the reference for
+    the face index."""
+    out = []
+    for face in pg.faces:
+        f = len(face)
+        for off in range(f):
+            darts = [face[(off + i) % f] for i in range(length)]
+            if isinstance(x, int):
+                window = tuple(d[0] for d in darts)
+                if x in window and len(set(window)) == length:
+                    out.append(window)
+            else:
+                verts = [darts[0][0]] + [d[1] for d in darts]
+                window = tuple((min(a, b), max(a, b)) for a, b in darts)
+                if len(set(verts)) == length + 1 and x in window:
+                    out.append(window)
+    return out
+
+
+class TestFaceIndex:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_windows_match_a_scan_of_all_faces(self, seed):
+        rng = random.Random(f"face index {seed}")
+        n = rng.randint(4, 12)
+        pg = random_triangulation(n, rng) if seed % 2 \
+            else plane_with_long_faces(n, 2 * n, rng)
+        longest = max(len(face) for face in pg.faces)
+        for length in range(2, longest + 2):
+            for v in range(1, n + 1):
+                assert facial_paths_through(pg, v, length) == \
+                    windows_over_all_faces(pg, v, length)
+            for edge in pg.graph.edges:
+                assert facial_paths_through(pg, edge[::-1], length) == \
+                    windows_over_all_faces(pg, edge, length)
+
+    def test_vertex_twice_on_one_face(self):
+        # a path 1-2-3 has one face walk 1 2 3 2, visiting 2 twice
+        pg = load_rotation("3 2\n1: 2\n2: 3 1\n3: 2\n")
+        assert pg.faces_at(2) == (0,)
+        assert pg.faces_at((1, 2)) == (0,)
+        for length in (2, 3):
+            assert facial_paths_through(pg, 2, length) == \
+                windows_over_all_faces(pg, 2, length)
+        assert facial_paths_through(pg, 2, 2) == [(1, 2), (2, 3), (3, 2), (2, 1)]
+
+    def test_long_faces_visit_a_vertex_twice(self):
+        rng = random.Random("face index long")
+        pg = plane_with_long_faces(10, 20, rng)
+        walks = [[u for u, _ in face] for face in pg.faces]
+        assert any(len(set(w)) < len(w) for w in walks)
+        for v in range(1, 11):
+            for length in (2, 3, 4):
+                assert facial_paths_through(pg, v, length) == \
+                    windows_over_all_faces(pg, v, length)
 
 
 class TestMedialGraph:

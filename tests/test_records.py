@@ -11,7 +11,7 @@ import math
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recolor.bounds import kappa_preset
@@ -20,6 +20,7 @@ from recolor.families import acyclic_gamma_family, facial_thue_edge_family
 from recolor.graphs import load_graph
 from recolor.planar import load_rotation
 from recolor.records import (
+    _RECORD_CAP,
     RecordCounter,
     count_b,
     count_r,
@@ -137,10 +138,15 @@ def test_tight_cap_enumeration_is_smaller():
 
 
 @given(terms=term_systems, n=st.integers(0, 6), t=st.integers(0, 6))
+@example(terms=[(2, 1), (4, 1), (4, 1)], n=6, t=6)  # 11**6 records
 @settings(max_examples=150, deadline=None)
 def test_series_equal_enumeration_above_the_diagonal(terms, n, t):
-    got = len(enumerate_records(terms, n, t))
     want = count_r(terms, n, t)[t]
+    if want > _RECORD_CAP:
+        with pytest.raises(ValueError, match="refusing to enumerate"):
+            enumerate_records(terms, n, t)
+        return
+    got = len(enumerate_records(terms, n, t))
     if n >= t:
         assert got == want
     else:
@@ -148,8 +154,13 @@ def test_series_equal_enumeration_above_the_diagonal(terms, n, t):
 
 
 @given(terms=term_systems, t=st.integers(0, 6))
+@example(terms=[(2, 1), (4, 1), (4, 1)], t=6)  # 11**6 records
 @settings(max_examples=150, deadline=None)
 def test_closed_enumeration_matches_b(terms, t):
+    if count_r(terms, t, t)[t] > _RECORD_CAP:
+        with pytest.raises(ValueError, match="refusing to enumerate"):
+            enumerate_records(terms, t, t)
+        return
     closed = [rec for rec in enumerate_records(terms, t, t)
               if _final_level(terms, rec) == 0]
     assert len(closed) == count_b(terms, t)[t]

@@ -1,0 +1,153 @@
+"""Differential tests of the color-pruned witness searches.
+
+A family's `fires(coloring, v, j)` must say yes exactly when the row scan
+over `witness_rows(v, j)` finds a bad row, and `detect`, which ranks only
+the types that fire, must equal detection as it was before the searches:
+enumerate every type's rows, then scan them.  Colorings use two or three
+colors on most objects, so the long types fire too.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from recolor.engine import PartialColoring
+from recolor.families.acyclic import first_bicolored, first_equal
+from recolor.families.base import (
+    PathRepetitionFamily,
+    RepetitionFamily,
+    first_repetition,
+)
+
+from _util import FAMILY_CASES, random_graph
+
+EXAMPLES = 300
+
+# family -> (vertex count range, edge probability range, the lowest type
+# above the first that a fuzz run must see fire); graphs stay small because
+# the oracle enumerates every witness of every type
+SEARCHED = {
+    "acyclic-gamma": ((6, 10), (0.2, 0.5), 3),
+    "acyclic-v1": ((6, 12), (0.2, 0.5), 4),
+    "acyclic-v2": ((6, 10), (0.2, 0.5), 4),
+    "nonrepetitive-vertex": ((4, 9), (0.2, 0.6), 2),
+    "nonrepetitive-edge": ((4, 7), (0.2, 0.6), 2),
+}
+
+
+def searched_types(fam):
+    if isinstance(fam, PathRepetitionFamily):
+        return [m.type_id for m in fam.metas]
+    return [m.type_id for m in fam.metas if m.type_id >= fam.first_searched]
+
+
+def scan_finds(fam, coloring, v, j) -> bool:
+    _, flat = fam.witness_rows(v, j)
+    if isinstance(fam, RepetitionFamily):
+        return first_repetition(coloring.colors, flat, 2 * j) >= 0
+    width = fam.metas[j - 1].uncolor_size + 2
+    return first_bicolored(coloring.colors, flat, width) >= 0
+
+
+def reference_detect(fam, coloring, v):
+    """`detect` before the searches: every type's rows, then the scan."""
+    colors = coloring.colors
+    if isinstance(fam, RepetitionFamily):
+        budget = min(len(coloring.colored), fam.widest)
+        for meta in fam.metas:
+            j = meta.type_id
+            if 2 * j > budget:
+                break
+            paths, flat = fam.witness_rows(v, j)
+            if not paths:
+                continue
+            idx = first_repetition(colors, flat, 2 * j)
+            if idx >= 0:
+                return j, fam._class_index(v, j, idx, coloring.colored)
+        return None
+    for j, table in enumerate(fam._tables, start=1):
+        idx = first_equal(colors, colors[v], table[v])
+        if idx >= 0:
+            return j, idx + 1
+    for j, width, _ in fam._row_types:
+        if width > len(coloring.colored):
+            break
+        rows, flat = fam.witness_rows(v, j)
+        if rows:
+            idx = first_bicolored(colors, flat, width)
+            if idx >= 0:
+                return j, idx + 1
+    return None
+
+
+def planted(fam, v, kappa, rng):
+    """Colors of one random witness of a random searched type through v,
+    colored as a bad event of that type; {} when v has no such witness."""
+    j = rng.choice(searched_types(fam))
+    rows, _ = fam.witness_rows(v, j)
+    if not rows:
+        return {}
+    row = rng.choice(rows)
+    if isinstance(fam, RepetitionFamily):
+        half = [rng.randint(1, kappa) for _ in range(j)]
+        return dict(zip(row, half + half))
+    a, b = rng.sample(range(1, kappa + 1), 2)
+    return {x: (a, b)[i % 2] for i, x in enumerate(row)}
+
+
+def fuzzed_colorings(name: str, rng: random.Random):
+    """(family, coloring, colored anchor) with kappa 2 or 3.  Half of the
+    colorings carry a planted bad witness of a searched type through the
+    anchor, and half color the other objects properly (no two adjacent
+    alike), so the long types fire and the type-1 event often stays quiet."""
+    (n_lo, n_hi), (p_lo, p_hi), _ = SEARCHED[name]
+    g = random_graph(rng.randint(n_lo, n_hi), rng.uniform(p_lo, p_hi), rng)
+    while not g.m:
+        g = random_graph(g.n, p_hi, rng)
+    fam = FAMILY_CASES[name][1](g, rng)
+    if name == "nonrepetitive-edge":
+        ends = [()] + list(g.edges)
+        adjacent = [[f for f in range(1, g.m + 1) if f != e
+                     and set(ends[e]) & set(ends[f])] for e in range(g.m + 1)]
+    else:
+        adjacent = g.adj
+    kappa = rng.choice((2, 3))
+    v = rng.randint(1, fam.n_objects)
+    pc = PartialColoring(fam.n_objects)
+    for x, c in (planted(fam, v, kappa, rng) if rng.random() < 0.5 else {}).items():
+        pc.assign(x, c)
+    dense = rng.uniform(0.6, 1.0)
+    proper = rng.random() < 0.5
+    for x in rng.sample(range(1, fam.n_objects + 1), fam.n_objects):
+        if x in pc.colored or (x != v and rng.random() >= dense):
+            continue
+        taken = {pc.colors[y] for y in adjacent[x]} if proper else ()
+        free = [c for c in range(1, kappa + 1) if c not in taken]
+        pc.assign(x, rng.choice(free or range(1, kappa + 1)))
+    return fam, pc, v
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHED))
+def test_search_fires_exactly_when_the_scan_finds_a_row(name):
+    rng = random.Random(f"search {name}")
+    fired = Counter()
+    for _ in range(EXAMPLES):
+        fam, pc, v = fuzzed_colorings(name, rng)
+        for j in searched_types(fam):
+            want = scan_finds(fam, pc, v, j)
+            assert fam.fires(pc, v, j) == want, (name, pc.as_dict(), v, j)
+            fired[j] += want
+    assert any(fired[j] for j in fired if j >= SEARCHED[name][2]), fired
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHED))
+def test_detect_equals_enumerate_then_scan(name):
+    rng = random.Random(f"detect {name}")
+    hits = Counter()
+    for _ in range(EXAMPLES):
+        fam, pc, v = fuzzed_colorings(name, rng)
+        got = fam.detect(pc, v)
+        assert got == reference_detect(fam, pc, v), (name, pc.as_dict(), v)
+        hits[got and got[0]] += 1
+    assert any(hits[j] for j in hits if j and j >= SEARCHED[name][2]), hits
