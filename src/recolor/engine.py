@@ -20,7 +20,7 @@ from array import array
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Protocol
+from typing import AbstractSet, Optional, Protocol
 
 
 class FamilyContractError(RuntimeError):
@@ -119,8 +119,11 @@ class BadEventFamily(Protocol):
     colored this step, and must pick deterministically among simultaneous
     events (declared type order, then smallest class index).
     ``rebuild_event`` returns the erased colors {u: color} of the unique
-    type-j class-k event at v whose uncolored set was erased from a state
-    with colored set ``colored_before | {v}`` leaving ``after``.
+    type-j class-k event at v whose uncolored set was erased leaving
+    ``after``.  Both ``uncolor_set`` and ``rebuild_event`` receive as
+    ``colored`` the colored set at detection, anchor v included; the set is
+    the engine's own, so a family reads it only during the call and never
+    changes or keeps it.
 
     A family may also declare a search, ``fires(phi, v, j)``, for some of
     its types: whether any type-j witness through v is bad under ``phi``.
@@ -148,10 +151,10 @@ class BadEventFamily(Protocol):
 
     def detect(self, coloring: PartialColoring, v: int) -> Optional[tuple[int, int]]: ...
 
-    def uncolor_set(self, j: int, v: int, colored: frozenset[int], k: int) -> tuple[int, ...]: ...
+    def uncolor_set(self, j: int, v: int, colored: AbstractSet[int], k: int) -> tuple[int, ...]: ...
 
     def rebuild_event(
-        self, j: int, v: int, colored_before: frozenset[int], k: int,
+        self, j: int, v: int, colored: AbstractSet[int], k: int,
         after: PartialColoring,
     ) -> dict[int, int]: ...
 
@@ -317,12 +320,13 @@ def _checked_pick(fam, frontier, colored, exc) -> Optional[int]:
 
 
 def _checked_uncolor_set(fam, meta, v, colored, k, exc) -> tuple[int, ...]:
-    target = tuple(fam.uncolor_set(meta.type_id, v, frozenset(colored), k))
-    if len(set(target)) != len(target) or len(target) != meta.uncolor_size:
+    target = tuple(fam.uncolor_set(meta.type_id, v, colored, k))
+    distinct = set(target)
+    if len(distinct) != len(target) or len(target) != meta.uncolor_size:
         raise exc(
             f"family {fam.name!r} uncolor set {target} is not {meta.uncolor_size} distinct objects"
         )
-    if v not in target or not set(target) <= colored:
+    if v not in distinct or not distinct <= colored:
         raise exc(
             f"family {fam.name!r} uncolor set {target} must contain {v} and stay inside the colored set"
         )
@@ -380,7 +384,7 @@ def run(g, fam: BadEventFamily, inp: EngineInput) -> RunResult:
     return RunResult(pc, Record(tuple(steps)), status, used, order)
 
 
-def replay_colored_sets(g, fam: BadEventFamily,
+def replay_colored_sets(fam: BadEventFamily,
                         record: Record) -> list[tuple[int, tuple[int, ...]]]:
     """Forward replay of a record on colored sets alone.
 
@@ -418,11 +422,11 @@ def decode(g, fam: BadEventFamily, final: PartialColoring, record: Record,
     set, checks the final set matches, then walks backward: a surviving
     step's value is the color it left behind (its list index in list mode);
     an uncolored step's value comes from the family rebuilding the erased
-    event.  The colored set before an event step is (after | target) - {v},
-    so only one colored set is ever held.  The walk must end at the empty
+    event.  The colored set at an event's detection is after | target, so
+    only one colored set is ever held.  The walk must end at the empty
     coloring.
     """
-    pairs = replay_colored_sets(g, fam, record)
+    pairs = replay_colored_sets(fam, record)
     colored: set[int] = set()
     for v, target in pairs:
         colored.add(v)
@@ -448,9 +452,7 @@ def decode(g, fam: BadEventFamily, final: PartialColoring, record: Record,
                 raise DecodeError(f"step {i + 1} colored {v} but it is gone")
         else:
             j, k = step
-            before = pc.colored.union(target)
-            before.discard(v)
-            rebuilt = dict(fam.rebuild_event(j, v, frozenset(before), k, pc))
+            rebuilt = dict(fam.rebuild_event(j, v, pc.colored.union(target), k, pc))
             if v not in rebuilt:
                 raise DecodeError(f"rebuilt event at step {i + 1} misses its anchor {v}")
             for u, c in rebuilt.items():

@@ -12,11 +12,9 @@ their witnesses enumerated only to rank a hit.
 
 from __future__ import annotations
 
-from array import array
-
 from ..engine import EventTypeMeta
 from ..graphs import Graph, SpecialStructure
-from .base import Family, alternating_path, arms, clamped, neighbor_meta
+from .base import Family, alternating_path, arms, clamped, neighbor_meta, power
 
 
 def first_equal(colors, anchor_color, candidates):
@@ -58,37 +56,12 @@ def bicolored_rebuild(row: tuple[int, ...], after) -> dict[int, int]:
     return {row[i]: (a if i % 2 == 0 else b) for i in range(len(row) - 2)}
 
 
-def _cycles_anchor_first(g: Graph, v: int, length: int) -> list[tuple[int, ...]]:
-    """Cycles (v, u2, ..., u_length), one orientation each (second vertex
-    order-below the last), sorted by vertex order."""
-    rank = g.rank
-    rows: list[tuple[int, ...]] = []
-    path = [v]
-    used = {v}
-
-    def dfs():
-        if len(path) == length:
-            if g.has_edge(path[-1], v) and rank[path[1]] < rank[path[-1]]:
-                rows.append(tuple(path))
-            return
-        for w in g.adj[path[-1]]:
-            if w not in used:
-                used.add(w)
-                path.append(w)
-                dfs()
-                path.pop()
-                used.discard(w)
-
-    dfs()
-    rows.sort(key=lambda r: [rank[x] for x in r])
-    return rows
-
-
 class _AcyclicFamily(Family):
     """Event loop shared by the acyclic families, declared by two lists.
 
     ``tables`` holds one candidate list per anchor for each of the first
-    types: type i fires when the anchor's color recurs on its i-th list, the
+    types (the graph's own per-vertex tuples, scanned in place): type i
+    fires when the anchor's color recurs on its i-th list, the
     class is the first such candidate's position, the anchor alone is
     uncolored and regains that candidate's color.  Every later meta is a
     bicolored row type: its witness rows are ``uncolor_size + 2`` objects
@@ -102,9 +75,7 @@ class _AcyclicFamily(Family):
     def __init__(self, g: Graph, name: str, metas, tables):
         super().__init__(name, g.n, metas, rank=g.rank.__getitem__)
         self.g = g
-        self._tables = tuple(
-            tuple(array("i", lists[v]) for v in range(g.n + 1))
-            for lists in tables)
+        self._tables = tables
         self._row_types = tuple(
             (meta.type_id, meta.uncolor_size + 2,
              meta.type_id >= self.first_searched)
@@ -134,7 +105,7 @@ class _AcyclicFamily(Family):
             return (v,)
         return self.witness_rows(v, j)[0][k - 1][:-2]
 
-    def rebuild_event(self, j, v, colored_before, k, after):
+    def rebuild_event(self, j, v, colored, k, after):
         if j <= len(self._tables):
             return {v: after.color_of(self._tables[j - 1][v][k - 1])}
         return bicolored_rebuild(self.witness_rows(v, j)[0][k - 1], after)
@@ -149,14 +120,24 @@ class _GammaFamily(_AcyclicFamily):
         d = g.max_degree
         metas = [neighbor_meta(g)]
         metas += [
-            EventTypeMeta(k, clamped(0.5 * gamma * d ** (2 * k - 2)), 2 * k - 2)
+            EventTypeMeta(k, clamped(0.5 * gamma * power(d, 2 * k - 2)), 2 * k - 2)
             for k in range(2, g.n // 2 + 1)
         ]
         super().__init__(g, f"acyclic-gamma({gamma})", metas, (g.adj,))
         self.gamma = gamma
 
     def _enumerate(self, v, j):
-        return _cycles_anchor_first(self.g, v, 2 * j)
+        """2j-cycles (v, u2, ..., u_2j), one orientation each (u2
+        order-below the last vertex), sorted by vertex order."""
+        g, rank = self.g, self.g.rank
+        rows = [
+            (v, u2) + ext
+            for u2 in g.adj[v]
+            for ext in arms(g.adj, u2, 2 * j - 2, {v, u2})
+            if g.has_edge(ext[-1], v) and rank[u2] < rank[ext[-1]]
+        ]
+        rows.sort(key=lambda r: [rank[x] for x in r])
+        return rows
 
     def fires(self, coloring, v, j) -> bool:
         """Whether v lies on a 2j-cycle alternating its color with the color
@@ -199,8 +180,7 @@ class _SpecialPairFamily(_AcyclicFamily):
 
     def __init__(self, g: Graph, alpha: float, name: str, metas):
         special = SpecialStructure(g, alpha)
-        special_lists = [special.special(v) for v in range(g.n + 1)]
-        super().__init__(g, name, metas, (g.adj, special_lists))
+        super().__init__(g, name, metas, (g.adj, special._special))
         self.alpha = alpha
         self.special = special
 
@@ -281,7 +261,7 @@ class _V2Family(_SpecialPairFamily):
         metas = [neighbor_meta(g), EventTypeMeta(2, clamped(alpha * d ** (4 / 3)), 1)]
         for k in range(2, g.n // 2 + 1):
             cost = d ** (8 / 3) / (8 * alpha) if k == 2 \
-                else d ** (2 * k - 4 / 3) / (2 * alpha)
+                else power(d, 2 * k - 4 / 3) / (2 * alpha)
             metas.append(EventTypeMeta(k + 1, clamped(cost), 2 * k - 2))
         super().__init__(g, alpha, f"acyclic-v2({alpha})", metas)
 

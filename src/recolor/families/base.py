@@ -90,6 +90,16 @@ def clamped(cost: float) -> float:
     return max(1.0, cost)
 
 
+def power(d: int, e) -> float:
+    """``d ** e`` as a float for a ceiling formula, or math.inf past the
+    float maximum: a ceiling that large bounds class indices no witness
+    list can reach, and the family still constructs on any graph."""
+    try:
+        return float(d ** e)
+    except OverflowError:
+        return math.inf
+
+
 def arms(adj, start: int, steps: int, used: set[int]) -> list[tuple[int, ...]]:
     """Simple extensions of `steps` edges from `start` avoiding `used`
     (which must already contain `start`), nearest vertex first."""
@@ -219,15 +229,15 @@ class RepetitionFamily(Family):
     def _class_index(self, v, j, idx, colored):
         return idx + 1
 
-    def _row_for(self, j: int, v: int, colored: frozenset[int], k: int):
+    def _row_for(self, j: int, v: int, colored, k: int):
         return self.witness_rows(v, j)[0][k - 1]
 
     def uncolor_set(self, j, v, colored, k):
         row = self._row_for(j, v, colored, k)
         return row[:j] if row.index(v) < j else row[j:]
 
-    def rebuild_event(self, j, v, colored_before, k, after):
-        row = self._row_for(j, v, colored_before | {v}, k)
+    def rebuild_event(self, j, v, colored, k, after):
+        row = self._row_for(j, v, colored, k)
         if row.index(v) < j:
             return {row[i]: after.color_of(row[i + j]) for i in range(j)}
         return {row[i + j]: after.color_of(row[i]) for i in range(j)}

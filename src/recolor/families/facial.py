@@ -81,11 +81,13 @@ class _FacialEdgeFamily(RepetitionFamily):
             rows.add(min(row, row[::-1]))
         return sorted(rows)
 
-    def _uncolored_neighbor(self, e: int, colored) -> int | None:
+    def _uncolored_neighbor(self, e: int, colored) -> int:
         for u in self.medial.adj[e]:
             if u not in colored:
                 return u
-        return None
+        raise MedialConnectivityError(
+            f"anchor edge {e} has no uncolored facial neighbor"
+        )
 
     def next_uncolored(self, colored):
         """Smallest-index leaf of the breadth-first spanning tree of the
@@ -118,18 +120,10 @@ class _FacialEdgeFamily(RepetitionFamily):
     def _class_index(self, e, j, idx, colored):
         paths, _ = self.witness_rows(e, j)
         ep = self._uncolored_neighbor(e, colored)
-        if ep is None:
-            raise MedialConnectivityError(
-                f"anchor edge {e} has no uncolored facial neighbor"
-            )
         return 1 + sum(1 for row in paths[:idx] if ep not in row)
 
     def _row_for(self, j, e, colored, k):
         ep = self._uncolored_neighbor(e, colored)
-        if ep is None:
-            raise MedialConnectivityError(
-                f"anchor edge {e} has no uncolored facial neighbor"
-            )
         seen = 0
         for row in self.witness_rows(e, j)[0]:
             if ep not in row:

@@ -80,22 +80,25 @@ class PlaneGraph:
         return v, rot[(i + 1) % len(rot)]
 
     def _trace(self):
-        darts = {(u, v) for u in range(1, self.graph.n + 1) for v in self.graph.adj[u]}
+        """Face walks from the darts in ascending order, skipping traced
+        ones: the first untraced dart is the smallest of its face, so every
+        walk starts canonically and the walks come out sorted."""
+        traced = set()
         faces = []
-        while darts:
-            start = min(darts)
+        for start in ((u, v) for u in range(1, self.graph.n + 1)
+                      for v in self.graph.adj[u]):
+            if start in traced:
+                continue
             walk = []
             e = start
             while True:
                 walk.append(e)
-                darts.remove(e)
+                traced.add(e)
                 e = self._next(*e)
                 if e == start:
                     break
-            # canonical start keeps the face list stable across trace order
-            k = walk.index(min(walk))
-            faces.append(tuple(walk[k:] + walk[:k]))
-        return tuple(sorted(faces))
+            faces.append(tuple(walk))
+        return tuple(faces)
 
     def _connected(self) -> bool:
         if self.graph.n == 0:

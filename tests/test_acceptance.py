@@ -330,7 +330,7 @@ def test_facial_edge_invariants_on_100_triangulations():
         medial = medial_graph(pg)
         all_edges = frozenset(range(1, g.m + 1))
         states = [frozenset()]
-        for v, target in replay_colored_sets(g, fam, res.record):
+        for v, target in replay_colored_sets(fam, res.record):
             states.append(states[-1].union((v,)).difference(target))
         for colored in states:
             uncolored = all_edges - colored

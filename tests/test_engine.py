@@ -58,7 +58,7 @@ class MonoEdgeFamily:
     def uncolor_set(self, j, v, colored, k):
         return (v,)
 
-    def rebuild_event(self, j, v, colored_before, k, after):
+    def rebuild_event(self, j, v, colored, k, after):
         return {v: after.color_of(self.g.adj[v][k - 1])}
 
 
@@ -87,8 +87,25 @@ class DistanceTwoFamily:
     def uncolor_set(self, j, v, colored, k):
         return (v - 1, v)
 
-    def rebuild_event(self, j, v, colored_before, k, after):
+    def rebuild_event(self, j, v, colored, k, after):
         return {v: after.color_of(v - 2), v - 1: k}
+
+
+class RecordingFamily(DistanceTwoFamily):
+    """`DistanceTwoFamily` logging (call, anchor, colored set) for every
+    `uncolor_set` and `rebuild_event` call."""
+
+    def __init__(self, n: int, kappa: int):
+        super().__init__(n, kappa)
+        self.calls = []
+
+    def uncolor_set(self, j, v, colored, k):
+        self.calls.append(("uncolor", v, frozenset(colored)))
+        return super().uncolor_set(j, v, colored, k)
+
+    def rebuild_event(self, j, v, colored, k, after):
+        self.calls.append(("rebuild", v, frozenset(colored)))
+        return super().rebuild_event(j, v, colored, k, after)
 
 
 K3 = load_graph(K3_TEXT)
@@ -148,7 +165,7 @@ class TestReplayAndDecode:
     def test_triangle_colored_sets(self):
         fam = MonoEdgeFamily(K3)
         res = run(K3, fam, EngineInput(kappa=3, vector=(1, 1, 2, 2, 3)))
-        pairs = replay_colored_sets(K3, fam, res.record)
+        pairs = replay_colored_sets(fam, res.record)
         assert pairs == [(1, ()), (2, (2,)), (2, ()), (3, (3,)), (3, ())]
         colored, sets = set(), []
         for v, target in pairs:
@@ -158,11 +175,11 @@ class TestReplayAndDecode:
         assert sets == [[1], [1], [1, 2], [1, 2], [1, 2, 3]]
 
     def test_empty_record(self):
-        assert replay_colored_sets(K3, MonoEdgeFamily(K3), Record(())) == []
+        assert replay_colored_sets(MonoEdgeFamily(K3), Record(())) == []
 
     def test_single_color_on_k1(self):
         g = Graph(1, [])
-        pairs = replay_colored_sets(g, MonoEdgeFamily(g), Record((None,)))
+        pairs = replay_colored_sets(MonoEdgeFamily(g), Record((None,)))
         assert pairs == [(1, ())]
 
     def test_triangle_decode(self):
@@ -177,15 +194,15 @@ class TestReplayAndDecode:
 
     def test_record_too_long_for_run(self):
         with pytest.raises(DecodeError, match="longer than the run"):
-            replay_colored_sets(K3, MonoEdgeFamily(K3), Record((None,) * 4))
+            replay_colored_sets(MonoEdgeFamily(K3), Record((None,) * 4))
 
     def test_unknown_event_type(self):
         with pytest.raises(DecodeError, match="unknown event type"):
-            replay_colored_sets(K3, MonoEdgeFamily(K3), Record(((7, 1),)))
+            replay_colored_sets(MonoEdgeFamily(K3), Record(((7, 1),)))
 
     def test_class_index_over_ceiling(self):
         with pytest.raises(DecodeError, match="outside"):
-            replay_colored_sets(K3, MonoEdgeFamily(K3), Record(((1, 99),)))
+            replay_colored_sets(MonoEdgeFamily(K3), Record(((1, 99),)))
 
     def test_mismatched_final_coloring(self):
         fam = MonoEdgeFamily(K3)
@@ -218,6 +235,32 @@ class TestReplayAndDecode:
         res = run(None, fam, inp)
         decoded = decode(None, fam, res.coloring, res.record)
         assert tuple(decoded) == inp.make_vector()[:res.steps_used]
+
+    @given(st.integers(0, 10 ** 9))
+    @settings(max_examples=40, deadline=None)
+    def test_every_call_sees_the_colored_set_at_detection(self, seed):
+        rng = random.Random(seed)
+        fam = RecordingFamily(rng.randint(3, 12), 2)
+        inp = EngineInput(kappa=2, seed=seed, budget=rng.randint(10, 200))
+        res = run(None, fam, inp)
+        in_run = list(fam.calls)
+        fam.calls.clear()
+        pairs = replay_colored_sets(fam, res.record)
+        in_replay = list(fam.calls)
+        fam.calls.clear()
+        decode(None, fam, res.coloring, res.record)
+        in_decode = [(v, colored) for call, v, colored in fam.calls[::-1]
+                     if call == "rebuild"]
+        at_detection, colored = [], set()
+        for v, target in pairs:
+            colored.add(v)
+            if target:
+                at_detection.append((v, frozenset(colored)))
+            colored.difference_update(target)
+        assert [(v, colored) for _, v, colored in in_run] == at_detection
+        assert in_replay == in_run
+        assert in_decode == at_detection
+        assert all(v in colored for v, colored in at_detection)
 
 
 class TestListMode:

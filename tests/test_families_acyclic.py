@@ -113,7 +113,7 @@ class TestGammaFamily:
         after.assign(2, 2)
         after.assign(3, 1)
         # row (4, 1, 2, 3): even offsets carried phi(2), odd ones phi(3)
-        assert fam.rebuild_event(2, 4, frozenset({1, 2, 3}), 1, after) == {4: 2, 1: 1}
+        assert fam.rebuild_event(2, 4, frozenset({1, 2, 3, 4}), 1, after) == {4: 2, 1: 1}
 
     def test_meta_costs(self):
         fam = acyclic_gamma_family(PETERSEN, 4)
@@ -324,3 +324,21 @@ class TestParameterValidation:
             acyclic_v1_family(K3, 0.0)
         with pytest.raises(ValueError, match="alpha"):
             acyclic_v2_family(K3, 1.5)
+
+
+class TestLargeGraphs:
+    # the prism C500 x K2: cubic, and its type ceilings pass the float range
+    PRISM = Graph(1000, [(i, i % 500 + 1) for i in range(1, 501)]
+                  + [(500 + i, 500 + i % 500 + 1) for i in range(1, 501)]
+                  + [(i, 500 + i) for i in range(1, 501)])
+
+    @pytest.mark.parametrize("make", [lambda g: acyclic_gamma_family(g, 1),
+                                      lambda g: acyclic_v2_family(g, 0.5)],
+                             ids=["gamma", "v2"])
+    def test_families_construct_and_roundtrip_on_a_1000_vertex_cubic_graph(self, make):
+        fam = make(self.PRISM)
+        costs = [meta.cost for meta in fam.metas]
+        assert costs[0] == 3 and math.isinf(costs[-1])
+        res = assert_roundtrip(self.PRISM, fam,
+                               EngineInput(kappa=4, seed=1, budget=400))
+        assert any(step is not None for step in res.record.steps)

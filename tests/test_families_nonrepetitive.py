@@ -129,7 +129,7 @@ class TestVertexFamilyRuns:
         after = PartialColoring(5)
         after.assign(1, 3)
         after.assign(2, 7)
-        assert fam.rebuild_event(2, 4, frozenset({1, 2, 3}), 1, after) == {3: 3, 4: 7}
+        assert fam.rebuild_event(2, 4, frozenset({1, 2, 3, 4}), 1, after) == {3: 3, 4: 7}
 
     def test_three_colors_complete_the_path(self):
         g = path_graph(7)

@@ -88,7 +88,7 @@ class ReverseMonoEdge:
     def uncolor_set(self, j, v, colored, k):
         return (v,)
 
-    def rebuild_event(self, j, v, colored_before, k, after):
+    def rebuild_event(self, j, v, colored, k, after):
         return {v: after.color_of(self.g.adj[v][k - 1])}
 
 
@@ -119,7 +119,7 @@ def test_duck_typed_family_uses_next_uncolored():
         res = checked_roundtrip(g, fam, EngineInput(
             max(2, g.max_degree), seed=rng.randrange(2 ** 31), budget=10 * g.n))
         if res.steps_used:
-            assert replay_colored_sets(g, fam, res.record)[0] == (g.n, ())
+            assert replay_colored_sets(fam, res.record)[0] == (g.n, ())
 
 
 def test_facial_edge_frontier_rebuilds_on_long_faces(monkeypatch):

@@ -23,7 +23,36 @@ C4_ROT = "4 4\n1: 2 4\n2: 3 1\n3: 4 2\n4: 1 3\n"
 K4_ROT = "4 6\n1: 2 3 4\n2: 3 1 4\n3: 1 2 4\n4: 3 2 1\n"
 
 
+def faces_by_rescan(pg):
+    """Face tracing by repeated minimum: trace the orbit of the smallest
+    untraced dart, rotate it to start at its smallest dart, sort the walks.
+    The reference for `PlaneGraph.faces`."""
+    darts = {(u, v) for u in range(1, pg.graph.n + 1) for v in pg.graph.adj[u]}
+    faces = []
+    while darts:
+        walk = [min(darts)]
+        while True:
+            u, v = walk[-1]
+            rot = pg.rotation[v]
+            e = (v, rot[(rot.index(u) + 1) % len(rot)])
+            if e == walk[0]:
+                break
+            walk.append(e)
+        darts.difference_update(walk)
+        k = walk.index(min(walk))
+        faces.append(tuple(walk[k:] + walk[:k]))
+    return tuple(sorted(faces))
+
+
 class TestFaceTracing:
+    @given(st.integers(3, 40), st.integers(0, 10 ** 6), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_faces_match_a_rescan_reference(self, n, seed, long_faces):
+        rng = random.Random(seed)
+        pg = plane_with_long_faces(n, 2 * n, rng) if long_faces \
+            else random_triangulation(n, rng)
+        assert pg.faces == faces_by_rescan(pg)
+
     def test_triangle_has_two_triangular_faces(self):
         pg = load_rotation(K3_ROT)
         assert len(pg.faces) == 2
