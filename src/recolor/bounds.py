@@ -166,20 +166,36 @@ def characteristic_system(q: QPolynomial) -> CharacteristicSystem:
     r = (X/Q(X))^d where d = gcd of the sizes; the residual reports how far
     the root is from satisfying sum s_j C_j X^{s_j} = s + 1, an identity at
     the exact root.
+
+    The root is bracketed by hi = 2^k, the first power of two where p is
+    nonnegative.  Ceilings far below 1 can put X so high (up to about
+    2^537) that the powers X^{s_j} pass the float range while every
+    C_j X^{s_j} stays small; the system is then solved for z = X / 2^k over
+    the ceilings C_j 2^{k s_j}, an exact rescaling, and r past the float
+    range is math.inf.
     """
     if q.tail is not None:
         raise ValueError("characteristic system needs the finite term form")
     if all(s == 1 for _, s in q.terms):
         raise ValueError(
             "characteristic system does not apply: all sizes are 1")
-    hi = 1.0
-    while q.p(hi) < 0:
-        hi *= 2.0
-    x = _bisect_root(q, 0.0, hi, 1e-14)
-    s = sum(c * x ** sz for c, sz in q.terms)
-    residual = abs(sum(sz * c * x ** sz for c, sz in q.terms) - (s + 1))
+    k = 0
+    while sum(math.ldexp((sz - 1) * c, k * sz) for c, sz in q.terms) < 1.0:
+        k += 1
+    # rescale only when some 2^{k s_j} is past the float range, so every
+    # other input keeps the bits of the unscaled bisection
+    e = k if k * max(sz for _, sz in q.terms) > 1023 else 0
+    terms = tuple((math.ldexp(c, e * sz), sz) for c, sz in q.terms)
+    z = _bisect_root(QPolynomial(terms), 0.0, math.ldexp(1.0, k - e), 1e-14)
+    s = sum(c * z ** sz for c, sz in terms)
+    residual = abs(sum(sz * c * z ** sz for c, sz in terms) - (s + 1))
     d = reduce(math.gcd, (sz for _, sz in q.terms))
-    return CharacteristicSystem(d, (x / q.q(x)) ** d, s, x, residual)
+    x = math.ldexp(z, e)
+    try:
+        r = (x / (1.0 + s)) ** d
+    except OverflowError:
+        r = math.inf
+    return CharacteristicSystem(d, r, s, x, residual)
 
 
 def acyclic_v1_ratio(delta: int, alpha: float) -> float:

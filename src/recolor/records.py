@@ -7,6 +7,24 @@ the generating function of excursions (paths returning to level 0) by
 climb count, B(y) = 1 + sum_j C_j y^{s_j} B(y)^{s_j}; paths ending at any
 level ell <= n contribute through R(y) = sum_{0<=ell<=n} y^ell B(y)^{ell+1}.
 
+Both series come from one Lagrange-Buermann pass.  Put u = yB.  Then
+B = phi(u) with phi(u) = 1 + sum_j C_j u^{s_j}, the cost polynomial of
+the bounds, and u = y phi(u).  R = B sum_{ell<=n} u^ell = H(u) with
+H(u) = phi(u) (1 + u + ... + u^n).  Lagrange-Buermann then reads, for
+t >= 1,
+
+    b_t = (1/t) [u^{t-1}] phi'(u) phi(u)^t,
+    r_t = (1/t) [u^{t-1}] H'(u) phi(u)^t,
+
+with b_0 = r_0 = 1.  The coefficients q_k of phi^t for k < t follow from
+J. C. P. Miller's recurrence for powers of a series with constant term 1,
+q_0 = 1 and k q_k = sum_j ((t+1) s_j - k) C_j q_{k-s_j}, in O(t m) steps
+for m terms, so the whole table takes O(t_max^2 m).  Every division is
+exact: phi has integer coefficients, so each q_k is an integer and the
+recurrence gives k q_k exactly; b_t and r_t count paths, so t divides the
+sums above.  The terms of H beyond degree t_max never reach a coefficient
+below y^{t_max + 1}, so n is cut to min(n, t_max).
+
 Counts here are exact arbitrary-precision integers.  A term with a
 fractional C_j admits floor(C_j) annotations, since class indices are
 integers.  The series count r_t matches the level-capped path count
@@ -49,49 +67,46 @@ def _normalize(terms) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _excursion_powers(terms: tuple[tuple[int, int], ...], t_max: int,
-                      p_max: int) -> tuple[list[int], list[list[int]]]:
-    """b_0..b_{t_max} plus coefficient arrays of B^p for p = 0..p_max."""
-    p_needed = max(p_max, max(s for _, s in terms))
-    b = [1]
-    pows = [[1] for _ in range(p_needed + 1)]  # [y^0] B^p = 1
-    for t in range(1, t_max + 1):
-        # extend every power array to index t-1 before using it; the new
-        # coefficient b_t only touches indices >= t
-        for p in range(1, p_needed + 1):
-            m = t - 1
-            if len(pows[p]) <= m:
-                prev = pows[p - 1]
-                pows[p].append(sum(b[i] * prev[m - i] for i in range(m + 1)))
-        b.append(sum(cnt * pows[s][t - s]
-                     for cnt, s in terms if cnt and t - s >= 0))
-        pows[0].append(0)
-    for p in range(1, p_needed + 1):
-        if len(pows[p]) <= t_max:
-            prev = pows[p - 1]
-            pows[p].append(sum(b[i] * prev[t_max - i]
-                               for i in range(t_max + 1)))
-    return b, pows
-
-
-def count_b(terms, t_max: int) -> list[int]:
-    """Excursion counts b_0..b_{t_max} from B = 1 + sum C_j y^{s_j} B^{s_j}."""
-    if t_max < 0:
-        raise ValueError(f"t_max must be nonnegative, got {t_max}")
-    b, _ = _excursion_powers(_normalize(terms), t_max, 1)
-    return b
-
-
-def count_r(terms, n: int, t_max: int) -> list[int]:
-    """Record counts r_0..r_{t_max} from R = sum_{ell<=n} y^ell B^{ell+1}."""
+def _record_series(terms, n: int, t_max: int) -> tuple[list[int], list[int]]:
+    """b_0..b_{t_max} and r_0..r_{t_max} under level cap n, in one pass."""
     if n < 0:
         raise ValueError(f"level cap must be nonnegative, got {n}")
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
-    ell_max = min(n, t_max)
-    _, pows = _excursion_powers(_normalize(terms), t_max, ell_max + 1)
-    return [sum(pows[ell + 1][t - ell] for ell in range(min(n, t) + 1))
-            for t in range(t_max + 1)]
+    phi: dict[int, int] = {}
+    for c, s in _normalize(terms):
+        if c:
+            phi[s] = phi.get(s, 0) + c
+    terms_phi = sorted(phi.items())
+    # H(u) = phi(u) (1 + u + ... + u^n) up to degree t_max, then H'(u)
+    h = [0] * (t_max + 1)
+    for s, c in [(0, 1), *terms_phi]:
+        for k in range(s, min(s + n, t_max) + 1):
+            h[k] += c
+    dh = [k * h[k] for k in range(1, t_max + 1)]
+    b, r = [1], [1]
+    for t in range(1, t_max + 1):
+        q = [1]  # q[k] = [u^k] phi(u)^t by Miller's recurrence
+        for k in range(1, t):
+            acc = 0
+            for s, c in terms_phi:
+                if s > k:
+                    break
+                acc += ((t + 1) * s - k) * c * q[k - s]
+            q.append(acc // k)
+        b.append(sum(s * c * q[t - s] for s, c in terms_phi if s <= t) // t)
+        r.append(sum(dh[i] * q[t - 1 - i] for i in range(t)) // t)
+    return b, r
+
+
+def count_b(terms, t_max: int) -> list[int]:
+    """Excursion counts b_0..b_{t_max} from B = 1 + sum C_j y^{s_j} B^{s_j}."""
+    return _record_series(terms, 0, t_max)[0]
+
+
+def count_r(terms, n: int, t_max: int) -> list[int]:
+    """Record counts r_0..r_{t_max} from R = sum_{ell<=n} y^ell B^{ell+1}."""
+    return _record_series(terms, n, t_max)[1]
 
 
 def enumerate_records(terms, n: int, t: int) -> list[tuple]:
@@ -149,19 +164,23 @@ def growth_check(terms, t_max: int) -> GrowthReport:
     When every size is 1 the count is exactly (sum of ceilings)^t and the
     base is the boundary ratio 1 + sum C_j.
     """
+    return _growth_report(terms, count_b(terms, t_max))
+
+
+def _growth_report(terms, b: list[int]) -> GrowthReport:
+    """`growth_check` on excursion counts b_0..b_{t_max} already counted."""
+    t_max = len(b) - 1
     norm = _normalize(terms)
     q = QPolynomial(tuple((float(c), s) for c, s in terms if c > 0))
     if all(s == 1 for _, s in norm):
         base = q.q(1.0)
         prefactor = base - 1.0
         total = sum(c for c, _ in norm)
-        b = count_b(terms, t_max)
         ok = all(b[t] == total ** t for t in range(t_max + 1))
     else:
         cs = characteristic_system(q)
-        base = q.q(cs.x) / cs.x
+        base = (1.0 + cs.s) / cs.x  # Q(X) / X
         prefactor = cs.s + 1.0
-        b = count_b(terms, t_max)
         ok = all(
             math.log(b[t]) <= math.log(prefactor) + t * math.log(base) + 1e-9
             for t in range(1, t_max + 1) if b[t])
@@ -189,6 +208,5 @@ class RecordCounter:
     def build(cls, terms, n: int, t_max: int) -> "RecordCounter":
         norm = _normalize(terms)
         d = reduce(math.gcd, (s for _, s in norm))
-        return cls(norm, n, d,
-                   tuple(count_b(terms, t_max)),
-                   tuple(count_r(terms, n, t_max)))
+        b, r = _record_series(terms, n, t_max)
+        return cls(norm, n, d, tuple(b), tuple(r))

@@ -1,5 +1,6 @@
 """Shared fixtures and strategies for the test suite."""
 
+import math
 import random
 
 from hypothesis import strategies as st
@@ -164,3 +165,45 @@ def fuzzed_instance(name: str, rng: random.Random, kappas=None):
     inp = EngineInput(rng.randint(lo, hi), seed=rng.randrange(2 ** 31),
                       budget=rng.randint(0, 12 * fam.n_objects))
     return getattr(host, "graph", host), fam, inp
+
+
+def _excursion_powers(terms, t_max: int, p_max: int):
+    """b_0..b_{t_max} plus coefficient arrays of B^p for p = 0..p_max, by
+    the O(t^3) power recurrence the record series used before Lagrange
+    inversion; kept as the reference for `recolor.records`."""
+    p_needed = max(p_max, max(s for _, s in terms))
+    b = [1]
+    pows = [[1] for _ in range(p_needed + 1)]  # [y^0] B^p = 1
+    for t in range(1, t_max + 1):
+        # extend every power array to index t-1 before using it; the new
+        # coefficient b_t only touches indices >= t
+        for p in range(1, p_needed + 1):
+            m = t - 1
+            if len(pows[p]) <= m:
+                prev = pows[p - 1]
+                pows[p].append(sum(b[i] * prev[m - i] for i in range(m + 1)))
+        b.append(sum(cnt * pows[s][t - s]
+                     for cnt, s in terms if cnt and t - s >= 0))
+        pows[0].append(0)
+    for p in range(1, p_needed + 1):
+        if len(pows[p]) <= t_max:
+            prev = pows[p - 1]
+            pows[p].append(sum(b[i] * prev[t_max - i]
+                               for i in range(t_max + 1)))
+    return b, pows
+
+
+def _floored(terms):
+    return tuple((math.floor(c), int(s)) for c, s in terms)
+
+
+def reference_count_b(terms, t_max: int) -> list[int]:
+    """`count_b` by the reference power recurrence."""
+    return _excursion_powers(_floored(terms), t_max, 1)[0]
+
+
+def reference_count_r(terms, n: int, t_max: int) -> list[int]:
+    """`count_r` by the reference power recurrence."""
+    _, pows = _excursion_powers(_floored(terms), t_max, min(n, t_max) + 1)
+    return [sum(pows[ell + 1][t - ell] for ell in range(min(n, t) + 1))
+            for t in range(t_max + 1)]

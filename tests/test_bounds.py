@@ -7,6 +7,7 @@ minima against dense grid scans.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -149,6 +150,24 @@ def test_characteristic_system_rejects_unit_sizes_and_tails():
     tail = ClosedTail(lambda x: x, lambda x: 1.0, 1.0)
     with pytest.raises(ValueError, match="finite term form"):
         characteristic_system(QPolynomial((), tail))
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("c", [1e-300, 1e-310, 5e-324])
+def test_characteristic_system_ceilings_far_below_one(c, size):
+    # p(x) = (size-1) c x^size - 1 has its root X = ((size-1) c)^(-1/size)
+    # near 2^537 at the smallest ceilings, where X^size is past the float
+    # range although c X^size = 1/(size-1)
+    cs = characteristic_system(QPolynomial(((c, size),)))
+    x = math.exp(-math.log((size - 1) * c) / size)
+    assert cs.x == pytest.approx(x, rel=1e-12)
+    assert cs.s == pytest.approx(1 / (size - 1), rel=1e-12)
+    assert cs.residual < 1e-9
+    log_r = size * (math.log(x) - math.log1p(1 / (size - 1)))
+    if log_r > math.log(sys.float_info.max):
+        assert cs.r == math.inf
+    else:
+        assert cs.r == pytest.approx(math.exp(log_r), rel=1e-9)
 
 
 def test_characteristic_gcd_of_sizes():

@@ -5,15 +5,18 @@ Exit code map under test: 0 accept/complete, 1 reject/incomplete,
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import recolor
 from recolor.bounds import PROBLEMS
-from recolor.cli import main
+from recolor.cli import FAMILIES, PROPERTIES, main
 
 K3_GRAPH = "3 3\n1 2\n1 3\n2 3\n"
 K3_ROTATION = "3 3\n1: 2 3\n2: 1 3\n3: 1 2\n"
@@ -326,6 +329,27 @@ def test_count_records_preset_needs_exact_terms(capsys):
     assert len(out.splitlines()) == 6
 
 
+def test_count_records_sub_unit_ceilings(capsys):
+    # every ceiling floors to 0 classes: b_t = 0 and r_t = 1 (t plain
+    # climbs), while the bound keeps the unfloored ceiling.  For 5e-324 the
+    # root of the characteristic system sits near 2^537, whose square is
+    # past the float range
+    code, out, _ = run_cli(capsys, "count-records", "--terms", "5e-324:2",
+                           "--level-cap", "3", "--tmax", "3")
+    assert code == 0
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert [(r[1], r[2]) for r in rows] == [("1", "1")] + [("0", "1")] * 3
+    assert all(math.isfinite(float(r[3])) for r in rows)
+    code, out, _ = run_cli(capsys, "count-records", "--terms", "0.5:2",
+                           "--level-cap", "3", "--tmax", "3")
+    assert code == 0
+    assert out == ("t\tb\tr\tbound\n"
+                   "0\t1\t1\t2.000000000000001\n"
+                   "1\t0\t1\t2.828427124746191\n"
+                   "2\t0\t1\t4.000000000000001\n"
+                   "3\t0\t1\t5.6568542494923815\n")
+
+
 def test_count_records_requires_input(capsys):
     code, _, err = run_cli(capsys, "count-records", "--level-cap", "2",
                            "--tmax", "3")
@@ -397,19 +421,24 @@ def test_verify_missing_file(capsys):
 
 # --- wiring --------------------------------------------------------------------
 
+def _cli_process(*argv):
+    """`python -m recolor.cli ARGV` in a child importing this recolor."""
+    path = [str(Path(recolor.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    return subprocess.run(
+        [sys.executable, "-m", "recolor.cli", *argv], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+
+
 def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "recolor.cli", "bound", "--problem",
-         "facial-thue-edge"],
-        capture_output=True, text=True)
+    proc = _cli_process("bound", "--problem", "facial-thue-edge")
     assert proc.returncode == 0
     assert "kappa_total\t10" in proc.stdout
 
 
 def test_argparse_usage_error_is_exit_two():
-    proc = subprocess.run(
-        [sys.executable, "-m", "recolor.cli", "bound", "--problem", "nope"],
-        capture_output=True, text=True)
+    proc = _cli_process("bound", "--problem", "nope")
     assert proc.returncode == 2
 
 
@@ -457,4 +486,104 @@ def test_bound_fuzzed_argv_keeps_exit_codes(tmp_path, data):
             argv.append(f"--exact-n={data.draw(st.integers(-1, 30))}")
         if data.draw(st.booleans(), label="optimize alpha"):
             argv.append("--optimize-alpha")
+    assert _exit_code(argv) in (0, 1, 2, 3)
+
+
+# Malformed input files: valid documents garbled by dropped, repeated or
+# appended lines and replaced tokens.  Numbers stay small, because a graph
+# header's vertex count is allocated as given.
+_TOKEN = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(
+    ["x", "1.5", "1e3", ":", "#", "order:", "-", "\u00e9", "1:2"]))
+_GRAPH_DOCS = (K3_GRAPH, "4 4\n1 2\n2 3\n3 4\n4 1\n",
+               "4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n",
+               "5 4\n1 2\n1 3\n1 4\n1 5\norder: 5 4 3 2 1\n",
+               "1 0\n", "0 0\n", "2 1\n1 2\n")
+_ROTATION_DOCS = (K3_ROTATION, TWO_EDGES_ROTATION,
+                  "4 6\n1: 2 3 4\n2: 1 4 3\n3: 1 2 4\n4: 1 3 2\n",
+                  "1 0\n1:\n", "2 1\n1: 2\n2: 1\n")
+_COLORING_DOCS = ("1 1\n2 2\n3 3\n", "1 1\n2 1\n3 2\n4 2\n",
+                  "1 1\n2 2\n3 3\n4 1\n5 2\n6 3\n", "")
+_LIST_DOCS = ("1: 1 2 3\n2: 2 3 4\n3: 1 3 5\n",
+              "1: 1 2\n2: 1 2\n3: 1 2\n4: 1 2\n5: 1 2\n6: 1 2\n")
+
+
+@st.composite
+def _garbled(draw, docs):
+    lines = draw(st.sampled_from(docs)).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(("drop", "repeat", "token", "append")))
+        if op == "append" or not lines:
+            lines.append(" ".join(draw(st.lists(_TOKEN, max_size=4))))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "drop":
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif tokens := lines[i].split():
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_TOKEN)
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def _file(data, tmp_path, name, docs):
+    path = tmp_path / name
+    path.write_text(data.draw(_garbled(docs), label=name))
+    return str(path)
+
+
+def _run_argv(data, tmp_path, command):
+    family = data.draw(st.sampled_from(FAMILIES), label="family")
+    argv = [command, f"--family={family}",
+            f"--kappa={data.draw(st.integers(-1, 6))}",
+            f"--gamma={data.draw(st.integers(-1, 4))}",
+            f"--alpha={data.draw(st.floats())!r}",
+            f"--estar={data.draw(st.integers(-1, 8))}"]
+    if family.startswith("facial") or data.draw(st.booleans()):
+        argv.append(f"--embedding={_file(data, tmp_path, 'rot', _ROTATION_DOCS)}")
+    if not family.startswith("facial") or data.draw(st.booleans()):
+        argv.append(f"--graph={_file(data, tmp_path, 'graph', _GRAPH_DOCS)}")
+    if data.draw(st.booleans(), label="vector"):
+        vector = data.draw(st.lists(st.integers(-1, 6), max_size=30))
+        argv.append("--vector=" + ",".join(map(str, vector)))
+    else:
+        argv += [f"--seed={data.draw(st.integers(-1, 2 ** 40))}",
+                 f"--budget={data.draw(st.integers(-1, 40))}"]
+    if data.draw(st.booleans(), label="lists"):
+        argv.append(f"--lists={_file(data, tmp_path, 'lists', _LIST_DOCS)}")
+    return argv
+
+
+_FILE_FUZZ = settings(max_examples=60, deadline=None,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FILE_FUZZ
+@given(data=st.data())
+def test_color_fuzzed_files_keep_exit_codes(tmp_path, data):
+    argv = _run_argv(data, tmp_path, "color")
+    if data.draw(st.booleans(), label="record out"):
+        argv.append(f"--record-out={tmp_path / 'run.rec'}")
+    assert _exit_code(argv) in (0, 1, 2, 3)
+
+
+@_FILE_FUZZ
+@given(data=st.data())
+def test_roundtrip_fuzzed_files_keep_exit_codes(tmp_path, data):
+    assert _exit_code(_run_argv(data, tmp_path, "roundtrip")) in (0, 1, 2, 3)
+
+
+@_FILE_FUZZ
+@given(data=st.data())
+def test_verify_fuzzed_files_keep_exit_codes(tmp_path, data):
+    prop = data.draw(st.sampled_from(PROPERTIES), label="property")
+    argv = ["verify", f"--property={prop}",
+            f"--coloring={_file(data, tmp_path, 'phi', _COLORING_DOCS)}",
+            f"--r={data.draw(st.integers(-1, 6))}"]
+    if prop.startswith("facial") or data.draw(st.booleans()):
+        argv.append(f"--embedding={_file(data, tmp_path, 'rot', _ROTATION_DOCS)}")
+    if not prop.startswith("facial") or data.draw(st.booleans()):
+        argv.append(f"--graph={_file(data, tmp_path, 'graph', _GRAPH_DOCS)}")
+    if data.draw(st.booleans(), label="pattern"):
+        argv.append(f"--pattern={_file(data, tmp_path, 'pattern', _GRAPH_DOCS)}")
     assert _exit_code(argv) in (0, 1, 2, 3)

@@ -28,11 +28,17 @@ from recolor.records import (
     growth_check,
 )
 
-from _util import K3_TEXT, cycle_graph
+from _util import K3_TEXT, cycle_graph, reference_count_b, reference_count_r
 
 term_systems = st.lists(
     st.tuples(st.integers(1, 4), st.integers(1, 4)),
     min_size=1, max_size=3)
+
+# fractional, sub-unit, zero and large ceilings, sizes past the small ones
+wide_term_systems = st.lists(
+    st.tuples(st.one_of(st.integers(0, 10 ** 6), st.floats(0, 30)),
+              st.integers(1, 9)),
+    min_size=1, max_size=4)
 
 
 def _final_level(terms, rec):
@@ -98,6 +104,36 @@ def test_count_r_all_unit_sizes_closed_form():
         expect = sum(comb(t, lvl) * total ** (t - lvl)
                      for lvl in range(min(n, t) + 1))
         assert r[t] == expect
+
+
+def test_count_r_sub_unit_ceilings_count_plain_climbs():
+    # every ceiling floors to 0: no event can fire, so nothing closes and
+    # each record is t plain climbs, legal while t <= n
+    terms = [(0.5, 2), (0.99, 1), (5e-324, 3)]
+    assert count_b(terms, 8) == [1] + [0] * 8
+    assert count_r(terms, 5, 8) == [1] * 6 + [0] * 3
+
+
+# --- Lagrange inversion against the power recurrence ------------------------
+
+@given(terms=st.one_of(term_systems, wide_term_systems),
+       n=st.integers(0, 70), t_max=st.integers(0, 60))
+@example(terms=[(2, 1), (4, 1), (4, 1)], n=6, t_max=6)
+@example(terms=[(2, 1), (4, 1), (4, 1)], n=3, t_max=40)
+@settings(max_examples=80, deadline=None)
+def test_series_match_the_power_recurrence(terms, n, t_max):
+    assert count_b(terms, t_max) == reference_count_b(terms, t_max)
+    assert count_r(terms, n, t_max) == reference_count_r(terms, n, t_max)
+
+
+@pytest.mark.parametrize("cap,t_max", [(20, 240), (120, 120)])
+def test_series_preset_matches_the_power_recurrence(cap, t_max):
+    # the terms `count-records --problem nonrepetitive-vertex --delta 3
+    # --exact-n 20` counts
+    terms = kappa_preset("nonrepetitive-vertex", 3, n=20).q.terms
+    rc = RecordCounter.build(terms, cap, t_max)
+    assert list(rc.b) == reference_count_b(terms, t_max)
+    assert list(rc.r) == reference_count_r(terms, cap, t_max)
 
 
 # --- enumeration oracle ----------------------------------------------------
