@@ -80,7 +80,8 @@ class QPolynomial:
 
     def p(self, x: float) -> float:
         """x Q'(x) - Q(x): negative left of the ratio minimizer, increasing."""
-        total = -1.0 + sum((s - 1) * c * x ** s for c, s in self.terms)
+        # (s - 1) * c alone can pass the float maximum where c x^s does not
+        total = -1.0 + sum((s - 1) * (c * x ** s) for c, s in self.terms)
         if self.tail:
             total += x * self.tail.dfn(x) - self.tail.fn(x)
         return total

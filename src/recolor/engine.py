@@ -125,13 +125,6 @@ class BadEventFamily(Protocol):
     the engine's own, so a family reads it only during the call and never
     changes or keeps it.
 
-    A family may also declare a search, ``fires(phi, v, j)``, for some of
-    its types: whether any type-j witness through v is bad under ``phi``.
-    The engine never calls it; the family's ``detect`` does, and reads a
-    type's witness list to rank a hit only when the search says yes, so a
-    search must agree exactly with a scan of that list.  Types without a
-    search are scanned on every probe.
-
     A family may also define ``frontier()``, returning a fresh object that
     tracks one run's colored set incrementally: ``pick()`` returns the next
     object, ``took(v)`` reports that v (the object ``pick()`` just returned)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..engine import EventTypeMeta
 from ..graphs import Graph, SpecialStructure
-from .base import Family, alternating_path, arms, clamped, neighbor_meta, power
+from .base import Family, alternating_widths, arms, clamped, neighbor_meta, power
 
 
 def first_equal(colors, anchor_color, candidates):
@@ -66,8 +66,9 @@ class _AcyclicFamily(Family):
     uncolored and regains that candidate's color.  Every later meta is a
     bicolored row type: its witness rows are ``uncolor_size + 2`` objects
     alternating two colors, all but the last two are uncolored, and the two
-    survivors rebuild them.  Row types from ``first_searched`` on are
-    detected by the family's `fires` search before their rows are read.
+    survivors rebuild them.  Row types below ``first_searched`` are scanned;
+    the rest are searched at once by `fired` from the start paths a subclass
+    declares (`_starts`), and only the first type it yields is ranked.
     """
 
     first_searched: int
@@ -76,10 +77,10 @@ class _AcyclicFamily(Family):
         super().__init__(name, g.n, metas, rank=g.rank.__getitem__)
         self.g = g
         self._tables = tables
-        self._row_types = tuple(
-            (meta.type_id, meta.uncolor_size + 2,
-             meta.type_id >= self.first_searched)
-            for meta in self.metas[len(tables):])
+        rows = [(m.type_id, m.uncolor_size + 2) for m in self.metas[len(tables):]]
+        self._scanned = [(j, w) for j, w in rows if j < self.first_searched]
+        self._searched = {w: j for j, w in rows if j >= self.first_searched}
+        self._widest = max(self._searched, default=0)
 
     def detect(self, coloring, v):
         colors = coloring.colors
@@ -88,17 +89,31 @@ class _AcyclicFamily(Family):
             idx = first_equal(colors, color, table[v])
             if idx >= 0:
                 return j, idx + 1
-        for j, width, searched in self._row_types:
+        for j, width in self._scanned:
             if width > len(coloring.colored):
                 break
-            if searched and not self.fires(coloring, v, j):
-                continue
             rows, flat = self.witness_rows(v, j)
             if rows:
                 idx = first_bicolored(colors, flat, width)
                 if idx >= 0:
                     return j, idx + 1
-        return None
+        j = next(self.fired(coloring, v), None)
+        if j is None:
+            return None
+        width = self.metas[j - 1].uncolor_size + 2
+        return j, first_bicolored(colors, self.witness_rows(v, j)[1], width) + 1
+
+    def fired(self, coloring, v):
+        """Yield, ascending, every searched type with a bad row through v:
+        one `alternating_widths` search per start path (`_starts`), grown
+        no wider than the colored set or the widest searched row."""
+        limit = min(len(coloring.colored), self._widest)
+        widths = set()
+        for path, close in self._starts(coloring, v):
+            widths |= alternating_widths(self.g.adj, coloring.colors, path,
+                                         limit, close)
+        if widths:
+            yield from sorted(self._searched[w] for w in widths if w in self._searched)
 
     def uncolor_set(self, j, v, colored, k):
         if j <= len(self._tables):
@@ -139,9 +154,9 @@ class _GammaFamily(_AcyclicFamily):
         rows.sort(key=lambda r: [rank[x] for x in r])
         return rows
 
-    def fires(self, coloring, v, j) -> bool:
-        """Whether v lies on a 2j-cycle alternating its color with the color
-        b of a neighbor, searched inside the subgraph colored c(v) and b."""
+    def _starts(self, coloring, v):
+        """(v, u2) for each neighbor u2 colored b apart from v: 2j-cycles
+        alternating c(v) and b close back at v."""
         colors, g = coloring.colors, self.g
         a = colors[v]
 
@@ -150,10 +165,8 @@ class _GammaFamily(_AcyclicFamily):
 
         for u2 in g.adj[v]:
             b = colors[u2]
-            if b and b != a and alternating_path(g.adj, colors, [v, u2],
-                                                 2 * j, close):
-                return True
-        return False
+            if b and b != a:
+                yield [v, u2], close
 
 
 def acyclic_gamma_family(g: Graph, gamma: int) -> _GammaFamily:
@@ -191,21 +204,18 @@ class _SpecialPairFamily(_AcyclicFamily):
             for b in nb[i + 1:]:
                 yield (a, b) if rank[a] < rank[b] else (b, a)
 
-    def fires(self, coloring, v, j) -> bool:
-        """Whether a type-j row (u1, v, u3, ...) alternates two colors: a
-        search from u3 over the subgraph colored c(u1) = c(u3) and c(v)."""
+    def _starts(self, coloring, v):
+        """(u1, v, u3) for each anchor pair colored alike and apart from v:
+        rows searched from u3 over the subgraph colored c(u1) and c(v)."""
         colors = coloring.colors
         b = colors[v]
-        width = self.metas[j - 1].uncolor_size + 2
         for u1, u3 in self._anchor_pairs(v):
             a = colors[u1]
-            if a and a != b and colors[u3] == a and alternating_path(
-                    self.g.adj, colors, [u1, v, u3], width, self._closing(u1)):
-                return True
-        return False
+            if a and a != b and colors[u3] == a:
+                yield [u1, v, u3], self._closing(u1)
 
     def _closing(self, u1):
-        """`alternating_path` check on a row's last vertex and the one
+        """`alternating_widths` check on a row's last vertex and the one
         before it; type-4 rows of v1 are open paths."""
         return None
 

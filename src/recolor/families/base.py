@@ -1,14 +1,15 @@
 """Shared plumbing for bad-event families.
 
-Detection searches on fire and ranks on hit.  Where a family declares a
-search for a type (`fires`), `detect` asks it whether some witness of that
-type through the anchor is bad, and only then enumerates the type's
-witnesses to rank the hit.  The searches walk colored objects only and drop
-a partial witness at the first color that breaks its pattern: repetitions
-grow two mirrored objects at a time (`PathRepetitionFamily`), bicolored
-cycles and paths stay inside the two-colored subgraph (`alternating_path`).
-Types without a search (the short cycle types and the facial windows) scan
-their witness list on every probe.
+Detection searches on fire and ranks on hit.  A family with searched types
+declares one search, ``fired(coloring, v)``, yielding in ascending order
+every searched type with a bad witness through the anchor; `detect` takes
+the first type it yields and enumerates only that type's witnesses, to rank
+the hit.  The searches walk colored objects only and drop a partial witness
+at the first color that breaks its pattern: repetitions grow two mirrored
+objects at a time (`PathRepetitionFamily`), bicolored cycles and paths stay
+inside the two-colored subgraph (`alternating_widths`), and each reports
+every width it closes at in one pass.  Types without a search (the short
+cycle types and the facial windows) scan their witness list on every probe.
 
 Witness enumeration (`witness_rows`) happens lazily per (anchor, type) and
 is memoized: the lists are pure functions of the immutable graph, so the
@@ -150,34 +151,34 @@ def edge_paths_through(g, edge_id: int, length: int) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
-def alternating_path(adj, colors, path, width, close=None) -> bool:
-    """Whether the colored ``path``, whose last two vertices carry two
-    different colors, extends by fresh vertices to ``width`` vertices that
+def alternating_widths(adj, colors, path, limit, close=None) -> set[int]:
+    """Every width up to ``limit`` at which the colored ``path``, whose last
+    two vertices carry two different colors, extends by fresh vertices that
     keep alternating those colors, the last vertex w also satisfying
-    ``close(w, x)`` with x the vertex before it.  A depth-first search
+    ``close(w, x)`` with x the vertex before it.  One depth-first search
     inside the two-colored subgraph, so it never leaves it; ``path`` is
     consumed.
     """
+    widths = set()
     used = set(path)
-    stack = [iter(adj[path[-1]])]
+    stack = [iter(adj[path[-1]])] if len(path) < limit else []
     while stack:
         want = colors[path[-2]]
         for w in stack[-1]:
             if w in used or colors[w] != want:
                 continue
-            if len(path) + 1 == width:
-                if close is None or close(w, path[-1]):
-                    return True
-                continue
-            path.append(w)
-            used.add(w)
-            stack.append(iter(adj[w]))
-            break
+            if close is None or close(w, path[-1]):
+                widths.add(len(path) + 1)
+            if len(path) + 1 < limit:
+                path.append(w)
+                used.add(w)
+                stack.append(iter(adj[w]))
+                break
         else:
             stack.pop()
             if stack:
                 used.discard(path.pop())
-    return False
+    return widths
 
 
 def first_repetition(colors, rows, width):
@@ -245,8 +246,8 @@ class RepetitionFamily(Family):
 
 class PathRepetitionFamily(RepetitionFamily):
     """Repetition families whose type-j witnesses are all the simple paths
-    of 2j objects through the anchor.  A search (`_repetitions`) finds the
-    lengths of the bad ones, and only the type that fires is enumerated, to
+    of 2j objects through the anchor.  A search (`fired`) finds the lengths
+    of the bad ones, and only the first type it yields is enumerated, to
     rank the hit.
 
     Subclasses set ``_steps[x]``, the (vertex w, object) pairs of the steps
@@ -260,19 +261,13 @@ class PathRepetitionFamily(RepetitionFamily):
     shared_joint = False
 
     def detect(self, coloring, v):
-        j = next(self._repetitions(coloring, v), None)
+        j = next(self.fired(coloring, v), None)
         if j is None:
             return None
         flat = self.witness_rows(v, j)[1]
         return j, first_repetition(coloring.colors, flat, 2 * j) + 1
 
-    def fires(self, coloring, x, j) -> bool:
-        for length in self._repetitions(coloring, x):
-            if length >= j:
-                return length == j
-        return False
-
-    def _repetitions(self, coloring, x):
+    def fired(self, coloring, x):
         """Yield, ascending, every j for which a colored simple path of 2j
         objects through x reads its first half twice.
 

@@ -14,6 +14,11 @@ import hashlib
 from collections import deque
 from math import floor
 
+# Largest vertex count a graph or rotation file may announce.  Building a
+# graph allocates per-vertex tables before reading any edge, so a one-line
+# header could otherwise ask for gigabytes.  `Graph(...)` in code has no cap.
+MAX_FILE_VERTICES = 250_000
+
 
 class GraphFormatError(ValueError):
     """Malformed graph, rotation, list, or coloring document."""
@@ -31,6 +36,26 @@ def _clean_lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield no, line
+
+
+def _header(lines) -> tuple[int, int]:
+    """(n, m) from the "n m" header opening a cleaned document, refusing
+    more than MAX_FILE_VERTICES vertices before anything is allocated."""
+    if not lines:
+        raise GraphFormatError("empty document")
+    no, header = lines[0]
+    parts = header.split()
+    if len(parts) != 2:
+        raise GraphFormatError("expected header 'n m'", no)
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GraphFormatError("expected integers in header 'n m'", no) from None
+    if n > MAX_FILE_VERTICES:
+        raise GraphFormatError(
+            f"header announces {n} vertices, more than the {MAX_FILE_VERTICES} "
+            "a file may hold", no)
+    return n, m
 
 
 class Graph:
@@ -132,16 +157,7 @@ def load_graph(text: str) -> Graph:
     anywhere after the header overrides the vertex order.
     """
     lines = list(_clean_lines(text))
-    if not lines:
-        raise GraphFormatError("empty document")
-    no, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2:
-        raise GraphFormatError("expected header 'n m'", no)
-    try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise GraphFormatError("expected integers in header 'n m'", no) from None
+    n, m = _header(lines)
     edges = []
     order = None
     for no, line in lines[1:]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from .graphs import Graph, GraphFormatError, _clean_lines
+from .graphs import Graph, GraphFormatError, _clean_lines, _header
 
 
 class EmbeddingError(ValueError):
@@ -125,13 +125,7 @@ def load_rotation(text: str, graph: Graph | None = None) -> PlaneGraph:
     per vertex (counterclockwise).  Edges are derived from the lists; when
     ``graph`` is supplied it must match them."""
     lines = list(_clean_lines(text))
-    if not lines:
-        raise GraphFormatError("empty document")
-    no, header = lines[0]
-    try:
-        n, m = map(int, header.split())
-    except ValueError:
-        raise GraphFormatError("expected header 'n m'", no) from None
+    n, m = _header(lines)
     rotation: dict[int, tuple[int, ...]] = {}
     for no, line in lines[1:]:
         if ":" not in line:

@@ -171,14 +171,18 @@ def _growth_report(terms, b: list[int]) -> GrowthReport:
     """`growth_check` on excursion counts b_0..b_{t_max} already counted."""
     t_max = len(b) - 1
     norm = _normalize(terms)
-    q = QPolynomial(tuple((float(c), s) for c, s in terms if c > 0))
-    if all(s == 1 for _, s in norm):
-        base = q.q(1.0)
+    positive = tuple((float(c), s) for c, s in terms if c > 0)
+    if not positive:
+        # Q = 1: no event has a class, so the check reads b_t <= 1
+        base = prefactor = 1.0
+        ok = all(x <= 1 for x in b)
+    elif all(s == 1 for _, s in norm):
+        base = QPolynomial(positive).q(1.0)
         prefactor = base - 1.0
         total = sum(c for c, _ in norm)
         ok = all(b[t] == total ** t for t in range(t_max + 1))
     else:
-        cs = characteristic_system(q)
+        cs = characteristic_system(QPolynomial(positive))
         base = (1.0 + cs.s) / cs.x  # Q(X) / X
         prefactor = cs.s + 1.0
         ok = all(

@@ -59,6 +59,13 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, i % n + 1) for i in range(1, n + 1)])
 
 
+def prism_graph(k: int) -> Graph:
+    """The prism C_k x K2: cycles 1..k and k+1..2k joined by rungs i, k+i."""
+    return Graph(2 * k, [(i, i % k + 1) for i in range(1, k + 1)]
+                 + [(k + i, k + i % k + 1) for i in range(1, k + 1)]
+                 + [(i, k + i) for i in range(1, k + 1)])
+
+
 def random_tree(n: int, rng: random.Random) -> Graph:
     edges = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
     return Graph(n, edges)

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -100,7 +101,6 @@ def test_bound_family_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("terms", [
-    "8.98846567431158e+307:3",  # the ratio's minimizer underflows to 0
     "8.0:2 8.98846567431158e+307:1 8.98846567431158e+307:1",  # ratio is inf
 ])
 def test_bound_family_file_past_float_range(capsys, tmp_path, terms):
@@ -109,6 +109,18 @@ def test_bound_family_file_past_float_range(capsys, tmp_path, terms):
     code, out, err = run_cli(capsys, "bound", "--family-file", str(path))
     assert code == 2 and out == ""
     assert "float range" in err
+
+
+def test_bound_family_file_huge_ceiling_keeps_its_minimizer(capsys, tmp_path):
+    # (s - 1) C passes the float maximum, (s - 1) (C x^s) does not: the
+    # minimizer sits near 1.77e-103 instead of underflowing to 0
+    path = tmp_path / "terms.txt"
+    path.write_text("8.98846567431158e+307:3")
+    code, out, _ = run_cli(capsys, "bound", "--family-file", str(path))
+    assert code == 0
+    got = dict(line.split("\t") for line in out.splitlines())
+    assert float(got["optimized_x"]) == pytest.approx(1.7718548704174474e-103)
+    assert math.isfinite(float(got["optimized_ratio"]))
 
 
 def test_bound_domain_error(capsys):
@@ -350,6 +362,19 @@ def test_count_records_sub_unit_ceilings(capsys):
                    "3\t0\t1\t5.6568542494923815\n")
 
 
+@pytest.mark.parametrize("terms", ["0:2", "0:1", "0:1 0:3"])
+def test_count_records_all_zero_ceilings(capsys, terms):
+    # Q = 1: base and prefactor 1, so the growth check reads b_t <= 1
+    code, out, _ = run_cli(capsys, "count-records", "--terms", terms,
+                           "--level-cap", "3", "--tmax", "3")
+    assert code == 0
+    assert out == ("t\tb\tr\tbound\n"
+                   "0\t1\t1\t1.0\n"
+                   "1\t0\t1\t1.0\n"
+                   "2\t0\t1\t1.0\n"
+                   "3\t0\t1\t1.0\n")
+
+
 def test_count_records_requires_input(capsys):
     code, _, err = run_cli(capsys, "count-records", "--level-cap", "2",
                            "--tmax", "3")
@@ -375,6 +400,22 @@ def test_verify_accept_and_reject(capsys, tmp_path):
     assert code == 1
     assert out.startswith("REJECT")
     assert "monochromatic" in err
+
+
+@pytest.mark.parametrize("flag, prop", [("--graph", "proper"),
+                                        ("--embedding", "facial-thue-vertex")])
+def test_verify_refuses_a_huge_header(capsys, tmp_path, flag, prop):
+    # the header is refused before any per-vertex table is allocated
+    graph = tmp_path / "huge.txt"
+    graph.write_text("1000000000 0\n")
+    phi = tmp_path / "one.phi"
+    phi.write_text("1 1\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", flag, str(graph),
+                             "--coloring", str(phi), "--property", prop)
+    assert code == 2 and out == ""
+    assert "line 1: header announces 1000000000 vertices" in err
+    assert time.perf_counter() - start < 5
 
 
 def test_verify_facial_edge(capsys, tmp_path):

@@ -26,6 +26,7 @@ from _util import (
     K3_TEXT,
     PETERSEN_EDGES,
     assert_roundtrip,
+    prism_graph,
     random_graph,
     random_tree,
 )
@@ -328,9 +329,7 @@ class TestParameterValidation:
 
 class TestLargeGraphs:
     # the prism C500 x K2: cubic, and its type ceilings pass the float range
-    PRISM = Graph(1000, [(i, i % 500 + 1) for i in range(1, 501)]
-                  + [(500 + i, 500 + i % 500 + 1) for i in range(1, 501)]
-                  + [(i, 500 + i) for i in range(1, 501)])
+    PRISM = prism_graph(500)
 
     @pytest.mark.parametrize("make", [lambda g: acyclic_gamma_family(g, 1),
                                       lambda g: acyclic_v2_family(g, 0.5)],

@@ -9,7 +9,9 @@ from _util import (
     STAR5_TEXT,
     graphs,
 )
+import recolor.graphs
 from recolor.graphs import (
+    MAX_FILE_VERTICES,
     Graph,
     GraphFormatError,
     SpecialStructure,
@@ -19,6 +21,7 @@ from recolor.graphs import (
     neighbors2,
     special_set,
 )
+from recolor.planar import load_rotation
 
 
 class TestLoadGraph:
@@ -45,6 +48,17 @@ class TestLoadGraph:
     def test_malformed_header(self):
         with pytest.raises(GraphFormatError, match="line 1"):
             load_graph("3\n1 2\n")
+
+    def test_header_vertex_cap_names_line(self, monkeypatch):
+        text = f"# too many\n{MAX_FILE_VERTICES + 1} 0\n"
+        with pytest.raises(GraphFormatError, match="line 2: header announces"):
+            load_graph(text)
+        with pytest.raises(GraphFormatError, match="line 2: header announces"):
+            load_rotation(text)
+        monkeypatch.setattr(recolor.graphs, "MAX_FILE_VERTICES", 3)
+        assert load_graph("3 0\n").n == 3
+        with pytest.raises(GraphFormatError, match="more than the 3"):
+            load_graph("4 0\n")
 
     def test_vertex_out_of_range_names_line(self):
         with pytest.raises(GraphFormatError, match="line 3"):

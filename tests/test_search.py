@@ -1,10 +1,11 @@
 """Differential tests of the color-pruned witness searches.
 
-A family's `fires(coloring, v, j)` must say yes exactly when the row scan
-over `witness_rows(v, j)` finds a bad row, and `detect`, which ranks only
-the types that fire, must equal detection as it was before the searches:
-enumerate every type's rows, then scan them.  Colorings use two or three
-colors on most objects, so the long types fire too.
+A family's `fired(coloring, v)` must yield, ascending, exactly the searched
+types j whose row scan over `witness_rows(v, j)` finds a bad row, and
+`detect`, which ranks only the first type fired, must equal detection as it
+was before the searches: enumerate every type's rows, then scan them.
+Colorings use two or three colors on most objects, so the long types fire
+too.  One search per start neighbor or start pair serves every type.
 """
 
 import random
@@ -12,7 +13,9 @@ from collections import Counter
 
 import pytest
 
-from recolor.engine import PartialColoring
+import recolor.families.acyclic
+from recolor.engine import EngineInput, PartialColoring
+from recolor.families import acyclic_gamma_family, acyclic_v2_family
 from recolor.families.acyclic import first_bicolored, first_equal
 from recolor.families.base import (
     PathRepetitionFamily,
@@ -20,7 +23,7 @@ from recolor.families.base import (
     first_repetition,
 )
 
-from _util import FAMILY_CASES, random_graph
+from _util import FAMILY_CASES, assert_roundtrip, prism_graph, random_graph
 
 EXAMPLES = 300
 
@@ -70,7 +73,8 @@ def reference_detect(fam, coloring, v):
         idx = first_equal(colors, colors[v], table[v])
         if idx >= 0:
             return j, idx + 1
-    for j, width, _ in fam._row_types:
+    for meta in fam.metas[len(fam._tables):]:
+        j, width = meta.type_id, meta.uncolor_size + 2
         if width > len(coloring.colored):
             break
         rows, flat = fam.witness_rows(v, j)
@@ -134,9 +138,12 @@ def test_search_fires_exactly_when_the_scan_finds_a_row(name):
     fired = Counter()
     for _ in range(EXAMPLES):
         fam, pc, v = fuzzed_colorings(name, rng)
+        got = list(fam.fired(pc, v))
+        assert got == sorted(set(got)), (name, pc.as_dict(), v, got)
+        assert set(got) <= set(searched_types(fam)), (name, got)
         for j in searched_types(fam):
             want = scan_finds(fam, pc, v, j)
-            assert fam.fires(pc, v, j) == want, (name, pc.as_dict(), v, j)
+            assert (j in got) == want, (name, pc.as_dict(), v, j)
             fired[j] += want
     assert any(fired[j] for j in fired if j >= SEARCHED[name][2]), fired
 
@@ -151,3 +158,41 @@ def test_detect_equals_enumerate_then_scan(name):
         assert got == reference_detect(fam, pc, v), (name, pc.as_dict(), v)
         hits[got and got[0]] += 1
     assert any(hits[j] for j in hits if j and j >= SEARCHED[name][2]), hits
+
+
+@pytest.mark.parametrize("make, starts, searched", [
+    (lambda g: acyclic_gamma_family(g, 1), lambda d: d, True),
+    (lambda g: acyclic_v2_family(g, 0.5), lambda d: d * (d - 1) // 2, False),
+], ids=["gamma", "v2"])
+def test_one_search_per_start_per_detect(monkeypatch, make, starts, searched):
+    """Every detect lists its start paths once and searches each start
+    neighbor (gamma) or start pair (v2) at most once, however many of the
+    500 types fit the colored set.  On the prism v2's special event keeps
+    most anchor pairs apart in color, so its searches seldom start."""
+    g = prism_graph(500)
+    fam = make(g)
+    calls, total = Counter(), Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(recolor.families.acyclic, "alternating_widths", counted(
+        "searches", recolor.families.acyclic.alternating_widths))
+    fam._starts = counted("starts", fam._starts)
+    detect = fam.detect
+
+    def checked_detect(coloring, v):
+        calls.clear()
+        got = detect(coloring, v)
+        assert calls["starts"] <= 1, (v, calls)
+        assert calls["searches"] <= starts(len(g.adj[v])), (v, calls)
+        total.update(calls)
+        return got
+
+    fam.detect = checked_detect
+    res = assert_roundtrip(g, fam, EngineInput(kappa=5, seed=1, budget=4 * g.n))
+    assert total["starts"] and (total["searches"] or not searched), total
+    assert any(step and step[0] == 2 for step in res.record.steps)
