@@ -5,7 +5,7 @@ differ in how they cover bicolored cycles: a global cycle-count budget, an
 induced-4-cycle/6-path pair over a special-pair structure, or a cycle ladder
 over the same structure.  Cycle witnesses are stored in traversal order, so
 uncoloring is always a prefix of the row and rebuilding alternates the two
-colors still readable at the row's tail.  The long bicolored types are
+colors still readable at the row's tail (`Bicolored`).  The long bicolored types are
 detected by a search inside the two-colored subgraph at the anchor, and
 their witnesses enumerated only to rank a hit.
 """
@@ -47,88 +47,51 @@ def first_bicolored(colors, rows, width):
     return -1
 
 
-def bicolored_rebuild(row: tuple[int, ...], after) -> dict[int, int]:
-    """Erased colors of an alternating witness whose last two objects
-    survived: row[0], row[2], ... carried row[-2]'s color and row[1],
-    row[3], ... carried row[-1]'s."""
-    a = after.color_of(row[-2])
-    b = after.color_of(row[-1])
-    return {row[i]: (a if i % 2 == 0 else b) for i in range(len(row) - 2)}
+class Bicolored:
+    """Row shape of the acyclic families: ``uncolor_size + 2`` objects, bad
+    when they alternate two colors.  All but the last two are erased, and
+    those two survivors carry the colors of the even and odd positions."""
+
+    @staticmethod
+    def width(uncolor_size: int) -> int:
+        return uncolor_size + 2
+
+    @staticmethod
+    def scan(colors, rows, width):
+        return first_bicolored(colors, rows, width)
+
+    @staticmethod
+    def split(row, v):
+        return row[:-2], row[-2:] * (len(row) // 2)
 
 
 class _AcyclicFamily(Family):
-    """Event loop shared by the acyclic families, declared by two lists.
+    """Candidate tables for the first types, bicolored rows for the rest.
+    The searched rows are found by `fired`, from the start paths a subclass
+    declares (`_starts`)."""
 
-    ``tables`` holds one candidate list per anchor for each of the first
-    types (the graph's own per-vertex tuples, scanned in place): type i
-    fires when the anchor's color recurs on its i-th list, the
-    class is the first such candidate's position, the anchor alone is
-    uncolored and regains that candidate's color.  Every later meta is a
-    bicolored row type: its witness rows are ``uncolor_size + 2`` objects
-    alternating two colors, all but the last two are uncolored, and the two
-    survivors rebuild them.  Row types below ``first_searched`` are scanned;
-    the rest are searched at once by `fired` from the start paths a subclass
-    declares (`_starts`), and only the first type it yields is ranked.
-    """
-
-    first_searched: int
-
-    def __init__(self, g: Graph, name: str, metas, tables):
-        super().__init__(name, g.n, metas, rank=g.rank.__getitem__)
+    def __init__(self, g: Graph, name: str, metas, tables, scanned, searched):
+        super().__init__(name, g.n, metas, Bicolored, tables, scanned, searched,
+                         rank=g.rank.__getitem__)
         self.g = g
-        self._tables = tables
-        rows = [(m.type_id, m.uncolor_size + 2) for m in self.metas[len(tables):]]
-        self._scanned = [(j, w) for j, w in rows if j < self.first_searched]
-        self._searched = {w: j for j, w in rows if j >= self.first_searched}
-        self._widest = max(self._searched, default=0)
-
-    def detect(self, coloring, v):
-        colors = coloring.colors
-        color = coloring.color_of(v)
-        for j, table in enumerate(self._tables, start=1):
-            idx = first_equal(colors, color, table[v])
-            if idx >= 0:
-                return j, idx + 1
-        for j, width in self._scanned:
-            if width > len(coloring.colored):
-                break
-            rows, flat = self.witness_rows(v, j)
-            if rows:
-                idx = first_bicolored(colors, flat, width)
-                if idx >= 0:
-                    return j, idx + 1
-        j = next(self.fired(coloring, v), None)
-        if j is None:
-            return None
-        width = self.metas[j - 1].uncolor_size + 2
-        return j, first_bicolored(colors, self.witness_rows(v, j)[1], width) + 1
+        self._type_of = {self._width[j]: j for j in self.searched}
 
     def fired(self, coloring, v):
-        """Yield, ascending, every searched type with a bad row through v:
-        one `alternating_widths` search per start path (`_starts`), grown
-        no wider than the colored set or the widest searched row."""
-        limit = min(len(coloring.colored), self._widest)
+        """Every searched type with a bad row through v, ascending: one
+        `alternating_widths` search per start path (`_starts`), grown no
+        wider than the colored set or ``widest``."""
+        starts = self._starts(coloring, v)
+        if not starts:
+            return ()
+        limit = min(len(coloring.colored), self.widest)
         widths = set()
-        for path, close in self._starts(coloring, v):
+        for path, close in starts:
             widths |= alternating_widths(self.g.adj, coloring.colors, path,
                                          limit, close)
-        if widths:
-            yield from sorted(self._searched[w] for w in widths if w in self._searched)
-
-    def uncolor_set(self, j, v, colored, k):
-        if j <= len(self._tables):
-            return (v,)
-        return self.witness_rows(v, j)[0][k - 1][:-2]
-
-    def rebuild_event(self, j, v, colored, k, after):
-        if j <= len(self._tables):
-            return {v: after.color_of(self._tables[j - 1][v][k - 1])}
-        return bicolored_rebuild(self.witness_rows(v, j)[0][k - 1], after)
+        return sorted(self._type_of[w] for w in widths if w in self._type_of)
 
 
 class _GammaFamily(_AcyclicFamily):
-    first_searched = 2
-
     def __init__(self, g: Graph, gamma: int):
         if gamma < 1:
             raise ValueError("gamma must be a positive integer")
@@ -138,21 +101,20 @@ class _GammaFamily(_AcyclicFamily):
             EventTypeMeta(k, clamped(0.5 * gamma * power(d, 2 * k - 2)), 2 * k - 2)
             for k in range(2, g.n // 2 + 1)
         ]
-        super().__init__(g, f"acyclic-gamma({gamma})", metas, (g.adj,))
+        super().__init__(g, f"acyclic-gamma({gamma})", metas, (g.adj,), (),
+                         range(2, g.n // 2 + 1))
         self.gamma = gamma
 
     def _enumerate(self, v, j):
         """2j-cycles (v, u2, ..., u_2j), one orientation each (u2
-        order-below the last vertex), sorted by vertex order."""
+        order-below the last vertex)."""
         g, rank = self.g, self.g.rank
-        rows = [
+        return [
             (v, u2) + ext
             for u2 in g.adj[v]
             for ext in arms(g.adj, u2, 2 * j - 2, {v, u2})
             if g.has_edge(ext[-1], v) and rank[u2] < rank[ext[-1]]
         ]
-        rows.sort(key=lambda r: [rank[x] for x in r])
-        return rows
 
     def _starts(self, coloring, v):
         """(v, u2) for each neighbor u2 colored b apart from v: 2j-cycles
@@ -163,10 +125,8 @@ class _GammaFamily(_AcyclicFamily):
         def close(w, _):
             return g.has_edge(w, v)
 
-        for u2 in g.adj[v]:
-            b = colors[u2]
-            if b and b != a:
-                yield [v, u2], close
+        return [([v, u2], close) for u2 in g.adj[v]
+                if colors[u2] and colors[u2] != a]
 
 
 def acyclic_gamma_family(g: Graph, gamma: int) -> _GammaFamily:
@@ -179,11 +139,9 @@ def acyclic_gamma_family(g: Graph, gamma: int) -> _GammaFamily:
 
 class _SpecialPairFamily(_AcyclicFamily):
     """Common core of the two special-pair variants: neighbor event, then a
-    same-color event against the anchor's special set.  Their witnesses
-    from type 4 on start (u1, v, u3) with u1, u3 neighbors of the anchor v,
-    and are searched from each such pair colored alike."""
-
-    first_searched = 4
+    same-color event against the anchor's special set, a scanned type 3.
+    From type 4 on, witnesses start (u1, v, u3) with u1, u3 neighbors of the
+    anchor v, and are searched from each such pair colored alike."""
 
     @staticmethod
     def _check_alpha(alpha: float) -> float:
@@ -193,7 +151,9 @@ class _SpecialPairFamily(_AcyclicFamily):
 
     def __init__(self, g: Graph, alpha: float, name: str, metas):
         special = SpecialStructure(g, alpha)
-        super().__init__(g, name, metas, (g.adj, special._special))
+        types = [m.type_id for m in metas]
+        super().__init__(g, name, metas, (g.adj, special._special), types[2:3],
+                         types[3:])
         self.alpha = alpha
         self.special = special
 
@@ -207,12 +167,29 @@ class _SpecialPairFamily(_AcyclicFamily):
     def _starts(self, coloring, v):
         """(u1, v, u3) for each anchor pair colored alike and apart from v:
         rows searched from u3 over the subgraph colored c(u1) and c(v)."""
-        colors = coloring.colors
+        colors, rank = coloring.colors, self.g.rank
         b = colors[v]
-        for u1, u3 in self._anchor_pairs(v):
-            a = colors[u1]
-            if a and a != b and colors[u3] == a:
-                yield [u1, v, u3], self._closing(u1)
+        nb = self.g.adj[v]
+        starts = []
+        for i, x in enumerate(nb):
+            a = colors[x]
+            if a and a != b:
+                for y in nb[i + 1:]:
+                    if colors[y] == a:
+                        u1, u3 = (x, y) if rank[x] < rank[y] else (y, x)
+                        starts.append(([u1, v, u3], self._closing(u1)))
+        return starts
+
+    def _squares(self, v):
+        """(a, c, b) for each induced 4-cycle v a c b whose antipode c sits
+        outside S(v), a order-below b."""
+        g = self.g
+        s_v = set(self.special.special(v))
+        for a, b in self._anchor_pairs(v):
+            if not g.has_edge(a, b):
+                for c in g.nbr[a] & g.nbr[b] - g.nbr[v] - {v}:
+                    if c not in s_v:
+                        yield a, c, b
 
     def _closing(self, u1):
         """`alternating_widths` check on a row's last vertex and the one
@@ -221,8 +198,6 @@ class _SpecialPairFamily(_AcyclicFamily):
 
 
 class _V1Family(_SpecialPairFamily):
-    C_TYPE = 3
-
     def __init__(self, g: Graph, alpha: float):
         self._check_alpha(alpha)
         d = g.max_degree
@@ -235,25 +210,12 @@ class _V1Family(_SpecialPairFamily):
         super().__init__(g, alpha, f"acyclic-v1({alpha})", metas)
 
     def _enumerate(self, v, j):
-        g, rank = self.g, self.g.rank
-        rows = []
-        if j == self.C_TYPE:
-            # induced 4-cycles (v, u2, u3, u4): the anchor's antipode u3 sits
-            # at distance two outside S(v), and u2, u4 are non-adjacent
-            s_v = set(self.special.special(v))
-            for u2, u4 in self._anchor_pairs(v):
-                if g.has_edge(u2, u4):
-                    continue
-                for u3 in sorted(g.nbr[u2] & g.nbr[u4] - g.nbr[v] - {v}):
-                    if u3 not in s_v:
-                        rows.append((v, u2, u3, u4))
-        else:
-            # 6-vertex paths with the anchor second
-            for u1, u3 in self._anchor_pairs(v):
-                for ext in arms(g.adj, u3, 3, {u1, v, u3}):
-                    rows.append((u1, v, u3) + ext)
-        rows.sort(key=lambda r: [rank[x] for x in r])
-        return rows
+        if j == 3:
+            return [(v, a, c, b) for a, c, b in self._squares(v)]
+        # 6-vertex paths with the anchor second
+        adj = self.g.adj
+        return [(u1, v, u3) + ext for u1, u3 in self._anchor_pairs(v)
+                for ext in arms(adj, u3, 3, {u1, v, u3})]
 
 
 def acyclic_v1_family(g: Graph, alpha: float) -> _V1Family:
@@ -276,29 +238,17 @@ class _V2Family(_SpecialPairFamily):
         super().__init__(g, alpha, f"acyclic-v2({alpha})", metas)
 
     def _enumerate(self, v, j):
-        g, rank = self.g, self.g.rank
         k = j - 1
-        rows = []
         if k == 2:
-            s_v = set(self.special.special(v))
-            for u1, u3 in self._anchor_pairs(v):
-                if g.has_edge(u1, u3):
-                    continue
-                for u4 in sorted(g.nbr[u1] & g.nbr[u3] - g.nbr[v] - {v}):
-                    if u4 not in s_v:
-                        rows.append((u1, v, u3, u4))
-        else:
-            # 2k-cycles with the anchor second; cycles whose color-matched
-            # endpoints u1, u_{2k-1} are special both ways cannot survive the
-            # special event and are excluded from the class count
-            sp = self.special.is_special
-            for u1, u3 in self._anchor_pairs(v):
-                for ext in arms(g.adj, u3, 2 * k - 3, {u1, v, u3}):
-                    if g.has_edge(ext[-1], u1) and \
-                            not (sp(u1, ext[-2]) and sp(ext[-2], u1)):
-                        rows.append((u1, v, u3) + ext)
-        rows.sort(key=lambda r: [rank[x] for x in r])
-        return rows
+            return [(a, v, b, c) for a, c, b in self._squares(v)]
+        # 2k-cycles with the anchor second; cycles whose color-matched
+        # endpoints u1, u_{2k-1} are special both ways cannot survive the
+        # special event and are excluded from the class count
+        g, sp = self.g, self.special.is_special
+        return [(u1, v, u3) + ext for u1, u3 in self._anchor_pairs(v)
+                for ext in arms(g.adj, u3, 2 * k - 3, {u1, v, u3})
+                if g.has_edge(ext[-1], u1)
+                and not (sp(u1, ext[-2]) and sp(ext[-2], u1))]
 
     def _closing(self, u1):
         has_edge, sp = self.g.has_edge, self.special.is_special

@@ -1,22 +1,33 @@
-"""Shared plumbing for bad-event families.
+"""Shared plumbing for bad-event families: one event table, one loop.
 
-Detection searches on fire and ranks on hit.  A family with searched types
-declares one search, ``fired(coloring, v)``, yielding in ascending order
-every searched type with a bad witness through the anchor; `detect` takes
-the first type it yields and enumerates only that type's witnesses, to rank
-the hit.  The searches walk colored objects only and drop a partial witness
-at the first color that breaks its pattern: repetitions grow two mirrored
-objects at a time (`PathRepetitionFamily`), bicolored cycles and paths stay
-inside the two-colored subgraph (`alternating_widths`), and each reports
-every width it closes at in one pass.  Types without a search (the short
-cycle types and the facial windows) scan their witness list on every probe.
+A family declares its events and the loop on `Family` (`detect`,
+`uncolor_set`, `rebuild_event`) reads the declaration.  Each meta type is
+handled one way, and types are probed in ascending order:
 
-Witness enumeration (`witness_rows`) happens lazily per (anchor, type) and
-is memoized: the lists are pure functions of the immutable graph, so the
-memo is shared by concurrent runs without affecting behavior.  Enumerations
-are canonicalized (a path equals its reversal) and sorted by the graph's
-vertex order, making class ranks the stable bijection the decoder relies
-on; they stay the ranking and the oracle the searches are tested against.
+- candidate ``tables`` for the first types, one tuple of objects per
+  anchor: type i fires when the anchor's color recurs on
+  ``tables[i - 1][v]``, the class is the first such position, and the
+  anchor alone is uncolored and regains that candidate's color;
+- ``scanned`` row types scan the anchor's memoized witness list;
+- ``searched`` row types are answered by the family's one search,
+  ``fired(coloring, v)``, which yields ascending every searched type with a
+  bad witness through the anchor; only the first is enumerated, to rank the
+  hit.  Searches walk colored objects only and cut a partial witness at the
+  first color that breaks its pattern (`PathRepetitionFamily`,
+  `alternating_widths`).
+
+Row types share the family's ``shape``: the row width for an uncolor size,
+the kernel finding the first bad row, the objects a hit erases and how they
+are rebuilt (`Repetition`, `acyclic.Bicolored`).  ``widest`` caps the width
+that scans and searches probe.  A class is the hit's rank in its witness
+list plus one, except in the facial edge family (`_class_index`,
+`_row_for`).
+
+Witness lists (`witness_rows`) are enumerated lazily per (anchor, type) and
+memoized: they are pure functions of the immutable graph, so concurrent runs
+share the memo.  Each path is kept in one orientation (it equals its
+reversal) and the lists are sorted by the graph's vertex order, making class
+ranks the stable bijection the decoder relies on and the searches' oracle.
 """
 
 from __future__ import annotations
@@ -29,14 +40,70 @@ from ..engine import EventTypeMeta
 
 
 class Family:
-    """Base for families over objects 1..n with index-ordered traversal."""
+    """Families over objects 1..n with index-ordered traversal, running the
+    event loop on their declaration (see the module docstring)."""
 
-    def __init__(self, name: str, n_objects: int, metas, rank=None):
+    def __init__(self, name: str, n_objects: int, metas, shape, tables=(),
+                 scanned=(), searched=(), widest=None, rank=None):
         self.name = name
         self.n_objects = n_objects
         self.metas = tuple(metas)
+        self.shape = shape
+        self.tables = tuple(tables)
+        self.scanned = tuple(scanned)
+        self.searched = tuple(searched)
+        self._width = {j: shape.width(self.metas[j - 1].uncolor_size)
+                       for j in self.scanned + self.searched}
+        self.widest = max(self._width.values(), default=0) if widest is None else widest
+        self._scans = tuple((j, self._width[j]) for j in self.scanned)
         self._rank = rank
+        self._row_key = None if rank is None else (lambda row: list(map(rank, row)))
         self._rows: dict[tuple[int, int], tuple] = {}
+
+    def detect(self, coloring, v):
+        colors = coloring.colors
+        color = colors[v]
+        j = 0
+        for table in self.tables:
+            j += 1
+            idx = _acyclic.first_equal(colors, color, table[v])
+            if idx >= 0:
+                return j, idx + 1
+        budget = min(len(coloring.colored), self.widest)
+        for j, width in self._scans:
+            if width > budget:
+                break
+            rows, flat = self.witness_rows(v, j)
+            if rows:
+                idx = self.shape.scan(colors, flat, width)
+                if idx >= 0:
+                    return j, self._class_index(v, j, idx, coloring.colored)
+        if self.searched:
+            for j in self.fired(coloring, v):  # rank the first type fired
+                idx = self.shape.scan(colors, self.witness_rows(v, j)[1],
+                                      self._width[j])
+                return j, self._class_index(v, j, idx, coloring.colored)
+        return None
+
+    def uncolor_set(self, j, v, colored, k):
+        return self._event(j, v, colored, k)[0]
+
+    def rebuild_event(self, j, v, colored, k, after):
+        erased, kept = self._event(j, v, colored, k)
+        return {x: after.color_of(y) for x, y in zip(erased, kept)}
+
+    def _event(self, j, v, colored, k):
+        """The objects the type-j class-k event at v erases and, position by
+        position, the survivors whose colors they carried."""
+        if j <= len(self.tables):
+            return (v,), (self.tables[j - 1][v][k - 1],)
+        return self.shape.split(self._row_for(j, v, colored, k), v)
+
+    def _class_index(self, v, j, idx, colored):
+        return idx + 1
+
+    def _row_for(self, j: int, v: int, colored, k: int):
+        return self.witness_rows(v, j)[0][k - 1]
 
     def next_uncolored(self, colored):
         pool = (v for v in range(1, self.n_objects + 1) if v not in colored)
@@ -48,17 +115,19 @@ class Family:
         return RankFrontier(self.n_objects, self._rank)
 
     def witness_rows(self, v: int, j: int) -> tuple[tuple[tuple[int, ...], ...], array]:
-        """Canonical witness list for (anchor, type) plus the same rows laid
+        """Canonical witness list for (anchor, type), sorted by the objects'
+        ranks (by index where there is no rank), plus the same rows laid
         back to back in one int array, the form the row scans read."""
         key = (v, j)
         hit = self._rows.get(key)
         if hit is None:
-            paths = tuple(self._enumerate(v, j))
+            paths = tuple(sorted(self._enumerate(v, j), key=self._row_key))
             flat = array("i", [x for row in paths for x in row])
             hit = self._rows[key] = (paths, flat)
         return hit
 
     def _enumerate(self, v: int, j: int):
+        """Each canonical type-j witness through v once, in any order."""
         raise NotImplementedError
 
 
@@ -121,21 +190,20 @@ def canonical(seq: tuple[int, ...], rank) -> tuple[int, ...]:
     return seq if [rank[x] for x in seq] <= [rank[x] for x in rev] else rev
 
 
-def vertex_paths_through(g, v: int, length: int) -> list[tuple[int, ...]]:
-    """All simple paths on `length` vertices containing v, canonicalized and
-    sorted by the graph's vertex order."""
+def vertex_paths_through(g, v: int, length: int) -> set[tuple[int, ...]]:
+    """All simple paths on `length` vertices containing v, canonicalized."""
     found = set()
     for pos in range(1, length + 1):
         for left in arms(g.adj, v, pos - 1, {v}):
             used = {v, *left}
             for right in arms(g.adj, v, length - pos, used):
                 found.add(canonical(left[::-1] + (v,) + right, g.rank))
-    return sorted(found, key=lambda p: [g.rank[x] for x in p])
+    return found
 
 
-def edge_paths_through(g, edge_id: int, length: int) -> list[tuple[int, ...]]:
+def edge_paths_through(g, edge_id: int, length: int) -> set[tuple[int, ...]]:
     """All paths of `length` edges (vertex-simple) containing the given edge,
-    as canonical sorted tuples of edge ids."""
+    as canonical tuples of edge ids."""
     a, b = g.endpoints(edge_id)
     found = set()
     for pos in range(1, length + 1):
@@ -148,7 +216,7 @@ def edge_paths_through(g, edge_id: int, length: int) -> list[tuple[int, ...]]:
                     for x, y in zip(vseq, vseq[1:])
                 )
                 found.add(min(row, row[::-1]))
-    return sorted(found)
+    return found
 
 
 def alternating_widths(adj, colors, path, limit, close=None) -> set[int]:
@@ -201,54 +269,28 @@ def first_repetition(colors, rows, width):
     return -1
 
 
-class RepetitionFamily(Family):
-    """Families whose type-j event is a colored 2j-repetition on a witness
-    path through the anchor; the uncolored set is the half containing it.
+class Repetition:
+    """Row shape of the repetition families: 2j objects, bad when the first
+    half reads like the second.  The anchor's half is erased, and each of
+    its objects carried the color of the object j positions away."""
 
-    Subclasses supply `_enumerate(v, j)` yielding witness rows of 2j objects;
-    the class index of a row is its rank in that (sorted) enumeration.
-    ``widest`` caps the witness width 2j any row can have; detection skips
-    the wider types, whose row lists are empty.
-    """
+    @staticmethod
+    def width(uncolor_size: int) -> int:
+        return 2 * uncolor_size
 
-    widest = math.inf
+    @staticmethod
+    def scan(colors, rows, width):
+        return first_repetition(colors, rows, width)
 
-    def detect(self, coloring, v):
-        budget = min(len(coloring.colored), self.widest)
-        for meta in self.metas:
-            j = meta.type_id
-            if 2 * j > budget:
-                break
-            paths, flat = self.witness_rows(v, j)
-            if not paths:
-                continue
-            idx = first_repetition(coloring.colors, flat, 2 * j)
-            if idx >= 0:
-                return j, self._class_index(v, j, idx, coloring.colored)
-        return None
-
-    def _class_index(self, v, j, idx, colored):
-        return idx + 1
-
-    def _row_for(self, j: int, v: int, colored, k: int):
-        return self.witness_rows(v, j)[0][k - 1]
-
-    def uncolor_set(self, j, v, colored, k):
-        row = self._row_for(j, v, colored, k)
-        return row[:j] if row.index(v) < j else row[j:]
-
-    def rebuild_event(self, j, v, colored, k, after):
-        row = self._row_for(j, v, colored, k)
-        if row.index(v) < j:
-            return {row[i]: after.color_of(row[i + j]) for i in range(j)}
-        return {row[i + j]: after.color_of(row[i]) for i in range(j)}
+    @staticmethod
+    def split(row, v):
+        j = len(row) // 2
+        return (row[:j], row[j:]) if row.index(v) < j else (row[j:], row[:j])
 
 
-class PathRepetitionFamily(RepetitionFamily):
+class PathRepetitionFamily(Family):
     """Repetition families whose type-j witnesses are all the simple paths
-    of 2j objects through the anchor.  A search (`fired`) finds the lengths
-    of the bad ones, and only the first type it yields is enumerated, to
-    rank the hit.
+    of 2j objects through the anchor, every type searched by `fired`.
 
     Subclasses set ``_steps[x]``, the (vertex w, object) pairs of the steps
     from vertex x (the object is w itself for vertex paths and the edge xw
@@ -259,13 +301,6 @@ class PathRepetitionFamily(RepetitionFamily):
     """
 
     shared_joint = False
-
-    def detect(self, coloring, v):
-        j = next(self.fired(coloring, v), None)
-        if j is None:
-            return None
-        flat = self.witness_rows(v, j)[1]
-        return j, first_repetition(coloring.colors, flat, 2 * j) + 1
 
     def fired(self, coloring, x):
         """Yield, ascending, every j for which a colored simple path of 2j
@@ -332,3 +367,8 @@ class PathRepetitionFamily(RepetitionFamily):
 def neighbor_meta(g) -> EventTypeMeta:
     """Type 1 everywhere it appears: the anchor matches a neighbor's color."""
     return EventTypeMeta(1, clamped(g.max_degree), 1)
+
+
+# a cycle (acyclic.py imports this module): `detect` reads `first_equal`
+# through the module at call time, so a rebound kernel is seen
+from . import acyclic as _acyclic  # noqa: E402

@@ -1,13 +1,15 @@
 """Facially non-repetitive families on plane graphs.
 
 The vertex variant is a plain repetition family whose witnesses live on face
-boundaries.  The edge variant trades generality for sharper ceilings: the
-coloring order is constrained so every anchor has an uncolored facially
-adjacent edge e', and classes count only witness paths avoiding e' (at most
-one on the face shared with e', 2j on the anchor's other face).  That
-requires one distinguished edge to stay uncolored forever and the uncolored
-edge set to stay connected in the medial graph; the traversal maintains both
-by coloring leaves of a medial spanning tree rooted at the reserved edge.
+boundaries; its type 1 is the neighbor table, since a facial 2-window is an
+edge and every edge lies on a face.  The edge variant trades generality for
+sharper ceilings: the coloring order is constrained so every anchor has an
+uncolored facially adjacent edge e', and classes count only witness paths
+avoiding e' (at most one on the face shared with e', 2j on the anchor's
+other face).  That requires one distinguished edge to stay uncolored forever
+and the uncolored edge set to stay connected in the medial graph; the
+traversal maintains both by coloring leaves of a medial spanning tree rooted
+at the reserved edge.
 
 A window of 2j objects fits only on a face of length at least 2j, so both
 families stop probing event types at the longest face.
@@ -21,7 +23,7 @@ from collections import deque
 from ..engine import EventTypeMeta
 from ..graphs import Graph
 from ..planar import PlaneGraph, facial_paths_through, medial_graph
-from .base import RepetitionFamily, canonical, clamped
+from .base import Family, Repetition, canonical, clamped, neighbor_meta
 
 
 class MedialConnectivityError(RuntimeError):
@@ -32,27 +34,24 @@ def _longest_face(pg: PlaneGraph) -> int:
     return max((len(face) for face in pg.faces), default=0)
 
 
-class _FacialVertexFamily(RepetitionFamily):
+class _FacialVertexFamily(Family):
     def __init__(self, pg: PlaneGraph):
         g = pg.graph
         d = g.max_degree
-        metas = [EventTypeMeta(1, clamped(d), 1)]
+        metas = [neighbor_meta(g)]
         metas += [
             EventTypeMeta(j, clamped(2 * j * d), j)
             for j in range(2, g.n // 2 + 1)
         ]
-        super().__init__("facial-thue-vertex", g.n, metas,
+        super().__init__("facial-thue-vertex", g.n, metas, Repetition, (g.adj,),
+                         range(2, g.n // 2 + 1), widest=_longest_face(pg),
                          rank=g.rank.__getitem__)
         self.pg = pg
         self.g = g
-        self.widest = _longest_face(pg)
 
     def _enumerate(self, v, j):
-        windows = {
-            canonical(w, self.g.rank)
-            for w in facial_paths_through(self.pg, v, 2 * j)
-        }
-        return sorted(windows, key=lambda p: [self.g.rank[x] for x in p])
+        return {canonical(w, self.g.rank)
+                for w in facial_paths_through(self.pg, v, 2 * j)}
 
 
 def facial_thue_vertex_family(pg: PlaneGraph) -> _FacialVertexFamily:
@@ -61,25 +60,25 @@ def facial_thue_vertex_family(pg: PlaneGraph) -> _FacialVertexFamily:
     return _FacialVertexFamily(pg)
 
 
-class _FacialEdgeFamily(RepetitionFamily):
+class _FacialEdgeFamily(Family):
     def __init__(self, pg: PlaneGraph, e_star: int):
         g = pg.graph
         if not 1 <= e_star <= g.m:
             raise ValueError(f"reserved edge id {e_star} out of range")
         metas = [EventTypeMeta(j, 1 + 2 * j, j) for j in range(1, g.n // 2 + 1)]
-        super().__init__("facial-thue-edge", g.m, metas)
+        super().__init__("facial-thue-edge", g.m, metas, Repetition,
+                         scanned=range(1, g.n // 2 + 1), widest=_longest_face(pg))
         self.pg = pg
         self.g = g
         self.e_star = e_star
         self.medial = medial_graph(pg)
-        self.widest = _longest_face(pg)
 
     def _enumerate(self, e, j):
         rows = set()
         for window in facial_paths_through(self.pg, self.g.endpoints(e), 2 * j):
             row = tuple(self.g.edge_index[pair] for pair in window)
             rows.add(min(row, row[::-1]))
-        return sorted(rows)
+        return rows
 
     def _uncolored_neighbor(self, e: int, colored) -> int:
         for u in self.medial.adj[e]:

@@ -3,9 +3,9 @@
 The type-j event is a colored repetition on a 2j-object simple path through
 the anchor; both variants uncolor the half containing the anchor and rebuild
 by mirroring the surviving half, which pins the anchor's erased color because
-repetition pairs positions i and i+j.  Detection searches the colored
-paths through the anchor two mirrored objects at a time
-(`PathRepetitionFamily`).
+repetition pairs positions i and i+j (`Repetition` rows).  Every type is
+searched: the colored paths through the anchor grow two mirrored objects at
+a time (`PathRepetitionFamily`).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from ..engine import EventTypeMeta
 from ..graphs import Graph
 from .base import (
     PathRepetitionFamily,
+    Repetition,
     clamped,
     edge_paths_through,
     vertex_paths_through,
@@ -27,8 +28,8 @@ class _NonrepVertexFamily(PathRepetitionFamily):
             EventTypeMeta(j, clamped(j * d ** (2 * j - 1)), j)
             for j in range(1, g.n // 2 + 1)
         ]
-        super().__init__("nonrepetitive-vertex", g.n, metas,
-                         rank=g.rank.__getitem__)
+        super().__init__("nonrepetitive-vertex", g.n, metas, Repetition,
+                         searched=range(1, g.n // 2 + 1), rank=g.rank.__getitem__)
         self.g = g
         self._steps = tuple(tuple(zip(nb, nb)) for nb in g.adj)
 
@@ -53,7 +54,8 @@ class _NonrepEdgeFamily(PathRepetitionFamily):
             EventTypeMeta(j, clamped(2 * j * d ** (2 * j - 1)), j)
             for j in range(1, g.n // 2 + 1)
         ]
-        super().__init__("nonrepetitive-edge", g.m, metas)
+        super().__init__("nonrepetitive-edge", g.m, metas, Repetition,
+                         searched=range(1, g.n // 2 + 1))
         self.g = g
         self._steps = tuple(
             tuple((w, g.edge_index[(min(x, w), max(x, w))]) for w in nb)

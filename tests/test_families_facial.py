@@ -56,6 +56,24 @@ class TestVertexFamily:
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
+    def test_type_one_table_is_the_window_list(self, seed):
+        """Type 1 is declared as the neighbor table: the partners of v on its
+        canonical sorted 2-windows are v's neighbors in adjacency order, so
+        the table gives every type-1 event the class its window rank did."""
+        rng = random.Random(seed)
+        n = rng.randint(3, 30)
+        pg = random_triangulation(n, rng) if rng.random() < 0.5 \
+            else plane_with_long_faces(n, rng.randint(1, 2 * n), rng)
+        fam = facial_thue_vertex_family(pg)
+        assert fam.tables == (pg.graph.adj,)
+        for v in range(1, n + 1):
+            rows = fam.witness_rows(v, 1)[0]
+            partners = tuple(x for row in rows for x in row if x != v)
+            assert len(partners) == len(rows)
+            assert partners == pg.graph.adj[v], (v, rows)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
     def test_roundtrip_fuzz(self, seed):
         rng = random.Random(seed)
         pg = random_triangulation(rng.randint(3, 12), rng)

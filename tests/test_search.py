@@ -17,83 +17,77 @@ import recolor.families.acyclic
 from recolor.engine import EngineInput, PartialColoring
 from recolor.families import acyclic_gamma_family, acyclic_v2_family
 from recolor.families.acyclic import first_bicolored, first_equal
-from recolor.families.base import (
-    PathRepetitionFamily,
-    RepetitionFamily,
-    first_repetition,
-)
+from recolor.families.base import Repetition, first_repetition
 
 from _util import FAMILY_CASES, assert_roundtrip, prism_graph, random_graph
 
 EXAMPLES = 300
 
-# family -> (vertex count range, edge probability range, the lowest type
-# above the first that a fuzz run must see fire); graphs stay small because
-# the oracle enumerates every witness of every type
+# family -> (vertex count range, edge probability range, the first searched
+# type, the lowest type above the first that a fuzz run must see fire);
+# graphs stay small because the oracle enumerates every witness of every type
 SEARCHED = {
-    "acyclic-gamma": ((6, 10), (0.2, 0.5), 3),
-    "acyclic-v1": ((6, 12), (0.2, 0.5), 4),
-    "acyclic-v2": ((6, 10), (0.2, 0.5), 4),
-    "nonrepetitive-vertex": ((4, 9), (0.2, 0.6), 2),
-    "nonrepetitive-edge": ((4, 7), (0.2, 0.6), 2),
+    "acyclic-gamma": ((6, 10), (0.2, 0.5), 2, 3),
+    "acyclic-v1": ((6, 12), (0.2, 0.5), 4, 4),
+    "acyclic-v2": ((6, 10), (0.2, 0.5), 4, 4),
+    "nonrepetitive-vertex": ((4, 9), (0.2, 0.6), 1, 2),
+    "nonrepetitive-edge": ((4, 7), (0.2, 0.6), 1, 2),
 }
 
 
-def searched_types(fam):
-    if isinstance(fam, PathRepetitionFamily):
-        return [m.type_id for m in fam.metas]
-    return [m.type_id for m in fam.metas if m.type_id >= fam.first_searched]
+def searched_types(fam, name):
+    """Every type from the family's first searched one on, which must be
+    exactly the types it declares searched."""
+    types = [m.type_id for m in fam.metas if m.type_id >= SEARCHED[name][2]]
+    assert list(fam.searched) == types, (name, fam.searched)
+    return types
 
 
 def scan_finds(fam, coloring, v, j) -> bool:
-    _, flat = fam.witness_rows(v, j)
-    if isinstance(fam, RepetitionFamily):
-        return first_repetition(coloring.colors, flat, 2 * j) >= 0
-    width = fam.metas[j - 1].uncolor_size + 2
-    return first_bicolored(coloring.colors, flat, width) >= 0
+    """Whether the row scan over every type-j witness finds a bad one."""
+    width, kernel = row_scan(fam, j)
+    return kernel(coloring.colors, fam.witness_rows(v, j)[1], width) >= 0
+
+
+def row_scan(fam, j):
+    """(row width, scan kernel) of a type-j row: 2j objects read twice, or
+    uncolor_size + 2 objects alternating two colors."""
+    u = fam.metas[j - 1].uncolor_size
+    if fam.shape is Repetition:
+        return 2 * u, first_repetition
+    return u + 2, first_bicolored
 
 
 def reference_detect(fam, coloring, v):
-    """`detect` before the searches: every type's rows, then the scan."""
+    """`detect` before the searches: the candidate tables, then every row
+    type's witnesses enumerated and scanned in type order."""
     colors = coloring.colors
-    if isinstance(fam, RepetitionFamily):
-        budget = min(len(coloring.colored), fam.widest)
-        for meta in fam.metas:
-            j = meta.type_id
-            if 2 * j > budget:
-                break
-            paths, flat = fam.witness_rows(v, j)
-            if not paths:
-                continue
-            idx = first_repetition(colors, flat, 2 * j)
-            if idx >= 0:
-                return j, fam._class_index(v, j, idx, coloring.colored)
-        return None
-    for j, table in enumerate(fam._tables, start=1):
+    for j, table in enumerate(fam.tables, start=1):
         idx = first_equal(colors, colors[v], table[v])
         if idx >= 0:
             return j, idx + 1
-    for meta in fam.metas[len(fam._tables):]:
-        j, width = meta.type_id, meta.uncolor_size + 2
+    for meta in fam.metas[len(fam.tables):]:
+        j = meta.type_id
+        width, kernel = row_scan(fam, j)
         if width > len(coloring.colored):
             break
         rows, flat = fam.witness_rows(v, j)
         if rows:
-            idx = first_bicolored(colors, flat, width)
+            idx = kernel(colors, flat, width)
             if idx >= 0:
                 return j, idx + 1
     return None
 
 
-def planted(fam, v, kappa, rng):
+def planted(fam, name, v, kappa, rng):
     """Colors of one random witness of a random searched type through v,
     colored as a bad event of that type; {} when v has no such witness."""
-    j = rng.choice(searched_types(fam))
+    j = rng.choice(searched_types(fam, name))
     rows, _ = fam.witness_rows(v, j)
     if not rows:
         return {}
     row = rng.choice(rows)
-    if isinstance(fam, RepetitionFamily):
+    if fam.shape is Repetition:
         half = [rng.randint(1, kappa) for _ in range(j)]
         return dict(zip(row, half + half))
     a, b = rng.sample(range(1, kappa + 1), 2)
@@ -105,7 +99,7 @@ def fuzzed_colorings(name: str, rng: random.Random):
     colorings carry a planted bad witness of a searched type through the
     anchor, and half color the other objects properly (no two adjacent
     alike), so the long types fire and the type-1 event often stays quiet."""
-    (n_lo, n_hi), (p_lo, p_hi), _ = SEARCHED[name]
+    (n_lo, n_hi), (p_lo, p_hi), _, _ = SEARCHED[name]
     g = random_graph(rng.randint(n_lo, n_hi), rng.uniform(p_lo, p_hi), rng)
     while not g.m:
         g = random_graph(g.n, p_hi, rng)
@@ -119,7 +113,7 @@ def fuzzed_colorings(name: str, rng: random.Random):
     kappa = rng.choice((2, 3))
     v = rng.randint(1, fam.n_objects)
     pc = PartialColoring(fam.n_objects)
-    for x, c in (planted(fam, v, kappa, rng) if rng.random() < 0.5 else {}).items():
+    for x, c in (planted(fam, name, v, kappa, rng) if rng.random() < 0.5 else {}).items():
         pc.assign(x, c)
     dense = rng.uniform(0.6, 1.0)
     proper = rng.random() < 0.5
@@ -140,12 +134,12 @@ def test_search_fires_exactly_when_the_scan_finds_a_row(name):
         fam, pc, v = fuzzed_colorings(name, rng)
         got = list(fam.fired(pc, v))
         assert got == sorted(set(got)), (name, pc.as_dict(), v, got)
-        assert set(got) <= set(searched_types(fam)), (name, got)
-        for j in searched_types(fam):
+        assert set(got) <= set(searched_types(fam, name)), (name, got)
+        for j in searched_types(fam, name):
             want = scan_finds(fam, pc, v, j)
             assert (j in got) == want, (name, pc.as_dict(), v, j)
             fired[j] += want
-    assert any(fired[j] for j in fired if j >= SEARCHED[name][2]), fired
+    assert any(fired[j] for j in fired if j >= SEARCHED[name][3]), fired
 
 
 @pytest.mark.parametrize("name", sorted(SEARCHED))
@@ -157,7 +151,7 @@ def test_detect_equals_enumerate_then_scan(name):
         got = fam.detect(pc, v)
         assert got == reference_detect(fam, pc, v), (name, pc.as_dict(), v)
         hits[got and got[0]] += 1
-    assert any(hits[j] for j in hits if j and j >= SEARCHED[name][2]), hits
+    assert any(hits[j] for j in hits if j and j >= SEARCHED[name][3]), hits
 
 
 @pytest.mark.parametrize("make, starts, searched", [
