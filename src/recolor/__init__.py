@@ -40,11 +40,12 @@ from .graphs import Graph, GraphFormatError, load_graph
 from .planar import EmbeddingError, PlaneGraph, load_rotation
 from .records import (
     GrowthReport,
-    RecordCounter,
     count_b,
     count_r,
     enumerate_records,
     growth_check,
+    growth_report,
+    record_series,
 )
 from .validators import (
     CheckResult,
@@ -75,7 +76,6 @@ __all__ = [
     "QPolynomial",
     "RatioResult",
     "Record",
-    "RecordCounter",
     "RunResult",
     "RunStatus",
     "acyclic_chromatic_ceiling",
@@ -91,10 +91,12 @@ __all__ = [
     "decode",
     "enumerate_records",
     "growth_check",
+    "growth_report",
     "kappa_preset",
     "load_graph",
     "load_rotation",
     "optimal_alpha",
     "optimize_ratio",
+    "record_series",
     "run",
 ]

@@ -44,7 +44,6 @@ class ClosedTail:
     fn: Callable[[float], float]
     dfn: Callable[[float], float]
     radius: float
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -285,8 +284,7 @@ def _acyclic_gamma(delta: int, gamma: int, n: int | None) -> PresetBound:
             u = (delta * x) ** 2
             return 0.5 * g * 2 * delta ** 2 * x / (1 - u) ** 2
 
-        q = QPolynomial(tuple(base), ClosedTail(fn, dfn, 1 / delta,
-                                                "gamma/2 u/(1-u), u=(dx)^2"))
+        q = QPolynomial(tuple(base), ClosedTail(fn, dfn, 1 / delta))
     else:
         q = QPolynomial(tuple(base) + tuple(
             (0.5 * gamma * delta ** (2 * k - 2), 2 * k - 2)
@@ -345,8 +343,7 @@ def _acyclic_v2(delta: int, alpha: float, n: int | None) -> PresetBound:
             return delta ** (14 / 3) * (4 * x ** 3 - 2 * delta ** 2 * x ** 5) \
                 / (1 - u) ** 2
 
-        q = QPolynomial(tuple(base), ClosedTail(fn, dfn, 1 / delta,
-                                                "d^(14/3)x^4/(1-d^2x^2)"))
+        q = QPolynomial(tuple(base), ClosedTail(fn, dfn, 1 / delta))
     else:
         q = QPolynomial(tuple(base) + tuple(
             (delta ** (2 * k - 4 / 3), 2 * k - 2)
@@ -371,8 +368,7 @@ def _nonrepetitive(delta: int, n: int | None, *, edge: bool) -> PresetBound:
             return mult * delta * (1 + delta ** 2 * x) \
                 / (1 - delta ** 2 * x) ** 3
 
-        q = QPolynomial((), ClosedTail(fn, dfn, 1 / delta ** 2,
-                                       "m d x/(1-d^2 x)^2"))
+        q = QPolynomial((), ClosedTail(fn, dfn, 1 / delta ** 2))
     else:
         q = QPolynomial(tuple(
             (mult * j * float(delta) ** (2 * j - 1), j)
@@ -402,8 +398,7 @@ def _facial_vertex(delta: int, n: int | None) -> PresetBound:
         def dfn(x: float) -> float:
             return 2 * delta * ((1 + x) / (1 - x) ** 3 - 1)
 
-        q = QPolynomial(tuple(base), ClosedTail(fn, dfn, 1.0,
-                                                "2d(x/(1-x)^2 - x)"))
+        q = QPolynomial(tuple(base), ClosedTail(fn, dfn, 1.0))
     else:
         q = QPolynomial(tuple(base) + tuple(
             (2 * j * float(delta), j) for j in range(2, n // 2 + 1)))
@@ -423,8 +418,7 @@ def _facial_edge(n: int | None) -> PresetBound:
         def dfn(x: float) -> float:
             return 1 / (1 - x) ** 2 + 2 * (1 + x) / (1 - x) ** 3
 
-        q = QPolynomial((), ClosedTail(fn, dfn, 1.0,
-                                       "x/(1-x) + 2x/(1-x)^2"))
+        q = QPolynomial((), ClosedTail(fn, dfn, 1.0))
     else:
         q = QPolynomial(tuple((1.0 + 2 * j, j) for j in range(1, n // 2 + 1)))
     x = (math.sqrt(17) - 3) / 4
@@ -521,8 +515,7 @@ def _pair_forbidden(delta: int, descriptors, n: int | None,
         def dfn(x_: float) -> float:
             return delta ** gamma * math.exp(delta ** gamma * x_)
 
-        q = QPolynomial(tuple(terms),
-                        ClosedTail(fn, dfn, math.inf, "e^(d^g x) - 1"))
+        q = QPolynomial(tuple(terms), ClosedTail(fn, dfn, math.inf))
     else:
         sets = tuple((delta ** (gamma * (j - 1)) / math.factorial(j - 1),
                       j - 1) for j in range(2, n))

@@ -40,7 +40,7 @@ from .families import (
 )
 from .graphs import Graph, GraphFormatError, load_graph
 from .planar import EmbeddingError, PlaneGraph, load_rotation
-from .records import _growth_report, _record_series, enumerate_records
+from .records import enumerate_records, growth_report, record_series
 # Not called here since b, r and the growth check share one series pass;
 # the benchmark's tracer (perfbench/spans.py) still rebinds these names.
 from .records import count_b, count_r, growth_check  # noqa: F401
@@ -300,8 +300,8 @@ def _cmd_count_records(args) -> int:
         terms = list(bound.q.terms)
     else:
         raise ValueError("supply --terms or --problem")
-    b, r = _record_series(terms, args.level_cap, args.tmax)
-    report = _growth_report(terms, b)
+    b, r = record_series(terms, args.level_cap, args.tmax)
+    report = growth_report(terms, b)
     if args.brute:
         for t in range(min(args.tmax, 12) + 1):
             brute = len(enumerate_records(terms, args.level_cap, t))

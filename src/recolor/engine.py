@@ -415,9 +415,10 @@ def decode(g, fam: BadEventFamily, final: PartialColoring, record: Record,
     set, checks the final set matches, then walks backward: a surviving
     step's value is the color it left behind (its list index in list mode);
     an uncolored step's value comes from the family rebuilding the erased
-    event.  The colored set at an event's detection is after | target, so
-    only one colored set is ever held.  The walk must end at the empty
-    coloring.
+    event, which must give back exactly its uncolored set.  One colored set,
+    ``live``, is updated in place: at an event it gains the target, making
+    it the set at detection, and every step then drops its object.  The
+    walk must end at the empty coloring.
     """
     pairs = replay_colored_sets(fam, record)
     colored: set[int] = set()
@@ -427,6 +428,7 @@ def decode(g, fam: BadEventFamily, final: PartialColoring, record: Record,
     if colored != final.colored:
         raise DecodeError("final coloring does not match the record's replay")
     pc = final.copy()
+    live = set(pc.colored)
     values = [0] * len(pairs)
 
     def value_of(v: int, color: int) -> int:
@@ -445,15 +447,17 @@ def decode(g, fam: BadEventFamily, final: PartialColoring, record: Record,
                 raise DecodeError(f"step {i + 1} colored {v} but it is gone")
         else:
             j, k = step
-            rebuilt = dict(fam.rebuild_event(j, v, pc.colored.union(target), k, pc))
-            if v not in rebuilt:
-                raise DecodeError(f"rebuilt event at step {i + 1} misses its anchor {v}")
+            live.update(target)
+            rebuilt = dict(fam.rebuild_event(j, v, live, k, pc))
+            if rebuilt.keys() != set(target):
+                raise DecodeError(
+                    f"rebuilt event at step {i + 1} gives objects "
+                    f"{sorted(rebuilt)}, not its uncolored set {sorted(target)}")
             for u, c in rebuilt.items():
-                if u in pc.colored:
-                    raise DecodeError(f"rebuilt event recolors surviving object {u}")
                 pc.assign(u, c)
         values[i] = value_of(v, pc.color_of(v))
         pc.unassign(v)
+        live.discard(v)
     if pc.colored:
         raise DecodeError("backward walk did not end at the empty coloring")
     return values

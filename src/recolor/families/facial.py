@@ -4,7 +4,8 @@ The vertex variant is a plain repetition family whose witnesses live on face
 boundaries; its type 1 is the neighbor table, since a facial 2-window is an
 edge and every edge lies on a face.  The edge variant trades generality for
 sharper ceilings: the coloring order is constrained so every anchor has an
-uncolored facially adjacent edge e', and classes count only witness paths
+uncolored facially adjacent edge e' (one consecutive with it on a face walk,
+an edge of `planar.medial_graph`), and classes count only witness paths
 avoiding e' (at most one on the face shared with e', 2j on the anchor's
 other face).  That requires one distinguished edge to stay uncolored forever
 and the uncolored edge set to stay connected in the medial graph; the
@@ -229,5 +230,6 @@ def facial_thue_edge_family(pg: PlaneGraph, e_star: int) -> _FacialEdgeFamily:
     """Facial edge repetitions with the reserved edge e_star never colored:
     a completed run colors every other edge.  Classes are ranked among the
     witness paths that avoid the anchor's smallest-index uncolored facial
-    neighbor, giving the 1+2j ceiling independent of Delta."""
+    neighbor (an edge next to it on a face walk), giving the 1+2j ceiling
+    independent of Delta."""
     return _FacialEdgeFamily(pg, e_star)

@@ -29,8 +29,7 @@ class PlaneGraph:
     and sorted, so equal embeddings trace equal face lists.
     """
 
-    __slots__ = ("graph", "rotation", "faces", "_vertex_walks", "_face_edge_sets",
-                 "_faces_at")
+    __slots__ = ("graph", "rotation", "faces", "_vertex_walks", "_faces_at")
 
     def __init__(self, graph: Graph, rotation: dict[int, tuple[int, ...]]):
         for v in range(1, graph.n + 1):
@@ -44,10 +43,6 @@ class PlaneGraph:
         self.faces = self._trace()
         self._vertex_walks = tuple(
             tuple(e[0] for e in face) for face in self.faces
-        )
-        self._face_edge_sets = tuple(
-            frozenset(self.graph.edge_index[(min(u, v), max(u, v))] for u, v in face)
-            for face in self.faces
         )
         self._faces_at = None
         if self._connected() and self.graph.m > 0:
@@ -203,18 +198,17 @@ def facial_paths_through(pg: PlaneGraph, x, length: int) -> list[tuple]:
 
 def medial_graph(pg: PlaneGraph) -> Graph:
     """Graph on the edge ids of the base graph; two ids are adjacent when
-    the edges share an endpoint and lie on a common face."""
-    g = pg.graph
+    the edges are facially adjacent, that is consecutive on some face walk.
+    One sweep joins the edges of each pair of consecutive darts, skipping a
+    pair that is one edge walked both ways (the walk turning at a leaf)."""
+    index = pg.graph.edge_index
     medial_edges = set()
-    for face_set in pg._face_edge_sets:
-        ids = sorted(face_set)
-        for i, a in enumerate(ids):
-            ua, va = g.endpoints(a)
-            for b in ids[i + 1:]:
-                ub, vb = g.endpoints(b)
-                if {ua, va} & {ub, vb}:
-                    medial_edges.add((a, b))
-    return Graph(g.m, medial_edges)
+    for face in pg.faces:
+        ids = [index[(u, v) if u < v else (v, u)] for u, v in face]
+        for a, b in zip(ids, ids[1:] + ids[:1]):
+            if a != b:
+                medial_edges.add((a, b) if a < b else (b, a))
+    return Graph(pg.graph.m, medial_edges)
 
 
 def random_triangulation(n: int, rng: random.Random) -> PlaneGraph:

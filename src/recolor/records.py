@@ -37,17 +37,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 from .bounds import QPolynomial, characteristic_system
 
 __all__ = [
     "GrowthReport",
-    "RecordCounter",
     "count_b",
     "count_r",
     "enumerate_records",
     "growth_check",
+    "growth_report",
+    "record_series",
 ]
 
 _ENUMERATION_CAP = 14
@@ -67,7 +67,7 @@ def _normalize(terms) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _record_series(terms, n: int, t_max: int) -> tuple[list[int], list[int]]:
+def record_series(terms, n: int, t_max: int) -> tuple[list[int], list[int]]:
     """b_0..b_{t_max} and r_0..r_{t_max} under level cap n, in one pass."""
     if n < 0:
         raise ValueError(f"level cap must be nonnegative, got {n}")
@@ -101,12 +101,12 @@ def _record_series(terms, n: int, t_max: int) -> tuple[list[int], list[int]]:
 
 def count_b(terms, t_max: int) -> list[int]:
     """Excursion counts b_0..b_{t_max} from B = 1 + sum C_j y^{s_j} B^{s_j}."""
-    return _record_series(terms, 0, t_max)[0]
+    return record_series(terms, 0, t_max)[0]
 
 
 def count_r(terms, n: int, t_max: int) -> list[int]:
     """Record counts r_0..r_{t_max} from R = sum_{ell<=n} y^ell B^{ell+1}."""
-    return _record_series(terms, n, t_max)[1]
+    return record_series(terms, n, t_max)[1]
 
 
 def enumerate_records(terms, n: int, t: int) -> list[tuple]:
@@ -164,10 +164,10 @@ def growth_check(terms, t_max: int) -> GrowthReport:
     When every size is 1 the count is exactly (sum of ceilings)^t and the
     base is the boundary ratio 1 + sum C_j.
     """
-    return _growth_report(terms, count_b(terms, t_max))
+    return growth_report(terms, count_b(terms, t_max))
 
 
-def _growth_report(terms, b: list[int]) -> GrowthReport:
+def growth_report(terms, b: list[int]) -> GrowthReport:
     """`growth_check` on excursion counts b_0..b_{t_max} already counted."""
     t_max = len(b) - 1
     norm = _normalize(terms)
@@ -196,21 +196,3 @@ def _growth_report(terms, b: list[int]) -> GrowthReport:
         math.exp(math.log(b[t]) / t - math.log(base))
         for t in range(1, t_max + 1) if b[t])
     return GrowthReport(ok, base, prefactor, trajectory)
-
-
-@dataclass(frozen=True)
-class RecordCounter:
-    """Count table for one term system under a fixed level cap."""
-
-    terms: tuple[tuple[int, int], ...]
-    n: int
-    d: int
-    b: tuple[int, ...]
-    r: tuple[int, ...]
-
-    @classmethod
-    def build(cls, terms, n: int, t_max: int) -> "RecordCounter":
-        norm = _normalize(terms)
-        d = reduce(math.gcd, (s for _, s in norm))
-        b, r = _record_series(terms, n, t_max)
-        return cls(norm, n, d, tuple(b), tuple(r))

@@ -7,6 +7,7 @@ minima against dense grid scans.
 """
 
 import math
+import random
 import sys
 
 import pytest
@@ -27,6 +28,19 @@ from recolor.bounds import (
     optimize_ratio,
 )
 from recolor.engine import EventTypeMeta
+from recolor.families import (
+    acyclic_gamma_family,
+    acyclic_v1_family,
+    acyclic_v2_family,
+    facial_thue_edge_family,
+    facial_thue_vertex_family,
+    nonrepetitive_edge_family,
+    nonrepetitive_vertex_family,
+)
+from recolor.graphs import Graph
+from recolor.planar import random_triangulation
+
+from _util import PETERSEN_EDGES, prism_graph
 
 
 # --- QPolynomial basics ---------------------------------------------------
@@ -434,3 +448,63 @@ def test_characteristic_matches_gamma_preset_terms():
     assert cs.residual < 1e-9
     assert cs.x == pytest.approx(0.2393947814354105, rel=1e-9)
     assert cs.r == pytest.approx((cs.x / exact.q.q(cs.x)) ** cs.d, rel=1e-9)
+
+
+# --- family ceilings against the presets ------------------------------------
+
+def _broom(leaves: int, n: int) -> Graph:
+    """A star with ``leaves`` leaves whose last leaf grows a path, so the
+    graph has n vertices and maximum degree ``leaves``."""
+    return Graph(n, [(1, v) for v in range(2, leaves + 2)]
+                 + [(v, v + 1) for v in range(leaves + 1, n)])
+
+
+def _assert_family_matches_preset(fam, preset, floored=()):
+    """Same sizes, type by type, and costs equal to a relative 1e-12; the
+    types in ``floored`` are compared after flooring the family's cost,
+    where the preset holds the integer cap."""
+    ours = QPolynomial.from_metas(fam.metas).terms
+    theirs = preset.q.terms
+    assert [s for _, s in ours] == [s for _, s in theirs]
+    for type_id, ((c, _), (p, _)) in enumerate(zip(ours, theirs), start=1):
+        if type_id in floored:
+            c = math.floor(c)
+        assert math.isclose(c, p, rel_tol=1e-12), (type_id, c, p)
+
+
+@pytest.mark.parametrize("g", [prism_graph(6), Graph(10, PETERSEN_EDGES),
+                               _broom(9, 10), _broom(5, 26)],
+                         ids=["prism", "petersen", "star", "broom"])
+def test_plain_family_ceilings_match_the_presets(g):
+    # on the broom the nonrepetitive ceilings pass 2^53, where the preset's
+    # float powers sit an ulp off the family's exact integers (types 12, 13)
+    d, n = g.max_degree, g.n
+    for gamma in (1, 2):
+        _assert_family_matches_preset(
+            acyclic_gamma_family(g, gamma),
+            kappa_preset("acyclic-gamma", d, gamma=gamma, n=n))
+    _assert_family_matches_preset(nonrepetitive_vertex_family(g),
+                                  kappa_preset("nonrepetitive-vertex", d, n=n))
+    _assert_family_matches_preset(nonrepetitive_edge_family(g),
+                                  kappa_preset("nonrepetitive-edge", d, n=n))
+    if d >= 9:
+        _assert_family_matches_preset(acyclic_v2_family(g, 0.5),
+                                      kappa_preset("acyclic-v2", d, n=n))
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+def test_v1_family_ceilings_match_the_preset(alpha):
+    # the preset holds the special-set cap floor(alpha Delta^(4/3))
+    _assert_family_matches_preset(
+        acyclic_v1_family(_broom(24, 25), alpha),
+        kappa_preset("acyclic-v1", 24, alpha=alpha), floored={2})
+
+
+@pytest.mark.parametrize("n", [5, 9, 14])
+def test_facial_family_ceilings_match_the_presets(n):
+    pg = random_triangulation(n, random.Random(f"ceilings {n}"))
+    _assert_family_matches_preset(
+        facial_thue_vertex_family(pg),
+        kappa_preset("facial-thue-vertex", pg.graph.max_degree, n=n))
+    _assert_family_matches_preset(facial_thue_edge_family(pg, 1),
+                                  kappa_preset("facial-thue-edge", n=n))

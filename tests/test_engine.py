@@ -93,11 +93,13 @@ class DistanceTwoFamily:
 
 class RecordingFamily(DistanceTwoFamily):
     """`DistanceTwoFamily` logging (call, anchor, colored set) for every
-    `uncolor_set` and `rebuild_event` call."""
+    `uncolor_set` and `rebuild_event` call, and the set objects that
+    `rebuild_event` received."""
 
     def __init__(self, n: int, kappa: int):
         super().__init__(n, kappa)
         self.calls = []
+        self.rebuild_sets = []
 
     def uncolor_set(self, j, v, colored, k):
         self.calls.append(("uncolor", v, frozenset(colored)))
@@ -105,7 +107,16 @@ class RecordingFamily(DistanceTwoFamily):
 
     def rebuild_event(self, j, v, colored, k, after):
         self.calls.append(("rebuild", v, frozenset(colored)))
+        self.rebuild_sets.append(colored)
         return super().rebuild_event(j, v, colored, k, after)
+
+
+class OverreachingFamily(DistanceTwoFamily):
+    """`DistanceTwoFamily` whose rebuild also colors the next object, which
+    its event never uncolored."""
+
+    def rebuild_event(self, j, v, colored, k, after):
+        return {**super().rebuild_event(j, v, colored, k, after), v + 1: 1}
 
 
 K3 = load_graph(K3_TEXT)
@@ -192,6 +203,14 @@ class TestReplayAndDecode:
         res = run(None, fam, EngineInput(kappa=2, vector=(1, 2, 1, 2, 2)))
         assert decode(None, fam, res.coloring, res.record) == [1, 2, 1, 2, 2]
 
+    def test_rebuild_outside_the_uncolored_set(self):
+        # step 3 repeats color 1 at distance two and uncolors {2, 3}
+        res = run(None, DistanceTwoFamily(4, 2),
+                  EngineInput(kappa=2, vector=(1, 2, 1)))
+        assert res.record.steps == (None, None, (1, 2))
+        with pytest.raises(DecodeError, match="step 3 gives objects"):
+            decode(None, OverreachingFamily(4, 2), res.coloring, res.record)
+
     def test_record_too_long_for_run(self):
         with pytest.raises(DecodeError, match="longer than the run"):
             replay_colored_sets(MonoEdgeFamily(K3), Record((None,) * 4))
@@ -248,7 +267,9 @@ class TestReplayAndDecode:
         pairs = replay_colored_sets(fam, res.record)
         in_replay = list(fam.calls)
         fam.calls.clear()
+        fam.rebuild_sets.clear()
         decode(None, fam, res.coloring, res.record)
+        assert len({id(colored) for colored in fam.rebuild_sets}) <= 1
         in_decode = [(v, colored) for call, v, colored in fam.calls[::-1]
                      if call == "rebuild"]
         at_detection, colored = [], set()

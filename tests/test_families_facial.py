@@ -98,13 +98,16 @@ class TestEdgeFamilyRows:
         with pytest.raises(ValueError, match="reserved edge"):
             facial_thue_edge_family(load_rotation(K3_ROT), 4)
 
-    @given(st.integers(0, 10 ** 6))
-    @settings(max_examples=25, deadline=None)
-    def test_avoiding_rows_stay_under_flat_ceiling(self, seed):
+    @given(st.integers(0, 10 ** 6), st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_avoiding_rows_stay_under_flat_ceiling(self, seed, long_faces):
         # for every candidate uncolored facial neighbor e', the rows through
-        # the anchor that avoid e' number at most 2j+1, whatever the degree
+        # the anchor that avoid e' number at most 2j+1, whatever the degree,
+        # also on faces that revisit a vertex
         rng = random.Random(seed)
-        pg = random_triangulation(rng.randint(4, 11), rng)
+        n = rng.randint(4, 11)
+        pg = plane_with_long_faces(n, rng.randint(n, 2 * n), rng) \
+            if long_faces else random_triangulation(n, rng)
         fam = facial_thue_edge_family(pg, 1)
         for e in range(1, pg.graph.m + 1):
             for j in (1, 2, 3):
@@ -177,6 +180,20 @@ class TestEdgeFamilyRuns:
         fam = facial_thue_edge_family(pg, rng.randint(1, pg.graph.m))
         assert_roundtrip(pg.graph, fam, EngineInput(
             kappa=rng.randint(1, 6), seed=seed, budget=rng.randint(0, 150)))
+
+    def test_face_revisiting_a_vertex_keeps_classes_under_the_ceiling(self):
+        # the face walk 1 2 3 5 3 8 3 2 4 6 passes vertices 2 and 3 twice;
+        # (1,2) shares vertex 2 and that face with (2,4) without being next
+        # to it, and taking it as e' ranked a type-1 hit as class 4 of 3
+        pg = load_rotation("9 10\n1: 2 6\n2: 3 4 6 1\n3: 5 8 2\n4: 2 6 7\n"
+                           "5: 3\n6: 4 1 9 2\n7: 4\n8: 3\n9: 6\n")
+        fam = facial_thue_edge_family(pg, 1)
+        res = assert_roundtrip(pg.graph, fam,
+                               EngineInput(3, seed=175417826, budget=56))
+        costs = {m.type_id: m.cost for m in fam.metas}
+        events = [s for s in res.record.steps if s is not None]
+        assert events
+        assert all(k <= costs[j] for j, k in events)
 
 
 class TestTypeCap:

@@ -15,6 +15,7 @@ from recolor.planar import (
     medial_graph,
     random_triangulation,
 )
+from recolor.validators import _facial_windows
 
 from _util import plane_with_long_faces
 
@@ -250,6 +251,25 @@ class TestMedialGraph:
         assert not m.has_edge(2, 5)
         assert not m.has_edge(3, 4)
         assert all(m.degree(v) == 4 for v in range(1, 7))
+
+    def test_medial_is_the_validators_facial_adjacency(self):
+        # the medial edges are exactly the 2-edge facial windows; on faces
+        # that revisit a vertex, sharing an endpoint and a face is not enough
+        rng = random.Random("medial adjacency")
+        for _ in range(300):
+            n = rng.randint(4, 12)
+            if rng.random() < 0.5:
+                pg = random_triangulation(n, rng)
+            else:
+                pg = plane_with_long_faces(n, rng.randint(n, 2 * n), rng)
+            windows = sorted(w for w in _facial_windows(pg, edges=True)
+                             if len(w) == 2)
+            assert list(medial_graph(pg).edges) == windows, pg.to_text()
+
+    def test_medial_skips_an_edge_walked_both_ways(self):
+        # star K_{1,3}: one face 1 2 1 3 1 4; each leaf turns the walk back
+        m = medial_graph(load_rotation("4 3\n1: 2 3 4\n2: 1\n3: 1\n4: 1\n"))
+        assert m.edges == ((1, 2), (1, 3), (2, 3))
 
 
 class TestRandomTriangulation:

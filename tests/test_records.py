@@ -21,11 +21,11 @@ from recolor.graphs import load_graph
 from recolor.planar import load_rotation
 from recolor.records import (
     _RECORD_CAP,
-    RecordCounter,
     count_b,
     count_r,
     enumerate_records,
     growth_check,
+    record_series,
 )
 
 from _util import K3_TEXT, cycle_graph, reference_count_b, reference_count_r
@@ -131,9 +131,9 @@ def test_series_preset_matches_the_power_recurrence(cap, t_max):
     # the terms `count-records --problem nonrepetitive-vertex --delta 3
     # --exact-n 20` counts
     terms = kappa_preset("nonrepetitive-vertex", 3, n=20).q.terms
-    rc = RecordCounter.build(terms, cap, t_max)
-    assert list(rc.b) == reference_count_b(terms, t_max)
-    assert list(rc.r) == reference_count_r(terms, cap, t_max)
+    b, r = record_series(terms, cap, t_max)
+    assert b == reference_count_b(terms, t_max)
+    assert r == reference_count_r(terms, cap, t_max)
 
 
 # --- enumeration oracle ----------------------------------------------------
@@ -282,20 +282,14 @@ def test_growth_holds_on_fuzzed_systems(terms):
     assert growth_check(terms, 30).ok
 
 
-# --- counter bundle ---------------------------------------------------------
+# --- one-pass series -------------------------------------------------------
 
-def test_record_counter_build():
-    rc = RecordCounter.build([(2, 1), (1, 2)], 3, 6)
-    assert rc.n == 3
-    assert rc.d == 1
-    assert rc.b == (1, 2, 5, 14, 42, 132, 429)
-    assert rc.r == (1, 3, 10, 35, 125, 451, 1638)
-    assert rc.b[0] == 1
-    assert all(rt >= bt for rt, bt in zip(rc.r, rc.b))
-
-
-def test_record_counter_gcd():
-    assert RecordCounter.build([(1, 4), (1, 6)], 2, 4).d == 2
+def test_record_series_table():
+    b, r = record_series([(2, 1), (1, 2)], 3, 6)
+    assert b == [1, 2, 5, 14, 42, 132, 429]
+    assert r == [1, 3, 10, 35, 125, 451, 1638]
+    assert b[0] == 1
+    assert all(rt >= bt for rt, bt in zip(r, b))
 
 
 # --- engine linkage ---------------------------------------------------------
