@@ -5,9 +5,11 @@ differ in how they cover bicolored cycles: a global cycle-count budget, an
 induced-4-cycle/6-path pair over a special-pair structure, or a cycle ladder
 over the same structure.  Cycle witnesses are stored in traversal order, so
 uncoloring is always a prefix of the row and rebuilding alternates the two
-colors still readable at the row's tail (`Bicolored`).  The long bicolored types are
-detected by a search inside the two-colored subgraph at the anchor, and
-their witnesses enumerated only to rank a hit.
+colors still readable at the row's tail (`Bicolored`).  Every bicolored type
+is searched, none scanned: the cycle and path types by a search inside the
+two-colored subgraph at the anchor, the special-pair square by a test on the
+common neighbors of each anchor pair colored alike.  Witnesses are
+enumerated only to rank a hit.
 """
 
 from __future__ import annotations
@@ -66,21 +68,24 @@ class Bicolored:
 
 
 class _AcyclicFamily(Family):
-    """Candidate tables for the first types, bicolored rows for the rest.
-    The searched rows are found by `fired`, from the start paths a subclass
-    declares (`_starts`)."""
+    """Candidate tables for the first types, searched bicolored rows for the
+    rest.  The ``alternating`` types are found by one alternating search per
+    start path a subclass declares (`_starts`)."""
 
-    def __init__(self, g: Graph, name: str, metas, tables, scanned, searched):
-        super().__init__(name, g.n, metas, Bicolored, tables, scanned, searched,
+    def __init__(self, g: Graph, name: str, metas, tables, searched, alternating):
+        super().__init__(name, g.n, metas, Bicolored, tables, (), searched,
                          rank=g.rank.__getitem__)
         self.g = g
-        self._type_of = {self._width[j]: j for j in self.searched}
+        self._type_of = {self._width[j]: j for j in alternating}
 
     def fired(self, coloring, v):
-        """Every searched type with a bad row through v, ascending: one
-        `alternating_widths` search per start path (`_starts`), grown no
-        wider than the colored set or ``widest``."""
-        starts = self._starts(coloring, v)
+        """Every searched type with a bad row through v, ascending."""
+        return self._alternating(coloring, self._starts(coloring, v))
+
+    def _alternating(self, coloring, starts):
+        """Every alternating type with a bad row, ascending: one
+        `alternating_widths` search per start path, grown no wider than the
+        colored set or ``widest``."""
         if not starts:
             return ()
         limit = min(len(coloring.colored), self.widest)
@@ -101,8 +106,9 @@ class _GammaFamily(_AcyclicFamily):
             EventTypeMeta(k, clamped(0.5 * gamma * power(d, 2 * k - 2)), 2 * k - 2)
             for k in range(2, g.n // 2 + 1)
         ]
-        super().__init__(g, f"acyclic-gamma({gamma})", metas, (g.adj,), (),
-                         range(2, g.n // 2 + 1))
+        types = range(2, g.n // 2 + 1)
+        super().__init__(g, f"acyclic-gamma({gamma})", metas, (g.adj,), types,
+                         types)
         self.gamma = gamma
 
     def _enumerate(self, v, j):
@@ -139,9 +145,11 @@ def acyclic_gamma_family(g: Graph, gamma: int) -> _GammaFamily:
 
 class _SpecialPairFamily(_AcyclicFamily):
     """Common core of the two special-pair variants: neighbor event, then a
-    same-color event against the anchor's special set, a scanned type 3.
-    From type 4 on, witnesses start (u1, v, u3) with u1, u3 neighbors of the
-    anchor v, and are searched from each such pair colored alike."""
+    same-color event against the anchor's special set, then bicolored rows
+    through an anchor pair (u1, u3), two neighbors of the anchor v colored
+    alike.  Type 3, the special-pair square, is searched by a test on the
+    common neighbors of each such pair (`_square_fires`); from type 4 on,
+    rows start (u1, v, u3) and are searched alternating from each pair."""
 
     @staticmethod
     def _check_alpha(alpha: float) -> float:
@@ -152,10 +160,37 @@ class _SpecialPairFamily(_AcyclicFamily):
     def __init__(self, g: Graph, alpha: float, name: str, metas):
         special = SpecialStructure(g, alpha)
         types = [m.type_id for m in metas]
-        super().__init__(g, name, metas, (g.adj, special._special), types[2:3],
+        super().__init__(g, name, metas, (g.adj, special._special), types[2:],
                          types[3:])
         self.alpha = alpha
         self.special = special
+
+    def fired(self, coloring, v):
+        """The square type first when a bicolored square sits at v, then
+        the alternating types, searched only once the caller reads past the
+        square."""
+        starts = self._starts(coloring, v)
+        if starts and self._square_fires(coloring.colors, v, starts):
+            yield 3
+        yield from self._alternating(coloring, starts)
+
+    def _square_fires(self, colors, v, starts):
+        """Whether some start pair (u1, u3), not adjacent, has a common
+        neighbor c colored like v, c neither v nor in N(v) nor in S(v):
+        the bicolored type-3 square v u1 c u3 of `_squares`."""
+        a = colors[v]
+        nbr = self.g.nbr
+        n_v, s_v = nbr[v], self.special._special[v]
+        for path, _ in starts:
+            u1, u3 = path[0], path[2]
+            n_3 = nbr[u3]
+            if u1 in n_3:
+                continue
+            for c in self.g.adj[u1]:
+                if colors[c] == a and c in n_3 and c != v \
+                        and c not in n_v and c not in s_v:
+                    return True
+        return False
 
     def _anchor_pairs(self, v):
         rank = self.g.rank

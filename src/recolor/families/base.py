@@ -8,13 +8,14 @@ handled one way, and types are probed in ascending order:
   anchor: type i fires when the anchor's color recurs on
   ``tables[i - 1][v]``, the class is the first such position, and the
   anchor alone is uncolored and regains that candidate's color;
-- ``scanned`` row types scan the anchor's memoized witness list;
+- ``scanned`` row types scan the anchor's memoized witness list (only the
+  facial window types are scanned);
 - ``searched`` row types are answered by the family's one search,
   ``fired(coloring, v)``, which yields ascending every searched type with a
   bad witness through the anchor; only the first is enumerated, to rank the
   hit.  Searches walk colored objects only and cut a partial witness at the
   first color that breaks its pattern (`PathRepetitionFamily`,
-  `alternating_widths`).
+  `alternating_widths`, the acyclic special-pair square).
 
 Row types share the family's ``shape``: the row width for an uncolor size,
 the kernel finding the first bad row, the objects a hit erases and how they

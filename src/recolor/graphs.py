@@ -3,9 +3,10 @@
 Vertices are the integers ``1..n``.  The total order defaults to the index
 order but can be overridden by a permutation, which matters because the
 coloring engine picks "the smallest uncolored vertex" and several event
-families orient their witnesses by this order.  The module also provides the
-distance-2 machinery (common-neighbor counts and the per-vertex special set
-``S(v)``) that the acyclic event families use to cap their class counts.
+families orient their witnesses by this order.  The module also builds the
+per-vertex special set ``S(v)``, the distance-2 vertices sharing the most
+neighbors with v, that the acyclic event families use to cap their class
+counts.
 """
 
 from __future__ import annotations
@@ -204,19 +205,6 @@ def bfs_distances(g: Graph, source: int, cutoff: int | None = None) -> dict[int,
     return dist
 
 
-def neighbors2(g: Graph, v: int) -> list[int]:
-    """Vertices at distance exactly 2 from v, sorted by the vertex order."""
-    out = {w for u in g.adj[v] for w in g.adj[u]}
-    out.discard(v)
-    out.difference_update(g.nbr[v])
-    return sorted(out, key=lambda w: g.rank[w])
-
-
-def common_degree(g: Graph, u: int, v: int) -> int:
-    """Number of common neighbors of the non-adjacent pair u, v."""
-    return len(g.nbr[u] & g.nbr[v])
-
-
 class SpecialStructure:
     """Distance-2 structure for a graph at a given alpha.
 
@@ -235,14 +223,20 @@ class SpecialStructure:
         self.g = g
         self.alpha = alpha
         self.cap = floor(alpha * g.max_degree ** (4 / 3))
+        adj, rank = g.adj, g.rank
         special = [()] * (g.n + 1)
         for v in range(1, g.n + 1):
-            n2 = neighbors2(g, v)
-            size = min(self.cap, len(n2))
+            # 2-walks from v to each w: its common neighbors with v
+            common: dict[int, int] = {}
+            for u in adj[v]:
+                for w in adj[u]:
+                    common[w] = common.get(w, 0) + 1
+            common.pop(v, None)
+            for u in adj[v]:
+                common.pop(u, None)
+            size = min(self.cap, len(common))
             if size > 0:
-                ranked = sorted(
-                    n2, key=lambda u: (common_degree(g, v, u), g.rank[u])
-                )
+                ranked = sorted(common, key=lambda w: (common[w], rank[w]))
                 special[v] = tuple(reversed(ranked[-size:]))
         self._special = tuple(special)
 

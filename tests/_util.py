@@ -51,6 +51,31 @@ def graphs(draw, min_n=1, max_n=12, max_p=0.6):
     return random_graph(n, p, random.Random(seed))
 
 
+def neighbors2(g: Graph, v: int) -> list[int]:
+    """Vertices at distance exactly 2 from v, sorted by the vertex order."""
+    out = {w for u in g.adj[v] for w in g.adj[u]}
+    out.discard(v)
+    out.difference_update(g.nbr[v])
+    return sorted(out, key=lambda w: g.rank[w])
+
+
+def common_degree(g: Graph, u: int, v: int) -> int:
+    """Number of common neighbors of the non-adjacent pair u, v."""
+    return len(g.nbr[u] & g.nbr[v])
+
+
+def reference_special(g: Graph, cap: int, v: int) -> tuple[int, ...]:
+    """S(v) by set intersections: the top ``cap`` distance-2 vertices by
+    (common-neighbor count, vertex order), best first; kept as the
+    reference for `SpecialStructure`'s one-pass count."""
+    n2 = neighbors2(g, v)
+    size = min(cap, len(n2))
+    if size <= 0:
+        return ()
+    ranked = sorted(n2, key=lambda u: (common_degree(g, v, u), g.rank[u]))
+    return tuple(reversed(ranked[-size:]))
+
+
 def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(1, n)])
 

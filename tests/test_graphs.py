@@ -1,5 +1,8 @@
+import random
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from _util import (
     ASYMMETRY_EDGES,
@@ -7,7 +10,10 @@ from _util import (
     K3_TEXT,
     PETERSEN_EDGES,
     STAR5_TEXT,
+    common_degree,
     graphs,
+    neighbors2,
+    reference_special,
 )
 import recolor.graphs
 from recolor.graphs import (
@@ -16,9 +22,7 @@ from recolor.graphs import (
     GraphFormatError,
     SpecialStructure,
     bfs_distances,
-    common_degree,
     load_graph,
-    neighbors2,
     special_set,
 )
 from recolor.planar import load_rotation
@@ -150,6 +154,17 @@ class TestSpecialStructure:
         ss = SpecialStructure(g, 0.5)
         for v in range(1, g.n + 1):
             assert len(ss.special(v)) == min(ss.cap, len(neighbors2(g, v)))
+
+    @given(graphs(min_n=4, max_n=16, max_p=0.7), st.sampled_from((0.1, 0.5, 1.0)),
+           st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_intersection_reference(self, g, alpha, seed):
+        # shuffled vertex orders make the order tie-break matter
+        order = list(range(1, g.n + 1))
+        random.Random(seed).shuffle(order)
+        g = Graph(g.n, g.edges, order=order)
+        ss = SpecialStructure(g, alpha)
+        for v in range(1, g.n + 1):
+            assert ss.special(v) == reference_special(g, ss.cap, v), (v, alpha)
 
     @given(graphs(max_n=10))
     def test_members_dominate_outsiders(self, g):

@@ -118,6 +118,17 @@ class TestLoadRotation:
         with pytest.raises(GraphFormatError, match="does not match"):
             load_rotation(K3_ROT, graph=other)
 
+    def test_large_star_is_one_face(self):
+        # every dart of K_{1,k} lies on the one face walk around the star;
+        # tracing it must not rescan the center's rotation at each step
+        k = 20_000
+        text = "\n".join([f"{k + 1} {k}", "1: " + " ".join(
+            str(w) for w in range(2, k + 2))] + [f"{w}: 1" for w in range(2, k + 2)])
+        pg = load_rotation(text)
+        assert len(pg.faces) == 1
+        assert len(pg.faces[0]) == 2 * k
+        assert pg.faces[0][:3] == ((1, 2), (2, 1), (1, 3))
+
     def test_permutation_check(self):
         g = Graph(3, [(1, 2), (2, 3), (1, 3)])
         with pytest.raises(EmbeddingError, match="permutation"):

@@ -14,8 +14,13 @@ from collections import Counter
 import pytest
 
 import recolor.families.acyclic
-from recolor.engine import EngineInput, PartialColoring
-from recolor.families import acyclic_gamma_family, acyclic_v2_family
+from recolor.engine import EngineInput, PartialColoring, replay_colored_sets
+from recolor.families import (
+    acyclic_gamma_family,
+    acyclic_v1_family,
+    acyclic_v2_family,
+)
+from recolor.graphs import Graph
 from recolor.families.acyclic import first_bicolored, first_equal
 from recolor.families.base import Repetition, first_repetition
 
@@ -28,8 +33,8 @@ EXAMPLES = 300
 # graphs stay small because the oracle enumerates every witness of every type
 SEARCHED = {
     "acyclic-gamma": ((6, 10), (0.2, 0.5), 2, 3),
-    "acyclic-v1": ((6, 12), (0.2, 0.5), 4, 4),
-    "acyclic-v2": ((6, 10), (0.2, 0.5), 4, 4),
+    "acyclic-v1": ((6, 12), (0.2, 0.5), 3, 4),
+    "acyclic-v2": ((6, 10), (0.2, 0.5), 3, 4),
     "nonrepetitive-vertex": ((4, 9), (0.2, 0.6), 1, 2),
     "nonrepetitive-edge": ((4, 7), (0.2, 0.6), 1, 2),
 }
@@ -190,3 +195,38 @@ def test_one_search_per_start_per_detect(monkeypatch, make, starts, searched):
     res = assert_roundtrip(g, fam, EngineInput(kappa=5, seed=1, budget=4 * g.n))
     assert total["starts"] and (total["searches"] or not searched), total
     assert any(step and step[0] == 2 for step in res.record.steps)
+
+
+def random_regular(n, d, rng):
+    """A random simple d-regular graph on n vertices: configuration-model
+    pairings, redrawn until none has a loop or a repeated edge."""
+    stubs = [v for v in range(1, n + 1) for _ in range(d)]
+    while True:
+        rng.shuffle(stubs)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2])}
+        if len(edges) == len(stubs) // 2 and all(a != b for a, b in edges):
+            return Graph(n, edges)
+
+
+@pytest.mark.parametrize("make", [acyclic_v1_family, acyclic_v2_family],
+                         ids=["v1", "v2"])
+def test_square_rows_are_enumerated_only_for_square_events(make):
+    """The special-pair square is searched: after a run and its decode, the
+    memo holds an anchor's type-3 witness list only where the record has a
+    type-3 event at that anchor.  At Delta = 4, alpha 0.1 leaves S(v) empty,
+    so squares fire; at alpha 0.5 most square antipodes are special."""
+    rng = random.Random(f"square memo {make.__name__}")
+    events = 0
+    for alpha in (0.1, 0.5) * 6:
+        g = random_regular(rng.choice((10, 12, 14)), 4, rng)
+        fam = make(g, alpha)
+        inp = EngineInput(kappa=rng.randint(4, 5), seed=rng.randrange(2 ** 31),
+                          budget=20 * g.n)
+        res = assert_roundtrip(g, fam, inp)
+        memo = {v for v, j in fam._rows if j == 3}
+        square = {v for (v, _), step in zip(replay_colored_sets(fam, res.record),
+                                            res.record.steps)
+                  if step and step[0] == 3}
+        assert memo <= square, (sorted(memo - square), g.edges, inp)
+        events += len(square)
+    assert events, "no run had a square event"
