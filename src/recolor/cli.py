@@ -94,15 +94,22 @@ def _load_embedding(args) -> PlaneGraph:
     return load_rotation(_read(args.embedding))
 
 
+def _pairs(text: str, first, what: str, form: str):
+    """Yield (token, a, b) for each comma- or space-separated ``A:B``
+    token of ``text``: A read by ``first``, B an integer.  A token that is
+    not exactly that is refused by name as a bad ``what``."""
+    for token in text.replace(",", " ").split():
+        a_text, _, b_text = token.partition(":")
+        try:
+            a, b = first(a_text), int(b_text)
+        except ValueError:
+            raise ValueError(f"bad {what} {token!r}, expected {form}") from None
+        yield token, a, b
+
+
 def _parse_terms(text: str) -> list[tuple[float, int]]:
     terms = []
-    for token in text.replace(",", " ").split():
-        c_text, _, s_text = token.partition(":")
-        try:
-            ceiling, size = float(c_text), int(s_text)
-        except ValueError:
-            raise ValueError(
-                f"bad term {token!r}, expected CEILING:SIZE") from None
+    for token, ceiling, size in _pairs(text, float, "term", "CEILING:SIZE"):
         if not math.isfinite(ceiling):
             raise ValueError(f"bad term {token!r}, the ceiling must be finite")
         terms.append((ceiling, size))
@@ -191,9 +198,8 @@ def _cmd_bound(args) -> int:
         alpha = optimal_alpha(args.delta)
     descriptors = None
     if args.pattern_shape:
-        descriptors = [
-            (int(pair.split(":")[0]), int(pair.split(":")[1]))
-            for pair in args.pattern_shape.replace(",", " ").split()]
+        descriptors = [(n, m) for _, n, m in _pairs(
+            args.pattern_shape, int, "pattern shape", "N:M")]
     bound = kappa_preset(args.problem, args.delta, gamma=args.gamma,
                          alpha=alpha, r=args.r, n=args.exact_n,
                          descriptors=descriptors, form=args.form)

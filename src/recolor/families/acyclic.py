@@ -74,7 +74,7 @@ class _AcyclicFamily(Family):
 
     def __init__(self, g: Graph, name: str, metas, tables, searched, alternating):
         super().__init__(name, g.n, metas, Bicolored, tables, (), searched,
-                         rank=g.rank.__getitem__)
+                         rank=g.rank)
         self.g = g
         self._type_of = {self._width[j]: j for j in alternating}
 
@@ -118,7 +118,7 @@ class _GammaFamily(_AcyclicFamily):
         return [
             (v, u2) + ext
             for u2 in g.adj[v]
-            for ext in arms(g.adj, u2, 2 * j - 2, {v, u2})
+            for ext in arms(g.adj, g.adj, u2, 2 * j - 2, {v, u2})
             if g.has_edge(ext[-1], v) and rank[u2] < rank[ext[-1]]
         ]
 
@@ -151,18 +151,11 @@ class _SpecialPairFamily(_AcyclicFamily):
     common neighbors of each such pair (`_square_fires`); from type 4 on,
     rows start (u1, v, u3) and are searched alternating from each pair."""
 
-    @staticmethod
-    def _check_alpha(alpha: float) -> float:
-        if not 0 < alpha <= 1:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        return alpha
-
-    def __init__(self, g: Graph, alpha: float, name: str, metas):
-        special = SpecialStructure(g, alpha)
+    def __init__(self, g: Graph, special: SpecialStructure, name: str, metas):
         types = [m.type_id for m in metas]
         super().__init__(g, name, metas, (g.adj, special._special), types[2:],
                          types[3:])
-        self.alpha = alpha
+        self.alpha = special.alpha
         self.special = special
 
     def fired(self, coloring, v):
@@ -234,7 +227,8 @@ class _SpecialPairFamily(_AcyclicFamily):
 
 class _V1Family(_SpecialPairFamily):
     def __init__(self, g: Graph, alpha: float):
-        self._check_alpha(alpha)
+        # built first: it refuses a bad alpha before the ceilings divide by it
+        special = SpecialStructure(g, alpha)
         d = g.max_degree
         metas = (
             neighbor_meta(g),
@@ -242,7 +236,7 @@ class _V1Family(_SpecialPairFamily):
             EventTypeMeta(3, clamped(d ** (8 / 3) / (8 * alpha)), 2),
             EventTypeMeta(4, clamped(0.5 * d * (d - 1) ** 4), 4),
         )
-        super().__init__(g, alpha, f"acyclic-v1({alpha})", metas)
+        super().__init__(g, special, f"acyclic-v1({alpha})", metas)
 
     def _enumerate(self, v, j):
         if j == 3:
@@ -250,7 +244,7 @@ class _V1Family(_SpecialPairFamily):
         # 6-vertex paths with the anchor second
         adj = self.g.adj
         return [(u1, v, u3) + ext for u1, u3 in self._anchor_pairs(v)
-                for ext in arms(adj, u3, 3, {u1, v, u3})]
+                for ext in arms(adj, adj, u3, 3, {u1, v, u3})]
 
 
 def acyclic_v1_family(g: Graph, alpha: float) -> _V1Family:
@@ -263,14 +257,15 @@ def acyclic_v1_family(g: Graph, alpha: float) -> _V1Family:
 
 class _V2Family(_SpecialPairFamily):
     def __init__(self, g: Graph, alpha: float):
-        self._check_alpha(alpha)
+        # built first: it refuses a bad alpha before the ceilings divide by it
+        special = SpecialStructure(g, alpha)
         d = g.max_degree
         metas = [neighbor_meta(g), EventTypeMeta(2, clamped(alpha * d ** (4 / 3)), 1)]
         for k in range(2, g.n // 2 + 1):
             cost = d ** (8 / 3) / (8 * alpha) if k == 2 \
                 else power(d, 2 * k - 4 / 3) / (2 * alpha)
             metas.append(EventTypeMeta(k + 1, clamped(cost), 2 * k - 2))
-        super().__init__(g, alpha, f"acyclic-v2({alpha})", metas)
+        super().__init__(g, special, f"acyclic-v2({alpha})", metas)
 
     def _enumerate(self, v, j):
         k = j - 1
@@ -281,7 +276,7 @@ class _V2Family(_SpecialPairFamily):
         # special event and are excluded from the class count
         g, sp = self.g, self.special.is_special
         return [(u1, v, u3) + ext for u1, u3 in self._anchor_pairs(v)
-                for ext in arms(g.adj, u3, 2 * k - 3, {u1, v, u3})
+                for ext in arms(g.adj, g.adj, u3, 2 * k - 3, {u1, v, u3})
                 if g.has_edge(ext[-1], u1)
                 and not (sp(u1, ext[-2]) and sp(ext[-2], u1))]
 

@@ -26,9 +26,13 @@ list plus one, except in the facial edge family (`_class_index`,
 
 Witness lists (`witness_rows`) are enumerated lazily per (anchor, type) and
 memoized: they are pure functions of the immutable graph, so concurrent runs
-share the memo.  Each path is kept in one orientation (it equals its
-reversal) and the lists are sorted by the graph's vertex order, making class
-ranks the stable bijection the decoder relies on and the searches' oracle.
+share the memo.  Each path is kept in one orientation, the order-smaller of
+it and its reversal (``min(row, row[::-1], key=_row_key)``), and the lists
+are sorted by the graph's vertex order, making class ranks the stable
+bijection the decoder relies on.  The repetition families declare their
+paths once, as one step table that the search and the enumeration both walk
+(`PathRepetitionFamily`); `arms` is the one arm recursion every enumerator
+grows paths with.
 """
 
 from __future__ import annotations
@@ -42,7 +46,9 @@ from ..engine import EventTypeMeta
 
 class Family:
     """Families over objects 1..n with index-ordered traversal, running the
-    event loop on their declaration (see the module docstring)."""
+    event loop on their declaration (see the module docstring).  A ``rank``
+    table (``rank[x]`` for object x, as `Graph.rank`) orders traversal and
+    witness rows instead of the index."""
 
     def __init__(self, name: str, n_objects: int, metas, shape, tables=(),
                  scanned=(), searched=(), widest=None, rank=None):
@@ -57,8 +63,8 @@ class Family:
                        for j in self.scanned + self.searched}
         self.widest = max(self._width.values(), default=0) if widest is None else widest
         self._scans = tuple((j, self._width[j]) for j in self.scanned)
-        self._rank = rank
-        self._row_key = None if rank is None else (lambda row: list(map(rank, row)))
+        self._rank = None if rank is None else rank.__getitem__
+        self._row_key = None if rank is None else (lambda row: [rank[x] for x in row])
         self._rows: dict[tuple[int, int], tuple] = {}
 
     def detect(self, coloring, v):
@@ -171,53 +177,22 @@ def power(d: int, e) -> float:
         return math.inf
 
 
-def arms(adj, start: int, steps: int, used: set[int]) -> list[tuple[int, ...]]:
-    """Simple extensions of `steps` edges from `start` avoiding `used`
-    (which must already contain `start`), nearest vertex first."""
+def arms(adj, objs, start: int, steps: int, used: set[int]):
+    """Yield each simple arm of ``steps`` steps from vertex ``start``, as
+    the objects it steps through, nearest first.  ``objs`` is aligned with
+    ``adj``: stepping from x to ``adj[x][i]`` passes ``objs[x][i]`` (for
+    vertex paths ``objs`` is ``adj`` itself).  Arms avoid ``used``, which
+    must already contain ``start``; while an arm is yielded its vertices
+    stay in ``used``, so an arm grown inside the loop avoids them."""
     if steps == 0:
-        return [()]
-    out = []
-    for w in adj[start]:
+        yield ()
+        return
+    for w, o in zip(adj[start], objs[start]):
         if w not in used:
             used.add(w)
-            out.extend((w,) + rest for rest in arms(adj, w, steps - 1, used))
+            for rest in arms(adj, objs, w, steps - 1, used):
+                yield (o,) + rest
             used.discard(w)
-    return out
-
-
-def canonical(seq: tuple[int, ...], rank) -> tuple[int, ...]:
-    """A path and its reversal are the same witness; keep the order-smaller."""
-    rev = seq[::-1]
-    return seq if [rank[x] for x in seq] <= [rank[x] for x in rev] else rev
-
-
-def vertex_paths_through(g, v: int, length: int) -> set[tuple[int, ...]]:
-    """All simple paths on `length` vertices containing v, canonicalized."""
-    found = set()
-    for pos in range(1, length + 1):
-        for left in arms(g.adj, v, pos - 1, {v}):
-            used = {v, *left}
-            for right in arms(g.adj, v, length - pos, used):
-                found.add(canonical(left[::-1] + (v,) + right, g.rank))
-    return found
-
-
-def edge_paths_through(g, edge_id: int, length: int) -> set[tuple[int, ...]]:
-    """All paths of `length` edges (vertex-simple) containing the given edge,
-    as canonical tuples of edge ids."""
-    a, b = g.endpoints(edge_id)
-    found = set()
-    for pos in range(1, length + 1):
-        for left in arms(g.adj, a, pos - 1, {a, b}):
-            used = {a, b, *left}
-            for right in arms(g.adj, b, length - pos, used):
-                vseq = left[::-1] + (a, b) + right
-                row = tuple(
-                    g.edge_index[(min(x, y), max(x, y))]
-                    for x, y in zip(vseq, vseq[1:])
-                )
-                found.add(min(row, row[::-1]))
-    return found
 
 
 def alternating_widths(adj, colors, path, limit, close=None) -> set[int]:
@@ -293,15 +268,34 @@ class PathRepetitionFamily(Family):
     """Repetition families whose type-j witnesses are all the simple paths
     of 2j objects through the anchor, every type searched by `fired`.
 
-    Subclasses set ``_steps[x]``, the (vertex w, object) pairs of the steps
-    from vertex x (the object is w itself for vertex paths and the edge xw
-    for edge paths), and supply ``_ends(x)``, the (first, last) vertices of
-    object x in each direction a path can run through it.
-    ``shared_joint`` is true when consecutive objects share a vertex (edge
-    paths) rather than an edge (vertex paths).
+    The paths are declared once, by one step table that both the search
+    (`fired`) and the enumeration ranking a hit (`_enumerate`) walk.
+    Subclasses set ``_steps[x]``, aligned with ``g.adj[x]``: the object a
+    step from vertex x to ``g.adj[x][i]`` passes (the neighbor itself for
+    vertex paths, so ``_steps`` is ``g.adj``, and the edge's id for edge
+    paths), and supply ``_ends(x)``, the (first, last) vertices of object x
+    in each direction a path can run through it.  ``shared_joint`` is true
+    when consecutive objects share a vertex (edge paths) rather than an
+    edge (vertex paths).
     """
 
     shared_joint = False
+
+    def _enumerate(self, x, j):
+        """Each type-j witness through x once: ``pos`` steps back from the
+        first vertex of x and ``2j - 1 - pos`` forward from its last, through
+        vertices not yet used, each row in its order-smaller orientation.
+        When x is a vertex (first is last) every path is reached both ways,
+        and exactly one way has x in its first half, so ``pos < j``
+        suffices."""
+        adj, steps, key = self.g.adj, self._steps, self._row_key
+        first, last = self._ends(x)[0]
+        used = {first, last}
+        for pos in range(j if first == last else 2 * j):
+            for back in arms(adj, steps, first, pos, used):
+                for ahead in arms(adj, steps, last, 2 * j - 1 - pos, used):
+                    row = back[::-1] + (x,) + ahead
+                    yield min(row, row[::-1], key=key)
 
     def fired(self, coloring, x):
         """Yield, ascending, every j for which a colored simple path of 2j
@@ -315,7 +309,7 @@ class PathRepetitionFamily(Family):
         A layer of length j yields j when some pair joins into one path,
         A's last object followed by B's first or B's last by A's first.
         """
-        colors, steps = coloring.colors, self._steps
+        colors, adj, steps = coloring.colors, self.g.adj, self._steps
         shared, nbr = self.shared_joint, self.g.nbr
         c = colors[x]
         a_first, a_last = self._ends(x)[0]
@@ -347,11 +341,11 @@ class PathRepetitionFamily(Family):
                     # track at the joint
                     a_end, b_end = (af, bf) if back else (al, bl)
                     a_meet, b_meet = (bl, al) if back else (bf, af)
-                    for a, oa in steps[a_end]:
+                    for a, oa in zip(adj[a_end], steps[a_end]):
                         ca = colors[oa]
                         if not ca:
                             continue
-                        for b, ob in steps[b_end]:
+                        for b, ob in zip(adj[b_end], steps[b_end]):
                             if colors[ob] != ca:
                                 continue
                             if a not in used and b not in used and a != b:

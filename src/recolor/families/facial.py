@@ -24,7 +24,7 @@ from collections import deque
 from ..engine import EventTypeMeta
 from ..graphs import Graph
 from ..planar import PlaneGraph, facial_paths_through, medial_graph
-from .base import Family, Repetition, canonical, clamped, neighbor_meta
+from .base import Family, Repetition, clamped, neighbor_meta
 
 
 class MedialConnectivityError(RuntimeError):
@@ -46,12 +46,12 @@ class _FacialVertexFamily(Family):
         ]
         super().__init__("facial-thue-vertex", g.n, metas, Repetition, (g.adj,),
                          range(2, g.n // 2 + 1), widest=_longest_face(pg),
-                         rank=g.rank.__getitem__)
+                         rank=g.rank)
         self.pg = pg
         self.g = g
 
     def _enumerate(self, v, j):
-        return {canonical(w, self.g.rank)
+        return {min(w, w[::-1], key=self._row_key)
                 for w in facial_paths_through(self.pg, v, 2 * j)}
 
 
@@ -78,7 +78,7 @@ class _FacialEdgeFamily(Family):
         rows = set()
         for window in facial_paths_through(self.pg, self.g.endpoints(e), 2 * j):
             row = tuple(self.g.edge_index[pair] for pair in window)
-            rows.add(min(row, row[::-1]))
+            rows.add(min(row, row[::-1], key=self._row_key))
         return rows
 
     def _uncolored_neighbor(self, e: int, colored) -> int:

@@ -3,22 +3,19 @@
 The type-j event is a colored repetition on a 2j-object simple path through
 the anchor; both variants uncolor the half containing the anchor and rebuild
 by mirroring the surviving half, which pins the anchor's erased color because
-repetition pairs positions i and i+j (`Repetition` rows).  Every type is
-searched: the colored paths through the anchor grow two mirrored objects at
-a time (`PathRepetitionFamily`).
+repetition pairs positions i and i+j (`Repetition` rows).  Each variant only
+declares its step table (``_steps``, aligned with ``g.adj``: the neighbor
+itself for vertex paths, the edge id for edge paths) and the ends of an
+object; `PathRepetitionFamily` walks that table both to search every type
+(growing the colored paths through the anchor two mirrored objects at a
+time) and to enumerate the witnesses that rank a hit.
 """
 
 from __future__ import annotations
 
 from ..engine import EventTypeMeta
 from ..graphs import Graph
-from .base import (
-    PathRepetitionFamily,
-    Repetition,
-    clamped,
-    edge_paths_through,
-    vertex_paths_through,
-)
+from .base import PathRepetitionFamily, Repetition, clamped
 
 
 class _NonrepVertexFamily(PathRepetitionFamily):
@@ -29,15 +26,12 @@ class _NonrepVertexFamily(PathRepetitionFamily):
             for j in range(1, g.n // 2 + 1)
         ]
         super().__init__("nonrepetitive-vertex", g.n, metas, Repetition,
-                         searched=range(1, g.n // 2 + 1), rank=g.rank.__getitem__)
+                         searched=range(1, g.n // 2 + 1), rank=g.rank)
         self.g = g
-        self._steps = tuple(tuple(zip(nb, nb)) for nb in g.adj)
+        self._steps = g.adj
 
     def _ends(self, v):
         return ((v, v),)
-
-    def _enumerate(self, v, j):
-        return vertex_paths_through(self.g, v, 2 * j)
 
 
 def nonrepetitive_vertex_family(g: Graph) -> _NonrepVertexFamily:
@@ -58,7 +52,7 @@ class _NonrepEdgeFamily(PathRepetitionFamily):
                          searched=range(1, g.n // 2 + 1))
         self.g = g
         self._steps = tuple(
-            tuple((w, g.edge_index[(min(x, w), max(x, w))]) for w in nb)
+            tuple(g.edge_index[(min(x, w), max(x, w))] for w in nb)
             for x, nb in enumerate(g.adj))
 
     shared_joint = True
@@ -66,9 +60,6 @@ class _NonrepEdgeFamily(PathRepetitionFamily):
     def _ends(self, e):
         a, b = self.g.endpoints(e)
         return ((a, b), (b, a))
-
-    def _enumerate(self, e, j):
-        return edge_paths_through(self.g, e, 2 * j)
 
 
 def nonrepetitive_edge_family(g: Graph) -> _NonrepEdgeFamily:

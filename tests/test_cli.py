@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import recolor
-from recolor.bounds import PROBLEMS
+from recolor.bounds import PROBLEMS, kappa_preset
 from recolor.cli import FAMILIES, PROPERTIES, main
 
 K3_GRAPH = "3 3\n1 2\n1 3\n2 3\n"
@@ -121,6 +121,27 @@ def test_bound_family_file_huge_ceiling_keeps_its_minimizer(capsys, tmp_path):
     got = dict(line.split("\t") for line in out.splitlines())
     assert float(got["optimized_x"]) == pytest.approx(1.7718548704174474e-103)
     assert math.isfinite(float(got["optimized_ratio"]))
+
+
+def test_bound_pattern_shape_single_path_is_the_star_bound(capsys):
+    code, out, _ = run_cli(capsys, "bound", "--problem", "pair-forbidden",
+                           "--delta", "10", "--pattern-shape", "4:3")
+    assert code == 0
+    pairs, _ = kv(out)
+    assert pairs["problem"] == "star"
+    star = kappa_preset("star", 10)
+    assert pairs["pinned_kappa"] == str(star.pinned.kappa)
+    assert pairs["optimized_kappa"] == str(star.optimized.kappa)
+
+
+@pytest.mark.parametrize("problem", ["pair-forbidden", "star"])
+@pytest.mark.parametrize("shape", ["4", "4:3:2", "4:x", "4:3,:3"])
+def test_bound_malformed_pattern_shape(capsys, problem, shape):
+    code, out, err = run_cli(capsys, "bound", "--problem", problem,
+                             "--delta", "5", "--pattern-shape", shape)
+    assert code == 2 and out == ""
+    assert "bad pattern shape" in err
+    assert "Traceback" not in err
 
 
 def test_bound_domain_error(capsys):
@@ -493,6 +514,13 @@ _TERMS = st.lists(st.tuples(_CEILINGS, st.integers(-1, 5)), max_size=4).map(
     lambda terms: " ".join(f"{c!r}:{s}" for c, s in terms))
 
 
+_SHAPES = st.lists(st.one_of(
+    st.tuples(st.integers(-1, 8), st.integers(-1, 20)).map(
+        lambda nm: f"{nm[0]}:{nm[1]}"),
+    st.sampled_from(["4", "4:3:2", ":", "4:", ":3", "x:3", "1.5:2"])),
+    max_size=3).map(" ".join)
+
+
 def _exit_code(argv):
     try:
         return main(argv)
@@ -527,6 +555,8 @@ def test_bound_fuzzed_argv_keeps_exit_codes(tmp_path, data):
             argv.append(f"--exact-n={data.draw(st.integers(-1, 30))}")
         if data.draw(st.booleans(), label="optimize alpha"):
             argv.append("--optimize-alpha")
+        if data.draw(st.booleans(), label="pattern shape"):
+            argv.append(f"--pattern-shape={data.draw(_SHAPES)}")
     assert _exit_code(argv) in (0, 1, 2, 3)
 
 

@@ -321,10 +321,12 @@ class TestParameterValidation:
             acyclic_gamma_family(K3, 0)
 
     def test_alpha_range(self):
-        with pytest.raises(ValueError, match="alpha"):
-            acyclic_v1_family(K3, 0.0)
-        with pytest.raises(ValueError, match="alpha"):
-            acyclic_v2_family(K3, 1.5)
+        # refused before a ceiling divides by alpha
+        for make in (acyclic_v1_family, acyclic_v2_family):
+            for alpha in (0, 0.0, 1.5, float("nan")):
+                with pytest.raises(ValueError,
+                                   match=r"alpha must be in \(0, 1\], got"):
+                    make(C4, alpha)
 
 
 class TestLargeGraphs:

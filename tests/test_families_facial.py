@@ -12,7 +12,8 @@ from recolor.families import (
     facial_thue_edge_family,
     facial_thue_vertex_family,
 )
-from recolor.planar import load_rotation, random_triangulation
+from recolor.graphs import Graph
+from recolor.planar import PlaneGraph, load_rotation, random_triangulation
 
 from _util import assert_roundtrip, plane_with_long_faces
 
@@ -53,6 +54,35 @@ class TestVertexFamily:
             limit = d if j == 1 else 2 * j * d
             for v in range(1, pg.graph.n + 1):
                 assert len(fam.witness_rows(v, j)[0]) <= limit
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=25, deadline=None)
+    def test_rows_match_a_face_scan_in_a_shuffled_order(self, seed):
+        """Rows are the simple windows of 2j vertices on the face walks,
+        oriented and sorted by the vertex order, not by index."""
+        rng = random.Random(seed)
+        n = rng.randint(4, 12)
+        base = random_triangulation(n, rng) if rng.random() < 0.5 \
+            else plane_with_long_faces(n, rng.randint(1, 2 * n), rng)
+        g = Graph(n, base.graph.edges, order=rng.sample(range(1, n + 1), n))
+        pg = PlaneGraph(g, base.rotation)
+        fam = facial_thue_vertex_family(pg)
+
+        def key(row):
+            return [g.rank[x] for x in row]
+
+        walks = [[u for u, _ in face] for face in pg.faces]
+        for j in range(2, max(map(len, walks)) // 2 + 1):
+            windows = {
+                min(w, w[::-1], key=key)
+                for walk in walks
+                for w in (tuple(walk[(off + i) % len(walk)]
+                                for i in range(2 * j))
+                          for off in range(len(walk)))
+                if len(set(w)) == 2 * j}
+            for v in range(1, n + 1):
+                assert list(fam.witness_rows(v, j)[0]) == \
+                    sorted((w for w in windows if v in w), key=key)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)

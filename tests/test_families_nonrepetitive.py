@@ -16,12 +16,19 @@ P4 = path_graph(4)
 P5 = path_graph(5)
 
 
+def by_rank(g):
+    """Sort key reading a row of vertices in the graph's vertex order."""
+    return lambda row: [g.rank[x] for x in row]
+
+
 def brute_vertex_paths(g, length):
-    """All simple paths on `length` vertices, canonical, by permutation scan."""
+    """All simple paths on `length` vertices, each in its order-smaller
+    orientation, by permutation scan."""
+    key = by_rank(g)
     paths = set()
     for perm in permutations(range(1, g.n + 1), length):
         if all(g.has_edge(perm[i], perm[i + 1]) for i in range(length - 1)):
-            paths.add(min(perm, perm[::-1]))
+            paths.add(min(perm, perm[::-1], key=key))
     return paths
 
 
@@ -46,6 +53,23 @@ class TestVertexEnumeration:
             for v in range(1, g.n + 1):
                 rows, _ = fam.witness_rows(v, length // 2)
                 assert list(rows) == sorted(p for p in expected if v in p)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=25, deadline=None)
+    def test_rows_match_permutation_scan_in_a_shuffled_order(self, seed):
+        """Rows are oriented and sorted by the vertex order, not by index."""
+        rng = random.Random(seed)
+        n = rng.randint(4, 9)
+        g = Graph(n, random_graph(n, 0.45, rng).edges,
+                  order=rng.sample(range(1, n + 1), n))
+        fam = nonrepetitive_vertex_family(g)
+        key = by_rank(g)
+        for length in (2, 4, 6):
+            expected = brute_vertex_paths(g, length)
+            for v in range(1, n + 1):
+                rows, _ = fam.witness_rows(v, length // 2)
+                assert list(rows) == sorted((p for p in expected if v in p),
+                                            key=key)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=20, deadline=None)
