@@ -131,7 +131,7 @@ def _bisect_root(q: QPolynomial, lo: float, hi: float, rel_tol: float) -> float:
     return x
 
 
-def optimize_ratio(q: QPolynomial, rel_tol: float = 1e-12) -> RatioResult:
+def optimize_ratio(q: QPolynomial) -> RatioResult:
     """Minimize Q(x)/x over (0, min(1, radius)).
 
     The minimizer is the root of p(x) = x Q'(x) - Q(x), which increases from
@@ -145,7 +145,7 @@ def optimize_ratio(q: QPolynomial, rel_tol: float = 1e-12) -> RatioResult:
     if _p_safe(q, hi) < 0:
         return RatioResult(hi, q.q(hi) / hi, math.ceil(q.q(hi) / hi),
                            abs(q.p(hi)), True)
-    x = _bisect_root(q, 0.0, hi, rel_tol)
+    x = _bisect_root(q, 0.0, hi, 1e-12)
     ratio = q.q(x) / x
     return RatioResult(x, ratio, math.ceil(ratio), abs(q.p(x)), False)
 

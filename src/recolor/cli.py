@@ -88,10 +88,10 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _load_embedding(args) -> PlaneGraph:
+def _load_embedding(args, g: Graph | None) -> PlaneGraph:
     if not args.embedding:
         raise ValueError(f"{args.family} needs --embedding")
-    return load_rotation(_read(args.embedding))
+    return load_rotation(_read(args.embedding), graph=g)
 
 
 def _pairs(text: str, first, what: str, form: str):
@@ -156,9 +156,7 @@ def _build_family(args, g: Graph | None):
         return g, nonrepetitive_vertex_family(g)
     if name == "nonrepetitive-edge":
         return g, nonrepetitive_edge_family(g)
-    pg = _load_embedding(args)
-    if g is not None and pg.graph != g:
-        raise ValueError("embedding does not match the graph file")
+    pg = _load_embedding(args, g)
     if name == "facial-thue-vertex":
         return pg.graph, facial_thue_vertex_family(pg)
     if args.estar is None:

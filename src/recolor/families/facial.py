@@ -1,16 +1,18 @@
 """Facially non-repetitive families on plane graphs.
 
-The vertex variant is a plain repetition family whose witnesses live on face
-boundaries; its type 1 is the neighbor table, since a facial 2-window is an
-edge and every edge lies on a face.  The edge variant trades generality for
-sharper ceilings: the coloring order is constrained so every anchor has an
-uncolored facially adjacent edge e' (one consecutive with it on a face walk,
-an edge of `planar.medial_graph`), and classes count only witness paths
-avoiding e' (at most one on the face shared with e', 2j on the anchor's
-other face).  That requires one distinguished edge to stay uncolored forever
-and the uncolored edge set to stay connected in the medial graph; the
-traversal maintains both by coloring leaves of a medial spanning tree rooted
-at the reserved edge.
+Both families are repetition families whose type-j witnesses are the simple
+windows of 2j consecutive objects on a face walk through the anchor, read
+by one window walk (`_FacialFamily._windows`).  The vertex variant's type 1
+is the neighbor table, since a facial 2-window is an edge and every edge
+lies on a face.  The edge variant trades generality for sharper ceilings:
+the coloring order is constrained so every anchor has an uncolored facially
+adjacent edge e' (one consecutive with it on a face walk, an edge of
+`planar.medial_graph`), and classes count only witness paths avoiding e'
+(at most one on the face shared with e', 2j on the anchor's other face).
+That requires one distinguished edge to stay uncolored forever and the
+uncolored edge set to stay connected in the medial graph; the traversal
+maintains both by coloring leaves of a medial spanning tree rooted at the
+reserved edge.
 
 A window of 2j objects fits only on a face of length at least 2j, so both
 families stop probing event types at the longest face.
@@ -22,8 +24,7 @@ import heapq
 from collections import deque
 
 from ..engine import EventTypeMeta
-from ..graphs import Graph
-from ..planar import PlaneGraph, facial_paths_through, medial_graph
+from ..planar import PlaneGraph, medial_graph
 from .base import Family, Repetition, clamped, neighbor_meta
 
 
@@ -31,11 +32,69 @@ class MedialConnectivityError(RuntimeError):
     """Uncolored edges no longer induce a connected medial subgraph."""
 
 
-def _longest_face(pg: PlaneGraph) -> int:
-    return max((len(face) for face in pg.faces), default=0)
+class _FacialFamily(Family):
+    """Repetition families whose witnesses are windows along face walks.
+
+    The objects are the vertices, or with ``on_edges`` set the edge ids, and a
+    type-j row is a window of 2j consecutive objects on some face walk whose
+    vertices are distinct, in its order-smaller orientation.  ``widest`` is
+    the longest face.
+    """
+
+    on_edges = False
+
+    def __init__(self, name: str, pg: PlaneGraph, metas, **kw):
+        self.pg = pg
+        self.g = pg.graph
+        self._occurrences = None
+        n_objects = pg.graph.m if self.on_edges else pg.graph.n
+        super().__init__(name, n_objects, metas, Repetition,
+                         widest=max(map(len, pg.faces), default=0), **kw)
+
+    def _enumerate(self, x, j):
+        key = self._row_key
+        return {min(w, w[::-1], key=key) for w in self._windows(x, 2 * j)}
+
+    def _windows(self, x, length: int):
+        """Yield each window of ``length`` consecutive objects on a face
+        walk that covers x and spans distinct vertices (``length`` of them,
+        or ``length + 1`` for edges), once per (face, offset).  Only the
+        offsets covering an occurrence of x are visited; a simple window
+        holds x once, so it is reached from one occurrence only."""
+        if length < 2:
+            raise ValueError("a window needs at least 2 objects")
+        if self._occurrences is None:
+            self._occurrences = self._index()
+        span = length + self.on_edges
+        for walk, objs, p in self._occurrences[x]:
+            f = len(walk) // 2
+            if f < span:
+                continue
+            for s in range(p - length + 1, p + 1):
+                s %= f
+                if len(set(walk[s:s + span])) == span:
+                    yield objs[s:s + length]
+
+    def _index(self):
+        """For each object, its occurrences (walk, objs, position) on the
+        faces: ``walk`` is the face's vertex walk and ``objs`` its objects
+        (the walk itself, or the edge id of each dart), both written twice
+        so that a window wrapping around the face is one slice."""
+        occurrences = [[] for _ in range(self.n_objects + 1)]
+        index = self.g.edge_index
+        for face in self.pg.faces:
+            walk = tuple(u for u, _ in face)
+            walk += walk
+            objs = walk
+            if self.on_edges:
+                objs = tuple(index[(u, v) if u < v else (v, u)] for u, v in face)
+                objs += objs
+            for p in range(len(face)):
+                occurrences[objs[p]].append((walk, objs, p))
+        return occurrences
 
 
-class _FacialVertexFamily(Family):
+class _FacialVertexFamily(_FacialFamily):
     def __init__(self, pg: PlaneGraph):
         g = pg.graph
         d = g.max_degree
@@ -44,15 +103,8 @@ class _FacialVertexFamily(Family):
             EventTypeMeta(j, clamped(2 * j * d), j)
             for j in range(2, g.n // 2 + 1)
         ]
-        super().__init__("facial-thue-vertex", g.n, metas, Repetition, (g.adj,),
-                         range(2, g.n // 2 + 1), widest=_longest_face(pg),
-                         rank=g.rank)
-        self.pg = pg
-        self.g = g
-
-    def _enumerate(self, v, j):
-        return {min(w, w[::-1], key=self._row_key)
-                for w in facial_paths_through(self.pg, v, 2 * j)}
+        super().__init__("facial-thue-vertex", pg, metas, tables=(g.adj,),
+                         scanned=range(2, g.n // 2 + 1), rank=g.rank)
 
 
 def facial_thue_vertex_family(pg: PlaneGraph) -> _FacialVertexFamily:
@@ -61,25 +113,18 @@ def facial_thue_vertex_family(pg: PlaneGraph) -> _FacialVertexFamily:
     return _FacialVertexFamily(pg)
 
 
-class _FacialEdgeFamily(Family):
+class _FacialEdgeFamily(_FacialFamily):
+    on_edges = True
+
     def __init__(self, pg: PlaneGraph, e_star: int):
         g = pg.graph
         if not 1 <= e_star <= g.m:
             raise ValueError(f"reserved edge id {e_star} out of range")
         metas = [EventTypeMeta(j, 1 + 2 * j, j) for j in range(1, g.n // 2 + 1)]
-        super().__init__("facial-thue-edge", g.m, metas, Repetition,
-                         scanned=range(1, g.n // 2 + 1), widest=_longest_face(pg))
-        self.pg = pg
-        self.g = g
+        super().__init__("facial-thue-edge", pg, metas,
+                         scanned=range(1, g.n // 2 + 1))
         self.e_star = e_star
         self.medial = medial_graph(pg)
-
-    def _enumerate(self, e, j):
-        rows = set()
-        for window in facial_paths_through(self.pg, self.g.endpoints(e), 2 * j):
-            row = tuple(self.g.edge_index[pair] for pair in window)
-            rows.add(min(row, row[::-1], key=self._row_key))
-        return rows
 
     def _uncolored_neighbor(self, e: int, colored) -> int:
         for u in self.medial.adj[e]:

@@ -1,4 +1,5 @@
-"""Combinatorial plane embeddings: face tracing, facial paths, medial graphs.
+"""Combinatorial plane embeddings: face tracing, medial graphs, random
+triangulations.
 
 An embedding is a rotation system, the counterclockwise neighbor order around
 each vertex.  Faces are traced with the next-edge rule: the successor of the
@@ -29,7 +30,7 @@ class PlaneGraph:
     and sorted, so equal embeddings trace equal face lists.
     """
 
-    __slots__ = ("graph", "rotation", "faces", "_vertex_walks", "_faces_at")
+    __slots__ = ("graph", "rotation", "faces")
 
     def __init__(self, graph: Graph, rotation: dict[int, tuple[int, ...]]):
         for v in range(1, graph.n + 1):
@@ -41,10 +42,6 @@ class PlaneGraph:
         self.graph = graph
         self.rotation = {v: tuple(rotation.get(v, ())) for v in range(1, graph.n + 1)}
         self.faces = self._trace()
-        self._vertex_walks = tuple(
-            tuple(e[0] for e in face) for face in self.faces
-        )
-        self._faces_at = None
         if self._connected() and self.graph.m > 0:
             euler = self.graph.n - self.graph.m + len(self.faces)
             if euler != 2:
@@ -52,22 +49,6 @@ class PlaneGraph:
                     f"face tracing gave n - m + f = {euler}, expected 2 "
                     "for a connected plane embedding"
                 )
-
-    def faces_at(self, x) -> tuple[int, ...]:
-        """Ascending indices into ``faces`` of the faces whose boundary
-        passes through vertex ``x`` or edge ``x = (u, v)`` with u < v.
-        The index is built on first use, so a graph never asked pays
-        nothing for it."""
-        if self._faces_at is None:
-            index: dict = {}
-            for i, face in enumerate(self.faces):
-                for u, v in face:
-                    for key in (u, (min(u, v), max(u, v))):
-                        seen = index.setdefault(key, [])
-                        if not seen or seen[-1] != i:
-                            seen.append(i)
-            self._faces_at = {key: tuple(ids) for key, ids in index.items()}
-        return self._faces_at.get(x, ())
 
     def _trace(self):
         """Face walks from the darts in ascending order, skipping traced
@@ -131,6 +112,8 @@ def load_rotation(text: str, graph: Graph | None = None) -> PlaneGraph:
             nbrs = tuple(int(x) for x in tail.split())
         except ValueError:
             raise GraphFormatError("expected integers in rotation line", no) from None
+        if not 1 <= v <= n:
+            raise GraphFormatError(f"vertex {v} out of range 1..{n}", no)
         if v in rotation:
             raise GraphFormatError(f"vertex {v} listed twice", no)
         rotation[v] = nbrs
@@ -153,48 +136,6 @@ def load_rotation(text: str, graph: Graph | None = None) -> PlaneGraph:
             raise GraphFormatError("rotation system does not match the graph file")
         derived = graph
     return PlaneGraph(derived, rotation)
-
-
-def facial_paths_through(pg: PlaneGraph, x, length: int) -> list[tuple]:
-    """All simple windows of ``length`` consecutive elements on some face
-    boundary containing ``x``.
-
-    When ``x`` is a vertex the windows are vertex paths (tuples of vertices);
-    when ``x`` is an edge pair ``(u, v)`` they are edge paths (tuples of
-    sorted edge pairs).  The same geometric path shows up once per containing
-    (face, offset), in face order then offset order; callers that need the
-    distinct-path set deduplicate.  Only the faces through ``x`` are read.
-    """
-    if length < 2:
-        raise ValueError("a path needs at least 2 elements")
-    out = []
-    if isinstance(x, int):
-        for i in pg.faces_at(x):
-            walk = pg._vertex_walks[i]
-            f = len(walk)
-            if f < length:
-                continue
-            for off in range(f):
-                window = tuple(walk[(off + i) % f] for i in range(length))
-                if x in window and len(set(window)) == length:
-                    out.append(window)
-    else:
-        u, v = x
-        target = (min(u, v), max(u, v))
-        for i in pg.faces_at(target):
-            face = pg.faces[i]
-            f = len(face)
-            if f < length:
-                continue
-            for off in range(f):
-                darts = [face[(off + i) % f] for i in range(length)]
-                verts = [darts[0][0]] + [d[1] for d in darts]
-                if len(set(verts)) != length + 1:
-                    continue
-                window = tuple((min(a, b), max(a, b)) for a, b in darts)
-                if target in window:
-                    out.append(window)
-    return out
 
 
 def medial_graph(pg: PlaneGraph) -> Graph:

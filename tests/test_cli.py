@@ -227,6 +227,41 @@ def test_color_facial_edge_leaves_reserve(capsys, tmp_path):
     assert len(colored) == 2
 
 
+def test_color_ordered_graph_file_beside_its_embedding(capsys, tmp_path):
+    # the graph file's order line is kept: vertex 3 is colored first
+    graph = tmp_path / "k3.txt"
+    graph.write_text("3 3\norder: 3 1 2\n1 2\n1 3\n2 3\n")
+    rotation = tmp_path / "k3.rot"
+    rotation.write_text(K3_ROTATION)
+    code, out, _ = run_cli(
+        capsys, "color", "--graph", str(graph), "--embedding", str(rotation),
+        "--family", "facial-thue-vertex", "--kappa", "3", "--vector", "1,2,3")
+    assert code == 0
+    assert out == "1\t2\n2\t3\n3\t1\n"
+
+
+def test_color_embedding_with_other_edges_than_the_graph_file(capsys, tmp_path):
+    graph = tmp_path / "p3.txt"
+    graph.write_text("3 2\n1 2\n2 3\n")
+    rotation = tmp_path / "k3.rot"
+    rotation.write_text(K3_ROTATION)
+    code, out, err = run_cli(
+        capsys, "color", "--graph", str(graph), "--embedding", str(rotation),
+        "--family", "facial-thue-vertex", "--kappa", "3", "--vector", "1,2,3")
+    assert code == 2 and out == ""
+    assert "does not match the graph file" in err
+
+
+def test_color_refuses_rotation_lines_past_n(capsys, tmp_path):
+    rotation = tmp_path / "k3.rot"
+    rotation.write_text(K3_ROTATION + "7:\n")
+    code, out, err = run_cli(
+        capsys, "color", "--embedding", str(rotation),
+        "--family", "facial-thue-vertex", "--kappa", "3", "--vector", "1,2,3")
+    assert code == 2 and out == ""
+    assert "line 5: vertex 7 out of range 1..3" in err
+
+
 def test_color_needs_randomness_source(capsys, tmp_path):
     graph = tmp_path / "k3.txt"
     graph.write_text(K3_GRAPH)
@@ -272,6 +307,19 @@ def test_roundtrip_pass(capsys, tmp_path):
         capsys, "roundtrip", "--graph", str(graph),
         "--family", "acyclic-gamma", "--kappa", "4",
         "--seed", "7", "--budget", "50")
+    assert code == 0
+    assert out.startswith("PASS")
+
+
+def test_roundtrip_ordered_graph_file_beside_its_embedding(capsys, tmp_path):
+    graph = tmp_path / "k3.txt"
+    graph.write_text("3 3\norder: 3 1 2\n1 2\n1 3\n2 3\n")
+    rotation = tmp_path / "k3.rot"
+    rotation.write_text(K3_ROTATION)
+    code, out, _ = run_cli(
+        capsys, "roundtrip", "--graph", str(graph), "--embedding", str(rotation),
+        "--family", "facial-thue-vertex", "--kappa", "3",
+        "--seed", "4", "--budget", "40")
     assert code == 0
     assert out.startswith("PASS")
 

@@ -129,6 +129,34 @@ class TestEdgeFamilyRows:
             facial_thue_edge_family(load_rotation(K3_ROT), 4)
 
     @given(st.integers(0, 10 ** 6), st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_rows_match_a_face_scan(self, seed, long_faces):
+        """Rows are the windows of 2j consecutive darts on the face walks
+        spanning 2j + 1 distinct vertices, as edge ids, oriented and sorted
+        by id; the long-face embeddings have bridges, walked both ways on
+        one face."""
+        rng = random.Random(seed)
+        n = rng.randint(4, 12)
+        pg = plane_with_long_faces(n, rng.randint(n, 2 * n), rng) \
+            if long_faces else random_triangulation(n, rng)
+        fam = facial_thue_edge_family(pg, 1)
+        index = pg.graph.edge_index
+        for j in range(1, max(map(len, pg.faces)) // 2 + 1):
+            windows = set()
+            for face in pg.faces:
+                f = len(face)
+                for off in range(f):
+                    darts = [face[(off + i) % f] for i in range(2 * j)]
+                    verts = {darts[0][0]} | {v for _, v in darts}
+                    if len(verts) == 2 * j + 1:
+                        row = tuple(index[(min(u, v), max(u, v))]
+                                    for u, v in darts)
+                        windows.add(min(row, row[::-1]))
+            for e in range(1, pg.graph.m + 1):
+                assert list(fam.witness_rows(e, j)[0]) == \
+                    sorted(w for w in windows if e in w)
+
+    @given(st.integers(0, 10 ** 6), st.booleans())
     @settings(max_examples=50, deadline=None)
     def test_avoiding_rows_stay_under_flat_ceiling(self, seed, long_faces):
         # for every candidate uncolored facial neighbor e', the rows through

@@ -1,4 +1,4 @@
-"""Face tracing, facial path windows, medial graphs, random triangulations."""
+"""Face tracing, facial windows, medial graphs, random triangulations."""
 
 import random
 
@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recolor.families import facial_thue_edge_family, facial_thue_vertex_family
 from recolor.graphs import Graph, GraphFormatError
 from recolor.planar import (
     EmbeddingError,
     PlaneGraph,
-    facial_paths_through,
     load_rotation,
     medial_graph,
     random_triangulation,
@@ -110,6 +110,12 @@ class TestLoadRotation:
         with pytest.raises(GraphFormatError, match="listed twice"):
             load_rotation("2 1\n1: 2\n1: 2\n2: 1\n")
 
+    @pytest.mark.parametrize("head", ["7", "-2", "0"])
+    def test_vertex_line_out_of_range(self, head):
+        with pytest.raises(GraphFormatError,
+                           match=rf"line 5: vertex {head} out of range 1..3"):
+            load_rotation(K3_ROT + f"{head}:\n")
+
     def test_matches_supplied_graph(self):
         g = Graph(3, [(1, 2), (2, 3), (1, 3)])
         pg = load_rotation(K3_ROT, graph=g)
@@ -135,52 +141,59 @@ class TestLoadRotation:
             PlaneGraph(g, {1: (2, 3), 2: (3, 1), 3: (1,)})
 
 
+def window_walk(pg):
+    """The facial families' window walk on ``pg`` as one function of
+    (x, length), sorted: vertex windows through a vertex x, edge-id windows
+    through an edge pair x."""
+    vertex = facial_thue_vertex_family(pg)
+    edge = facial_thue_edge_family(pg, 1)
+
+    def windows(x, length):
+        if isinstance(x, int):
+            return sorted(vertex._windows(x, length))
+        return sorted(edge._windows(pg.graph.edge_index[x], length))
+    return windows
+
+
 class TestFacialPaths:
     def test_square_vertex_windows_of_two(self):
-        pg = load_rotation(C4_ROT)
-        paths = facial_paths_through(pg, 1, 2)
-        assert len(paths) == 4
-        assert sorted(paths) == [(1, 2), (1, 4), (2, 1), (4, 1)]
+        paths = window_walk(load_rotation(C4_ROT))(1, 2)
+        assert paths == [(1, 2), (1, 4), (2, 1), (4, 1)]
 
     def test_square_vertex_windows_of_four(self):
-        pg = load_rotation(C4_ROT)
-        paths = facial_paths_through(pg, 1, 4)
+        paths = window_walk(load_rotation(C4_ROT))(1, 4)
         # every rotation of both boundary walks passes through 1 and is simple
         assert len(paths) == 8
         assert all(len(set(p)) == 4 for p in paths)
 
     def test_triangle_has_no_simple_window_of_three_edges(self):
-        pg = load_rotation(K3_ROT)
-        assert facial_paths_through(pg, (1, 2), 3) == []
+        assert window_walk(load_rotation(K3_ROT))((1, 2), 3) == []
 
     def test_square_edge_windows_of_two(self):
         pg = load_rotation(C4_ROT)
-        paths = facial_paths_through(pg, (1, 2), 2)
+        paths = window_walk(pg)((1, 2), 2)
         assert len(paths) == 4
-        assert all((1, 2) in p for p in paths)
+        assert all(pg.graph.edge_index[(1, 2)] in p for p in paths)
         for p in paths:
-            assert all(a in pg.graph.edge_index for a in p)
+            assert all(1 <= a <= pg.graph.m for a in p)
 
     def test_edge_windows_are_vertex_simple(self):
-        pg = load_rotation(C4_ROT)
         # a window of 4 edges on a 4-face closes the cycle: not a path
-        assert facial_paths_through(pg, (1, 2), 4) == []
+        assert window_walk(load_rotation(C4_ROT))((1, 2), 4) == []
 
     def test_window_multiplicity_counts_face_and_offset(self):
-        # on the triangle the path (1, 2) appears once per face
-        pg = load_rotation(K3_ROT)
-        paths = facial_paths_through(pg, 1, 3)
+        # on the triangle the path (1, 2, 3) appears once per face
+        paths = window_walk(load_rotation(K3_ROT))(1, 3)
         assert len(paths) == 6
 
     def test_length_validation(self):
-        pg = load_rotation(K3_ROT)
         with pytest.raises(ValueError, match="at least 2"):
-            facial_paths_through(pg, 1, 1)
+            window_walk(load_rotation(K3_ROT))(1, 1)
 
 
 def windows_over_all_faces(pg, x, length):
-    """`facial_paths_through` as a scan of every face, the reference for
-    the face index."""
+    """The window walk as a scan of every face, sorted, edge windows as
+    edge ids: the reference for `_FacialFamily._windows`."""
     out = []
     for face in pg.faces:
         f = len(face)
@@ -194,8 +207,8 @@ def windows_over_all_faces(pg, x, length):
                 verts = [darts[0][0]] + [d[1] for d in darts]
                 window = tuple((min(a, b), max(a, b)) for a, b in darts)
                 if len(set(verts)) == length + 1 and x in window:
-                    out.append(window)
-    return out
+                    out.append(tuple(pg.graph.edge_index[e] for e in window))
+    return sorted(out)
 
 
 class TestFaceIndex:
@@ -205,33 +218,30 @@ class TestFaceIndex:
         n = rng.randint(4, 12)
         pg = random_triangulation(n, rng) if seed % 2 \
             else plane_with_long_faces(n, 2 * n, rng)
+        windows = window_walk(pg)
         longest = max(len(face) for face in pg.faces)
         for length in range(2, longest + 2):
-            for v in range(1, n + 1):
-                assert facial_paths_through(pg, v, length) == \
-                    windows_over_all_faces(pg, v, length)
-            for edge in pg.graph.edges:
-                assert facial_paths_through(pg, edge[::-1], length) == \
-                    windows_over_all_faces(pg, edge, length)
+            for x in (*range(1, n + 1), *pg.graph.edges):
+                assert windows(x, length) == \
+                    windows_over_all_faces(pg, x, length)
 
     def test_vertex_twice_on_one_face(self):
         # a path 1-2-3 has one face walk 1 2 3 2, visiting 2 twice
         pg = load_rotation("3 2\n1: 2\n2: 3 1\n3: 2\n")
-        assert pg.faces_at(2) == (0,)
-        assert pg.faces_at((1, 2)) == (0,)
+        windows = window_walk(pg)
         for length in (2, 3):
-            assert facial_paths_through(pg, 2, length) == \
-                windows_over_all_faces(pg, 2, length)
-        assert facial_paths_through(pg, 2, 2) == [(1, 2), (2, 3), (3, 2), (2, 1)]
+            assert windows(2, length) == windows_over_all_faces(pg, 2, length)
+        assert windows(2, 2) == [(1, 2), (2, 1), (2, 3), (3, 2)]
 
     def test_long_faces_visit_a_vertex_twice(self):
         rng = random.Random("face index long")
         pg = plane_with_long_faces(10, 20, rng)
+        windows = window_walk(pg)
         walks = [[u for u, _ in face] for face in pg.faces]
         assert any(len(set(w)) < len(w) for w in walks)
         for v in range(1, 11):
             for length in (2, 3, 4):
-                assert facial_paths_through(pg, v, length) == \
+                assert windows(v, length) == \
                     windows_over_all_faces(pg, v, length)
 
 
