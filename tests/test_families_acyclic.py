@@ -1,7 +1,8 @@
 """Acyclic families: witness enumeration oracles, ceilings, traces, roundtrips.
 
-Enumeration counts are checked against brute-force permutation scans, which
-share no code with the families' DFS enumerators.
+Enumeration counts, and under shuffled vertex orders whole row lists, are
+checked against brute-force permutation scans, which share no code with the
+families' DFS enumerators.
 """
 
 import math
@@ -313,6 +314,84 @@ class TestV2Family:
         fam = acyclic_v2_family(g, 0.5)
         assert_roundtrip(g, fam, EngineInput(
             kappa=rng.randint(1, 5), seed=seed, budget=rng.randint(0, 150)))
+
+
+def shuffled(g, rng):
+    """g under a random vertex order, so rank ties and orientations do not
+    follow the index."""
+    order = list(range(1, g.n + 1))
+    rng.shuffle(order)
+    return Graph(g.n, g.edges, order=order)
+
+
+def brute_rows(g, v, length, at, keep):
+    """Every walk of `length` distinct vertices with v at position `at`,
+    consecutive ones adjacent, that `keep` accepts, found by a raw
+    permutation scan and sorted by the vertex order."""
+    others = [u for u in range(1, g.n + 1) if u != v]
+    rows = []
+    for perm in permutations(others, length - 1):
+        row = perm[:at] + (v,) + perm[at:]
+        if all(g.has_edge(a, b) for a, b in zip(row, row[1:])) and keep(row):
+            rows.append(row)
+    return sorted(rows, key=lambda row: [g.rank[x] for x in row])
+
+
+def brute_square_rows(g, ss, v):
+    """Induced 4-cycles v a c b with the antipode c outside S(v) and a
+    order-below b, as (a, v, b, c) rows."""
+    special, rank = ss.special(v), g.rank
+    return brute_rows(g, v, 4, 1, lambda r: g.has_edge(r[3], r[0])
+                      and not g.has_edge(r[0], r[2]) and not g.has_edge(v, r[3])
+                      and r[3] not in special and rank[r[0]] < rank[r[2]])
+
+
+class TestExactRowLists:
+    """`witness_rows` lists, compared whole (order included) with a
+    permutation scan on random graphs under shuffled vertex orders."""
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=15, deadline=None)
+    def test_gamma_cycles(self, seed):
+        rng = random.Random(seed)
+        g = shuffled(random_graph(rng.randint(4, 8), rng.uniform(0.3, 0.6), rng), rng)
+        fam, rank = acyclic_gamma_family(g, 1), g.rank
+        for v in range(1, g.n + 1):
+            for k in (2, 3):
+                want = brute_rows(g, v, 2 * k, 0, lambda r: g.has_edge(r[-1], v)
+                                  and rank[r[1]] < rank[r[-1]])
+                assert list(fam.witness_rows(v, k)[0]) == want, (v, k)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=15, deadline=None)
+    def test_v1_squares_and_paths(self, seed):
+        rng = random.Random(seed)
+        g = shuffled(random_graph(rng.randint(4, 8), rng.uniform(0.3, 0.6), rng), rng)
+        fam, rank = acyclic_v1_family(g, rng.choice((0.1, 0.5, 1.0))), g.rank
+        for v in range(1, g.n + 1):
+            squares = sorted(((v, a, c, b) for a, v, b, c
+                              in brute_square_rows(g, fam.special, v)),
+                             key=lambda r: [rank[x] for x in r])
+            assert list(fam.witness_rows(v, 3)[0]) == squares, v
+            paths = brute_rows(g, v, 6, 1, lambda r: rank[r[0]] < rank[r[2]])
+            assert list(fam.witness_rows(v, 4)[0]) == paths, v
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=15, deadline=None)
+    def test_v2_squares_and_cycles(self, seed):
+        rng = random.Random(seed)
+        g = shuffled(random_graph(rng.randint(6, 8), rng.uniform(0.3, 0.6), rng), rng)
+        fam, rank = acyclic_v2_family(g, rng.choice((0.1, 0.5, 1.0))), g.rank
+        sp = fam.special.is_special
+        for v in range(1, g.n + 1):
+            assert list(fam.witness_rows(v, 3)[0]) == \
+                brute_square_rows(g, fam.special, v), v
+            for k in (3, 4):
+                # the color-matched u1 and u_{2k-1} may not be mutually special
+                want = brute_rows(g, v, 2 * k, 1, lambda r: g.has_edge(r[-1], r[0])
+                                  and rank[r[0]] < rank[r[2]]
+                                  and not (sp(r[0], r[-2]) and sp(r[-2], r[0])))
+                assert list(fam.witness_rows(v, k + 1)[0]) == want, (v, k)
 
 
 class TestParameterValidation:
