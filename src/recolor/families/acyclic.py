@@ -5,11 +5,16 @@ differ in how they cover bicolored cycles: a global cycle-count budget, an
 induced-4-cycle/6-path pair over a special-pair structure, or a cycle ladder
 over the same structure.  Cycle witnesses are stored in traversal order, so
 uncoloring is always a prefix of the row and rebuilding alternates the two
-colors still readable at the row's tail (`Bicolored`).  Every bicolored type
-is searched, none scanned: the cycle and path types by a search inside the
-two-colored subgraph at the anchor, the special-pair square by a test on the
-common neighbors of each anchor pair colored alike.  Witnesses are
-enumerated only to rank a hit.
+colors still readable at the row's tail (`Bicolored`).
+
+Each family declares its bicolored witnesses once: the start paths through
+the anchor (`_paths`) and the rule accepting a row's last vertex
+(`_closes`).  Every bicolored type is searched, none scanned: the search
+grows only the start paths already alternating two colors (`_starts`),
+inside the two-colored subgraph at the anchor, and the enumeration, run only
+to rank a hit, grows every start path by simple arms.  The special-pair
+square closes a start path over a common neighbor of its two ends
+(`_squares`), for the search and the enumeration alike.
 """
 
 from __future__ import annotations
@@ -69,8 +74,10 @@ class Bicolored:
 
 class _AcyclicFamily(Family):
     """Candidate tables for the first types, searched bicolored rows for the
-    rest.  The ``alternating`` types are found by one alternating search per
-    start path a subclass declares (`_starts`)."""
+    rest: start paths (`_paths`) grown into rows whose last vertex w passes
+    ``_closes(path, w)``, every row when ``_closes`` is None."""
+
+    _closes = None
 
     def __init__(self, g: Graph, name: str, metas, tables, searched, alternating):
         super().__init__(name, g.n, metas, Bicolored, tables, (), searched,
@@ -90,10 +97,27 @@ class _AcyclicFamily(Family):
             return ()
         limit = min(len(coloring.colored), self.widest)
         widths = set()
-        for path, close in starts:
+        for path in starts:
             widths |= alternating_widths(self.g.adj, coloring.colors, path,
-                                         limit, close)
+                                         limit, self._closes)
         return sorted(self._type_of[w] for w in widths if w in self._type_of)
+
+    def _enumerate(self, v, j):
+        """Each start path grown by simple arms to one short of the type's
+        width, then, as the search closes a row, by each fresh neighbor w
+        of its end that ``_closes`` accepts.  A type without a row width
+        (past the declared ones) has no rows."""
+        width = self._width.get(j)
+        if width is None:
+            return
+        adj, close = self.g.adj, self._closes
+        for path in self._paths(v):
+            used = set(path)
+            for ext in arms(adj, adj, path[-1], width - len(path) - 1, used):
+                row = path + ext
+                for w in adj[row[-1]]:
+                    if w not in used and (close is None or close(row, w)):
+                        yield row + (w,)
 
 
 class _GammaFamily(_AcyclicFamily):
@@ -111,28 +135,22 @@ class _GammaFamily(_AcyclicFamily):
                          types)
         self.gamma = gamma
 
-    def _enumerate(self, v, j):
-        """2j-cycles (v, u2, ..., u_2j), one orientation each (u2
-        order-below the last vertex)."""
-        g, rank = self.g, self.g.rank
-        return [
-            (v, u2) + ext
-            for u2 in g.adj[v]
-            for ext in arms(g.adj, g.adj, u2, 2 * j - 2, {v, u2})
-            if g.has_edge(ext[-1], v) and rank[u2] < rank[ext[-1]]
-        ]
+    def _paths(self, v):
+        """(v, u2) for each neighbor u2: rows are 2j-cycles (v, u2, ...)."""
+        return [(v, u2) for u2 in self.g.adj[v]]
+
+    def _closes(self, path, w):
+        """w closes the cycle back at v, in its one orientation with u2
+        order-below w; a bicolored cycle still fires, from the start at its
+        order-smaller neighbor of v."""
+        rank = self.g.rank
+        return w in self.g.nbr[path[0]] and rank[path[1]] < rank[w]
 
     def _starts(self, coloring, v):
-        """(v, u2) for each neighbor u2 colored b apart from v: 2j-cycles
-        alternating c(v) and b close back at v."""
-        colors, g = coloring.colors, self.g
+        """The start paths (v, u2) with u2 colored apart from v."""
+        colors = coloring.colors
         a = colors[v]
-
-        def close(w, _):
-            return g.has_edge(w, v)
-
-        return [([v, u2], close) for u2 in g.adj[v]
-                if colors[u2] and colors[u2] != a]
+        return [[v, u2] for u2 in self.g.adj[v] if colors[u2] and colors[u2] != a]
 
 
 def acyclic_gamma_family(g: Graph, gamma: int) -> _GammaFamily:
@@ -146,10 +164,9 @@ def acyclic_gamma_family(g: Graph, gamma: int) -> _GammaFamily:
 class _SpecialPairFamily(_AcyclicFamily):
     """Common core of the two special-pair variants: neighbor event, then a
     same-color event against the anchor's special set, then bicolored rows
-    through an anchor pair (u1, u3), two neighbors of the anchor v colored
-    alike.  Type 3, the special-pair square, is searched by a test on the
-    common neighbors of each such pair (`_square_fires`); from type 4 on,
-    rows start (u1, v, u3) and are searched alternating from each pair."""
+    through a start path (u1, v, u3) over two neighbors of the anchor v.
+    Type 3, the special-pair square, closes a start over a common neighbor
+    of u1 and u3 (`_squares`); from type 4 on, rows grow from u3."""
 
     def __init__(self, g: Graph, special: SpecialStructure, name: str, metas):
         types = [m.type_id for m in metas]
@@ -163,38 +180,23 @@ class _SpecialPairFamily(_AcyclicFamily):
         the alternating types, searched only once the caller reads past the
         square."""
         starts = self._starts(coloring, v)
-        if starts and self._square_fires(coloring.colors, v, starts):
+        colors = coloring.colors
+        if starts and any(colors[c] == colors[v]
+                          for _, c, _ in self._squares(v, starts)):
             yield 3
         yield from self._alternating(coloring, starts)
 
-    def _square_fires(self, colors, v, starts):
-        """Whether some start pair (u1, u3), not adjacent, has a common
-        neighbor c colored like v, c neither v nor in N(v) nor in S(v):
-        the bicolored type-3 square v u1 c u3 of `_squares`."""
-        a = colors[v]
-        nbr = self.g.nbr
-        n_v, s_v = nbr[v], self.special._special[v]
-        for path, _ in starts:
-            u1, u3 = path[0], path[2]
-            n_3 = nbr[u3]
-            if u1 in n_3:
-                continue
-            for c in self.g.adj[u1]:
-                if colors[c] == a and c in n_3 and c != v \
-                        and c not in n_v and c not in s_v:
-                    return True
-        return False
-
-    def _anchor_pairs(self, v):
+    def _paths(self, v):
+        """(u1, v, u3) for each pair of neighbors of v, u1 order-below u3."""
         rank = self.g.rank
         nb = self.g.adj[v]
-        for i, a in enumerate(nb):
-            for b in nb[i + 1:]:
-                yield (a, b) if rank[a] < rank[b] else (b, a)
+        for i, x in enumerate(nb):
+            for y in nb[i + 1:]:
+                yield (x, v, y) if rank[x] < rank[y] else (y, v, x)
 
     def _starts(self, coloring, v):
-        """(u1, v, u3) for each anchor pair colored alike and apart from v:
-        rows searched from u3 over the subgraph colored c(u1) and c(v)."""
+        """The start paths (u1, v, u3) with u1 and u3 colored alike and
+        apart from v."""
         colors, rank = coloring.colors, self.g.rank
         b = colors[v]
         nb = self.g.adj[v]
@@ -204,25 +206,22 @@ class _SpecialPairFamily(_AcyclicFamily):
             if a and a != b:
                 for y in nb[i + 1:]:
                     if colors[y] == a:
-                        u1, u3 = (x, y) if rank[x] < rank[y] else (y, x)
-                        starts.append(([u1, v, u3], self._closing(u1)))
+                        starts.append([x, v, y] if rank[x] < rank[y] else [y, v, x])
         return starts
 
-    def _squares(self, v):
-        """(a, c, b) for each induced 4-cycle v a c b whose antipode c sits
-        outside S(v), a order-below b."""
-        g = self.g
-        s_v = set(self.special.special(v))
-        for a, b in self._anchor_pairs(v):
-            if not g.has_edge(a, b):
-                for c in g.nbr[a] & g.nbr[b] - g.nbr[v] - {v}:
-                    if c not in s_v:
-                        yield a, c, b
-
-    def _closing(self, u1):
-        """`alternating_widths` check on a row's last vertex and the one
-        before it; type-4 rows of v1 are open paths."""
-        return None
+    def _squares(self, v, paths):
+        """(a, c, b) for each path (a, v, b) over a pair not adjacent and
+        each common neighbor c of a and b that is neither v nor in N(v) nor
+        in S(v): the induced 4-cycles v a c b with antipode c outside S(v)."""
+        nbr = self.g.nbr
+        n_v, s_v = nbr[v], self.special._special[v]
+        for a, _, b in paths:
+            n_b = nbr[b]
+            if a in n_b:
+                continue
+            for c in self.g.adj[a]:
+                if c in n_b and c != v and c not in n_v and c not in s_v:
+                    yield a, c, b
 
 
 class _V1Family(_SpecialPairFamily):
@@ -239,12 +238,10 @@ class _V1Family(_SpecialPairFamily):
         super().__init__(g, special, f"acyclic-v1({alpha})", metas)
 
     def _enumerate(self, v, j):
+        """Squares as (v, a, c, b); type-4 rows are open 6-vertex paths."""
         if j == 3:
-            return [(v, a, c, b) for a, c, b in self._squares(v)]
-        # 6-vertex paths with the anchor second
-        adj = self.g.adj
-        return [(u1, v, u3) + ext for u1, u3 in self._anchor_pairs(v)
-                for ext in arms(adj, adj, u3, 3, {u1, v, u3})]
+            return [(v, a, c, b) for a, c, b in self._squares(v, self._paths(v))]
+        return super()._enumerate(v, j)
 
 
 def acyclic_v1_family(g: Graph, alpha: float) -> _V1Family:
@@ -268,25 +265,18 @@ class _V2Family(_SpecialPairFamily):
         super().__init__(g, special, f"acyclic-v2({alpha})", metas)
 
     def _enumerate(self, v, j):
-        k = j - 1
-        if k == 2:
-            return [(a, v, b, c) for a, c, b in self._squares(v)]
-        # 2k-cycles with the anchor second; cycles whose color-matched
-        # endpoints u1, u_{2k-1} are special both ways cannot survive the
-        # special event and are excluded from the class count
-        g, sp = self.g, self.special.is_special
-        return [(u1, v, u3) + ext for u1, u3 in self._anchor_pairs(v)
-                for ext in arms(g.adj, g.adj, u3, 2 * k - 3, {u1, v, u3})
-                if g.has_edge(ext[-1], u1)
-                and not (sp(u1, ext[-2]) and sp(ext[-2], u1))]
+        """Squares as (a, v, b, c); then 2k-cycles with the anchor second."""
+        if j == 3:
+            return [(a, v, b, c) for a, c, b in self._squares(v, self._paths(v))]
+        return super()._enumerate(v, j)
 
-    def _closing(self, u1):
-        has_edge, sp = self.g.has_edge, self.special.is_special
-
-        def close(w, prev):
-            return has_edge(w, u1) and not (sp(u1, prev) and sp(prev, u1))
-
-        return close
+    def _closes(self, path, w):
+        """w closes the cycle back at u1, and u1 and the vertex before w,
+        matched in color, are not special both ways: such a cycle cannot
+        survive the special event and is left out of the class count."""
+        u1, x = path[0], path[-1]
+        sp = self.special.is_special
+        return w in self.g.nbr[u1] and not (sp(u1, x) and sp(x, u1))
 
 
 def acyclic_v2_family(g: Graph, alpha: float) -> _V2Family:

@@ -31,8 +31,10 @@ it and its reversal (``min(row, row[::-1], key=_row_key)``), and the lists
 are sorted by the graph's vertex order, making class ranks the stable
 bijection the decoder relies on.  The repetition families declare their
 paths once, as one step table that the search and the enumeration both walk
-(`PathRepetitionFamily`); `arms` is the one arm recursion every enumerator
-grows paths with.
+(`PathRepetitionFamily`); the acyclic families declare start paths and one
+rule ``close(path, w)`` on a row's last vertex w, which `alternating_widths`
+and the enumeration both apply.  `arms` is the one arm recursion every
+enumerator grows paths with.
 """
 
 from __future__ import annotations
@@ -199,9 +201,9 @@ def alternating_widths(adj, colors, path, limit, close=None) -> set[int]:
     """Every width up to ``limit`` at which the colored ``path``, whose last
     two vertices carry two different colors, extends by fresh vertices that
     keep alternating those colors, the last vertex w also satisfying
-    ``close(w, x)`` with x the vertex before it.  One depth-first search
-    inside the two-colored subgraph, so it never leaves it; ``path`` is
-    consumed.
+    ``close(path, w)`` with ``path`` the vertices before it.  One
+    depth-first search inside the two-colored subgraph, so it never leaves
+    it; ``path`` grows and shrinks in place and ends as it started.
     """
     widths = set()
     used = set(path)
@@ -211,7 +213,7 @@ def alternating_widths(adj, colors, path, limit, close=None) -> set[int]:
         for w in stack[-1]:
             if w in used or colors[w] != want:
                 continue
-            if close is None or close(w, path[-1]):
+            if close is None or close(path, w):
                 widths.add(len(path) + 1)
             if len(path) + 1 < limit:
                 path.append(w)

@@ -12,7 +12,6 @@ counts.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from math import floor
 
 # Largest vertex count a graph or rotation file may announce.  Building a
@@ -119,10 +118,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.nbr[u]
 
-    def prec(self, u: int, v: int) -> bool:
-        """True when u comes strictly before v in the vertex order."""
-        return self.rank[u] < self.rank[v]
-
     def endpoints(self, edge_id: int) -> tuple[int, int]:
         return self.edges[edge_id - 1]
 
@@ -190,21 +185,6 @@ def load_graph(text: str) -> Graph:
         raise GraphFormatError(str(exc)) from None
 
 
-def bfs_distances(g: Graph, source: int, cutoff: int | None = None) -> dict[int, int]:
-    """Distances from source, optionally truncated at ``cutoff``."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        if cutoff is not None and dist[u] >= cutoff:
-            continue
-        for w in g.adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
 class SpecialStructure:
     """Distance-2 structure for a graph at a given alpha.
 
@@ -246,9 +226,3 @@ class SpecialStructure:
     def is_special(self, v: int, u: int) -> bool:
         """True when u sits in S(v); note this relation is not symmetric."""
         return u in self._special[v]
-
-
-def special_set(g: Graph, ss: SpecialStructure, v: int) -> tuple[int, ...]:
-    if ss.g is not g:
-        raise ValueError("special structure was built for a different graph")
-    return ss.special(v)

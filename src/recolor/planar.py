@@ -116,6 +116,12 @@ def load_rotation(text: str, graph: Graph | None = None) -> PlaneGraph:
             raise GraphFormatError(f"vertex {v} out of range 1..{n}", no)
         if v in rotation:
             raise GraphFormatError(f"vertex {v} listed twice", no)
+        for w in nbrs:
+            if not 1 <= w <= n:
+                raise GraphFormatError(
+                    f"neighbor {w} of vertex {v} out of range 1..{n}", no)
+            if w == v:
+                raise GraphFormatError(f"loop edge at vertex {v}", no)
         rotation[v] = nbrs
     edges = set()
     for v, nbrs in rotation.items():

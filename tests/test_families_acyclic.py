@@ -94,6 +94,14 @@ class TestCycleEnumeration:
         fam = acyclic_gamma_family(C4, 1)
         assert fam.witness_rows(4, 2)[0] == ((4, 1, 2, 3),)
 
+    def test_types_past_the_declared_ones_have_no_rows(self):
+        # K3 declares no cycle type and C4 only the 4-cycle; a row width is
+        # never guessed for a type the family does not declare
+        assert acyclic_gamma_family(K3, 1).witness_rows(1, 2)[0] == ()
+        assert acyclic_gamma_family(C4, 1).witness_rows(1, 3)[0] == ()
+        assert acyclic_v2_family(C4, 0.25).witness_rows(1, 4)[0] == ()
+        assert acyclic_v1_family(C4, 0.25).witness_rows(1, 5)[0] == ()
+
 
 class TestGammaFamily:
     def test_k3_trace_matches_engine_example(self):

@@ -116,6 +116,17 @@ class TestLoadRotation:
                            match=rf"line 5: vertex {head} out of range 1..3"):
             load_rotation(K3_ROT + f"{head}:\n")
 
+    @pytest.mark.parametrize("nbr", ["9", "4", "0", "-1"])
+    def test_neighbor_out_of_range(self, nbr):
+        text = f"3 3\n1: 2 3\n2: 3 {nbr}\n3: 1 2\n"
+        with pytest.raises(GraphFormatError,
+                           match=rf"line 3: neighbor {nbr} of vertex 2 out of range 1..3"):
+            load_rotation(text)
+
+    def test_loop_names_line(self):
+        with pytest.raises(GraphFormatError, match="line 2: loop edge at vertex 1"):
+            load_rotation("2 1\n1: 1 2\n2: 1\n")
+
     def test_matches_supplied_graph(self):
         g = Graph(3, [(1, 2), (2, 3), (1, 3)])
         pg = load_rotation(K3_ROT, graph=g)

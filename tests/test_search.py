@@ -159,15 +159,39 @@ def test_detect_equals_enumerate_then_scan(name):
     assert any(hits[j] for j in hits if j and j >= SEARCHED[name][3]), hits
 
 
+@pytest.mark.parametrize("name", ["acyclic-gamma", "acyclic-v1", "acyclic-v2"])
+def test_starts_are_the_declared_paths_that_alternate(name):
+    """A search starts from exactly the declared start paths (`_paths`)
+    that are fully colored and alternate two distinct colors, in the
+    declared order; vertex orders are shuffled so the orientation of each
+    start pair follows the rank, not the index."""
+    rng = random.Random(f"starts {name}")
+    kept = 0
+    for _ in range(EXAMPLES):
+        fam, pc, v = fuzzed_colorings(name, rng)
+        order = list(fam.g.order)
+        rng.shuffle(order)
+        fam = FAMILY_CASES[name][1](Graph(fam.g.n, fam.g.edges, order=order), rng)
+        colors = pc.colors
+        want = [path for path in fam._paths(v)
+                if all(colors[x] for x in path) and colors[path[0]] != colors[path[1]]
+                and all(colors[x] == colors[path[i % 2]] for i, x in enumerate(path))]
+        assert [tuple(path) for path in fam._starts(pc, v)] == want, (name, v)
+        kept += len(want)
+    assert kept, name
+
+
 @pytest.mark.parametrize("make, starts, searched", [
     (lambda g: acyclic_gamma_family(g, 1), lambda d: d, True),
+    (lambda g: acyclic_v1_family(g, 0.5), lambda d: d * (d - 1) // 2, False),
     (lambda g: acyclic_v2_family(g, 0.5), lambda d: d * (d - 1) // 2, False),
-], ids=["gamma", "v2"])
+], ids=["gamma", "v1", "v2"])
 def test_one_search_per_start_per_detect(monkeypatch, make, starts, searched):
     """Every detect lists its start paths once and searches each start
-    neighbor (gamma) or start pair (v2) at most once, however many of the
-    500 types fit the colored set.  On the prism v2's special event keeps
-    most anchor pairs apart in color, so its searches seldom start."""
+    neighbor (gamma) or start pair (v1, v2) at most once, however many of
+    the types fit the colored set.  On the prism the special event of v1
+    and v2 keeps most anchor pairs apart in color, so their searches seldom
+    start."""
     g = prism_graph(500)
     fam = make(g)
     calls, total = Counter(), Counter()

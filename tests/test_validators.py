@@ -135,6 +135,15 @@ def test_nonrepetitive_facial_edge_scope():
     assert res.witness == (1, 3)
 
 
+def test_nonrepetitive_facial_scope_ignores_the_vertex_order():
+    # the embedding's graph keeps the index order; g's order differs
+    g = Graph(3, [(1, 2), (2, 3), (1, 3)], order=[3, 1, 2])
+    pg = load_rotation(K3_ROTATION)
+    assert check_nonrepetitive(g, {1: 1, 2: 2, 3: 3}, facial=pg)
+    assert not check_nonrepetitive(g, {1: 1, 2: 2, 3: 1},
+                                   objects="edge", facial=pg)
+
+
 def test_nonrepetitive_rejections():
     with pytest.raises(ValueError, match="objects must be"):
         check_nonrepetitive(K3, {}, objects="face")
