@@ -9,12 +9,13 @@ colors still readable at the row's tail (`Bicolored`).
 
 Each family declares its bicolored witnesses once: the start paths through
 the anchor (`_paths`) and the rule accepting a row's last vertex
-(`_closes`).  Every bicolored type is searched, none scanned: the search
-grows only the start paths already alternating two colors (`_starts`),
-inside the two-colored subgraph at the anchor, and the enumeration, run only
-to rank a hit, grows every start path by simple arms.  The special-pair
-square closes a start path over a common neighbor of its two ends
-(`_squares`), for the search and the enumeration alike.
+(`_closes`).  The family's `fired` yields exactly the bicolored types with a
+bad row through the anchor, so `detect` enumerates and scans only the first
+of them, to rank the hit.  The search grows only the start paths already
+alternating two colors (`_starts`), inside the two-colored subgraph at the
+anchor; the enumeration grows every start path by simple arms.  The
+special-pair square closes a start path over a common neighbor of its two
+ends (`_squares`), for the search and the enumeration alike.
 """
 
 from __future__ import annotations
@@ -73,20 +74,20 @@ class Bicolored:
 
 
 class _AcyclicFamily(Family):
-    """Candidate tables for the first types, searched bicolored rows for the
-    rest: start paths (`_paths`) grown into rows whose last vertex w passes
-    ``_closes(path, w)``, every row when ``_closes`` is None."""
+    """Candidate tables for the first types, bicolored rows for the rest:
+    start paths (`_paths`) grown into rows whose last vertex w passes
+    ``_closes(path, w)``, every row when ``_closes`` is None.  Rows of the
+    ``alternating`` types are searched by `alternating_widths`."""
 
     _closes = None
 
-    def __init__(self, g: Graph, name: str, metas, tables, searched, alternating):
-        super().__init__(name, g.n, metas, Bicolored, tables, (), searched,
-                         rank=g.rank)
+    def __init__(self, g: Graph, name: str, metas, tables, alternating):
+        super().__init__(name, g.n, metas, Bicolored, tables, rank=g.rank)
         self.g = g
         self._type_of = {self._width[j]: j for j in alternating}
 
     def fired(self, coloring, v):
-        """Every searched type with a bad row through v, ascending."""
+        """Every type with a bad row through v, ascending."""
         return self._alternating(coloring, self._starts(coloring, v))
 
     def _alternating(self, coloring, starts):
@@ -130,9 +131,8 @@ class _GammaFamily(_AcyclicFamily):
             EventTypeMeta(k, clamped(0.5 * gamma * power(d, 2 * k - 2)), 2 * k - 2)
             for k in range(2, g.n // 2 + 1)
         ]
-        types = range(2, g.n // 2 + 1)
-        super().__init__(g, f"acyclic-gamma({gamma})", metas, (g.adj,), types,
-                         types)
+        super().__init__(g, f"acyclic-gamma({gamma})", metas, (g.adj,),
+                         range(2, g.n // 2 + 1))
         self.gamma = gamma
 
     def _paths(self, v):
@@ -169,9 +169,8 @@ class _SpecialPairFamily(_AcyclicFamily):
     of u1 and u3 (`_squares`); from type 4 on, rows grow from u3."""
 
     def __init__(self, g: Graph, special: SpecialStructure, name: str, metas):
-        types = [m.type_id for m in metas]
-        super().__init__(g, name, metas, (g.adj, special._special), types[2:],
-                         types[3:])
+        super().__init__(g, name, metas, (g.adj, special._special),
+                         [m.type_id for m in metas[3:]])
         self.alpha = special.alpha
         self.special = special
 

@@ -1,28 +1,31 @@
 """Shared plumbing for bad-event families: one event table, one loop.
 
 A family declares its events and the loop on `Family` (`detect`,
-`uncolor_set`, `rebuild_event`) reads the declaration.  Each meta type is
-handled one way, and types are probed in ascending order:
+`uncolor_set`, `rebuild_event`) reads the declaration.  Types are probed in
+ascending order, each one way:
 
 - candidate ``tables`` for the first types, one tuple of objects per
   anchor: type i fires when the anchor's color recurs on
   ``tables[i - 1][v]``, the class is the first such position, and the
   anchor alone is uncolored and regains that candidate's color;
-- ``scanned`` row types scan the anchor's memoized witness list (only the
-  facial window types are scanned);
-- ``searched`` row types are answered by the family's one search,
-  ``fired(coloring, v)``, which yields ascending every searched type with a
-  bad witness through the anchor; only the first is enumerated, to rank the
-  hit.  Searches walk colored objects only and cut a partial witness at the
-  first color that breaks its pattern (`PathRepetitionFamily`,
-  `alternating_widths`, the acyclic special-pair square).
+- every later type is a row type, with its row width in ``_width``.  The
+  family's ``fired(coloring, v)`` yields, ascending, every row type that
+  may hold a bad witness through the anchor, and must include every type
+  that does; `detect` scans the anchor's memoized witness list of each type
+  yielded and ranks the first hit.  The acyclic and repetition families
+  search by color and yield exactly the types with a bad witness, so their
+  first scan hits: the searches walk colored objects only and cut a partial
+  witness at the first color that breaks its pattern
+  (`PathRepetitionFamily`, `alternating_widths`, the acyclic special-pair
+  square).  The facial families yield every window type whose width fits
+  both the colored set and the longest face, and `detect` scans them in
+  turn.
 
 Row types share the family's ``shape``: the row width for an uncolor size,
 the kernel finding the first bad row, the objects a hit erases and how they
 are rebuilt (`Repetition`, `acyclic.Bicolored`).  ``widest`` caps the width
-that scans and searches probe.  A class is the hit's rank in its witness
-list plus one, except in the facial edge family (`_class_index`,
-`_row_for`).
+that ``fired`` probes.  A class is the hit's rank in its witness list plus
+one, except in the facial edge family (`_class_index`, `_row_for`).
 
 Witness lists (`witness_rows`) are enumerated lazily per (anchor, type) and
 memoized: they are pure functions of the immutable graph, so concurrent runs
@@ -53,18 +56,15 @@ class Family:
     witness rows instead of the index."""
 
     def __init__(self, name: str, n_objects: int, metas, shape, tables=(),
-                 scanned=(), searched=(), widest=None, rank=None):
+                 widest=None, rank=None):
         self.name = name
         self.n_objects = n_objects
         self.metas = tuple(metas)
         self.shape = shape
         self.tables = tuple(tables)
-        self.scanned = tuple(scanned)
-        self.searched = tuple(searched)
-        self._width = {j: shape.width(self.metas[j - 1].uncolor_size)
-                       for j in self.scanned + self.searched}
+        self._width = {m.type_id: shape.width(m.uncolor_size)
+                       for m in self.metas[len(self.tables):]}
         self.widest = max(self._width.values(), default=0) if widest is None else widest
-        self._scans = tuple((j, self._width[j]) for j in self.scanned)
         self._rank = None if rank is None else rank.__getitem__
         self._row_key = None if rank is None else (lambda row: [rank[x] for x in row])
         self._rows: dict[tuple[int, int], tuple] = {}
@@ -78,21 +78,18 @@ class Family:
             idx = _acyclic.first_equal(colors, color, table[v])
             if idx >= 0:
                 return j, idx + 1
-        budget = min(len(coloring.colored), self.widest)
-        for j, width in self._scans:
-            if width > budget:
-                break
+        for j in self.fired(coloring, v):
             rows, flat = self.witness_rows(v, j)
             if rows:
-                idx = self.shape.scan(colors, flat, width)
+                idx = self.shape.scan(colors, flat, self._width[j])
                 if idx >= 0:
                     return j, self._class_index(v, j, idx, coloring.colored)
-        if self.searched:
-            for j in self.fired(coloring, v):  # rank the first type fired
-                idx = self.shape.scan(colors, self.witness_rows(v, j)[1],
-                                      self._width[j])
-                return j, self._class_index(v, j, idx, coloring.colored)
         return None
+
+    def fired(self, coloring, v):
+        """Yield, ascending, every row type that may hold a bad witness
+        through v; every type that does hold one must be among them."""
+        raise NotImplementedError
 
     def uncolor_set(self, j, v, colored, k):
         return self._event(j, v, colored, k)[0]
@@ -185,8 +182,11 @@ def arms(adj, objs, start: int, steps: int, used: set[int]):
     ``adj``: stepping from x to ``adj[x][i]`` passes ``objs[x][i]`` (for
     vertex paths ``objs`` is ``adj`` itself).  Arms avoid ``used``, which
     must already contain ``start``; while an arm is yielded its vertices
-    stay in ``used``, so an arm grown inside the loop avoids them."""
-    if steps == 0:
+    stay in ``used``, so an arm grown inside the loop avoids them.  A
+    negative ``steps`` is a ValueError."""
+    if steps <= 0:
+        if steps:
+            raise ValueError(f"an arm cannot take {steps} steps")
         yield ()
         return
     for w, o in zip(adj[start], objs[start]):

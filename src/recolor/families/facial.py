@@ -14,8 +14,11 @@ uncolored edge set to stay connected in the medial graph; the traversal
 maintains both by coloring leaves of a medial spanning tree rooted at the
 reserved edge.
 
-A window of 2j objects fits only on a face of length at least 2j, so both
-families stop probing event types at the longest face.
+Windows are not searched by color: a family's `fired` yields every window
+type whose 2j objects fit both the colored set and the longest face (a
+window fits only on a face of length at least 2j), capped at the declared
+types, and `detect` scans the anchor's memoized windows of each type in
+turn.
 """
 
 from __future__ import annotations
@@ -50,6 +53,12 @@ class _FacialFamily(Family):
         n_objects = pg.graph.m if self.on_edges else pg.graph.n
         super().__init__(name, n_objects, metas, Repetition,
                          widest=max(map(len, pg.faces), default=0), **kw)
+
+    def fired(self, coloring, x):
+        """Every window type whose width fits both the colored set and the
+        longest face; windows are not searched by color."""
+        fits = min(len(coloring.colored), self.widest) // 2
+        return range(len(self.tables) + 1, min(len(self.metas), fits) + 1)
 
     def _enumerate(self, x, j):
         key = self._row_key
@@ -104,7 +113,7 @@ class _FacialVertexFamily(_FacialFamily):
             for j in range(2, g.n // 2 + 1)
         ]
         super().__init__("facial-thue-vertex", pg, metas, tables=(g.adj,),
-                         scanned=range(2, g.n // 2 + 1), rank=g.rank)
+                         rank=g.rank)
 
 
 def facial_thue_vertex_family(pg: PlaneGraph) -> _FacialVertexFamily:
@@ -121,8 +130,7 @@ class _FacialEdgeFamily(_FacialFamily):
         if not 1 <= e_star <= g.m:
             raise ValueError(f"reserved edge id {e_star} out of range")
         metas = [EventTypeMeta(j, 1 + 2 * j, j) for j in range(1, g.n // 2 + 1)]
-        super().__init__("facial-thue-edge", pg, metas,
-                         scanned=range(1, g.n // 2 + 1))
+        super().__init__("facial-thue-edge", pg, metas)
         self.e_star = e_star
         self.medial = medial_graph(pg)
 
@@ -162,20 +170,22 @@ class _FacialEdgeFamily(_FacialFamily):
     def frontier(self) -> "_LeafFrontier":
         return _LeafFrontier(self)
 
-    def _class_index(self, e, j, idx, colored):
-        paths, _ = self.witness_rows(e, j)
+    def _classes(self, e, rows, colored):
+        """The class list of e's witness ``rows``: those avoiding its
+        uncolored facial neighbor e', in order."""
         ep = self._uncolored_neighbor(e, colored)
-        return 1 + sum(1 for row in paths[:idx] if ep not in row)
+        return [row for row in rows if ep not in row]
+
+    def _class_index(self, e, j, idx, colored):
+        rows = self.witness_rows(e, j)[0]
+        # the hit row is fully colored, so it avoids the uncolored e'
+        return 1 + self._classes(e, rows, colored).index(rows[idx])
 
     def _row_for(self, j, e, colored, k):
-        ep = self._uncolored_neighbor(e, colored)
-        seen = 0
-        for row in self.witness_rows(e, j)[0]:
-            if ep not in row:
-                seen += 1
-                if seen == k:
-                    return row
-        raise ValueError(f"type {j} class {k} at edge {e} has no witness path")
+        rows = self._classes(e, self.witness_rows(e, j)[0], colored)
+        if not 1 <= k <= len(rows):
+            raise ValueError(f"type {j} class {k} at edge {e} has no witness path")
+        return rows[k - 1]
 
 
 class _LeafFrontier:

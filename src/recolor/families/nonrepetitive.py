@@ -26,7 +26,7 @@ class _NonrepVertexFamily(PathRepetitionFamily):
             for j in range(1, g.n // 2 + 1)
         ]
         super().__init__("nonrepetitive-vertex", g.n, metas, Repetition,
-                         searched=range(1, g.n // 2 + 1), rank=g.rank)
+                         rank=g.rank)
         self.g = g
         self._steps = g.adj
 
@@ -48,8 +48,7 @@ class _NonrepEdgeFamily(PathRepetitionFamily):
             EventTypeMeta(j, clamped(2 * j * d ** (2 * j - 1)), j)
             for j in range(1, g.n // 2 + 1)
         ]
-        super().__init__("nonrepetitive-edge", g.m, metas, Repetition,
-                         searched=range(1, g.n // 2 + 1))
+        super().__init__("nonrepetitive-edge", g.m, metas, Repetition)
         self.g = g
         self._steps = tuple(
             tuple(g.edge_index[(min(x, w), max(x, w))] for w in nb)

@@ -1,10 +1,11 @@
 """Every family's event table, checked against its metas and witnesses.
 
-A family declares candidate tables for its first types, then scanned and
-then searched row types, one row shape and one width cap; the event loop on
-`Family` reads nothing else.  The loop probes the declaration in order, so
-the declaration must cover each meta type exactly once and in ascending
-order, and every witness row must be as wide as its shape says.
+A family declares candidate tables for its first types and a row width
+for every later type, one row shape and one width cap; the event loop on
+`Family` reads the tables, then the row types its `fired` yields.  The loop
+probes types in order, so the declaration must cover each meta type exactly
+once and in ascending order, and every witness row must be as wide as its
+shape says.
 """
 
 import random
@@ -36,7 +37,7 @@ def test_every_type_is_declared_once_in_order(name):
     for fam in instances(name):
         types = [m.type_id for m in fam.metas]
         tables = list(range(1, len(fam.tables) + 1))
-        assert tables + list(fam.scanned) + list(fam.searched) == types
+        assert tables + list(fam._width) == types
         assert types == list(range(1, len(types) + 1))
         for j, table in zip(tables, fam.tables):
             assert fam.metas[j - 1].uncolor_size == 1, (name, j)
@@ -52,7 +53,7 @@ def test_row_widths_follow_the_shape_and_the_cap(name):
     shape = Bicolored if name.startswith("acyclic") else Repetition
     for fam in instances(name):
         assert fam.shape is shape
-        for j in fam.scanned + fam.searched:
+        for j in fam._width:
             width = WIDTH[shape](fam.metas[j - 1].uncolor_size)
             assert fam._width[j] == width, (name, j)
             if width > fam.widest:

@@ -128,6 +128,16 @@ class TestEdgeFamilyRows:
         with pytest.raises(ValueError, match="reserved edge"):
             facial_thue_edge_family(load_rotation(K3_ROT), 4)
 
+    def test_class_outside_the_list_is_rejected(self):
+        # with edge 1 uncolored, the rows through 3 avoiding it are ((2, 3),):
+        # class 1 is that row, and classes 0 and 2 name no row (0 must not
+        # wrap around to the last one)
+        fam = facial_thue_edge_family(load_rotation(K3_ROT), 1)
+        assert fam._row_for(1, 3, {2, 3}, 1) == (2, 3)
+        for k in (0, 2):
+            with pytest.raises(ValueError, match="no witness path"):
+                fam._row_for(1, 3, {2, 3}, k)
+
     @given(st.integers(0, 10 ** 6), st.booleans())
     @settings(max_examples=25, deadline=None)
     def test_rows_match_a_face_scan(self, seed, long_faces):
@@ -276,6 +286,25 @@ class TestTypeCap:
                              (facial_thue_edge_family(pg, 1), pg.graph.m)):
             past = self._assert_empty_past_cap(pg, fam, objects)
             assert past == [m.type_id for m in fam.metas][1:]
+
+    @pytest.mark.parametrize("kappa", [2, 3, 9])
+    def test_face_walk_longer_than_the_declared_types(self, kappa):
+        """K4 with a three-edge tail: 7 vertices declare edge types 1..3, but
+        the tail's face walk has 9 darts and 8 edges get colored, so an
+        8-window fits both; detection probes the declared types only, runs
+        and decodes."""
+        pg = load_rotation("7 9\n1: 5 2 3 4\n2: 1 4 3\n3: 1 2 4\n4: 1 3 2\n"
+                           "5: 1 6\n6: 5 7\n7: 6\n")
+        fam = facial_thue_edge_family(pg, 9)
+        assert fam.widest == 9 and len(fam.metas) == 3
+        for seed in range(20):
+            res = assert_roundtrip(pg.graph, fam,
+                                   EngineInput(kappa, seed=seed, budget=200))
+            if kappa == 9:
+                assert len(res.coloring.colored) == 8
+                # 8 colored edges fit a type-4 window, but no type 4 exists
+                for e in res.coloring.colored:
+                    assert list(fam.fired(res.coloring, e)) == [1, 2, 3]
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=15, deadline=None)

@@ -1,13 +1,15 @@
 """Non-repetitive families: path oracles, ceilings, traces, roundtrips."""
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recolor.engine import EngineInput, PartialColoring, RunStatus, run
 from recolor.families import nonrepetitive_edge_family, nonrepetitive_vertex_family
+from recolor.families.base import arms
 from recolor.graphs import Graph
 
 from _util import assert_roundtrip, path_graph, random_graph
@@ -90,6 +92,20 @@ class TestVertexEnumeration:
         assert fam.witness_rows(3, 1)[0] == ((2, 3), (3, 4))
         assert fam.witness_rows(3, 2)[0] == ((1, 2, 3, 4), (2, 3, 4, 5))
         assert fam.witness_rows(1, 2)[0] == ((1, 2, 3, 4),)
+
+
+def test_arms_refuse_a_negative_step_count():
+    """A negative count is refused before any step: unguarded, it walked
+    every simple path of K9 and yielded nothing.  Zero steps is one empty
+    arm."""
+    k9 = Graph(9, combinations(range(1, 10), 2))
+    used = {1}
+    with pytest.raises(ValueError, match="-1 steps"):
+        list(arms(k9.adj, k9.adj, 1, -1, used))
+    with pytest.raises(ValueError):
+        next(arms(None, None, 1, -2, used))  # no adjacency is read
+    assert used == {1}
+    assert list(arms(k9.adj, k9.adj, 1, 0, used)) == [()]
 
 
 class TestEdgeEnumeration:

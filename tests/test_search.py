@@ -1,9 +1,11 @@
-"""Differential tests of the color-pruned witness searches.
+"""Differential tests of the row-type candidates `detect` scans.
 
-A family's `fired(coloring, v)` must yield, ascending, exactly the searched
-types j whose row scan over `witness_rows(v, j)` finds a bad row, and
-`detect`, which ranks only the first type fired, must equal detection as it
-was before the searches: enumerate every type's rows, then scan them.
+A family's `fired(coloring, v)` must yield, ascending, every row type j
+whose row scan over `witness_rows(v, j)` finds a bad row.  The searched
+families (acyclic, nonrepetitive) yield exactly those types; the facial
+families yield every window type that fits the colored set and the longest
+face.  `detect`, which scans only the types fired, must equal detection as
+it was before the searches: enumerate every type's rows, then scan them.
 Colorings use two or three colors on most objects, so the long types fire
 too.  One search per start neighbor or start pair serves every type.
 """
@@ -24,7 +26,13 @@ from recolor.graphs import Graph
 from recolor.families.acyclic import first_bicolored, first_equal
 from recolor.families.base import Repetition, first_repetition
 
-from _util import FAMILY_CASES, assert_roundtrip, prism_graph, random_graph
+from _util import (
+    FAMILY_CASES,
+    assert_roundtrip,
+    plane_with_long_faces,
+    prism_graph,
+    random_graph,
+)
 
 EXAMPLES = 300
 
@@ -39,13 +47,22 @@ SEARCHED = {
     "nonrepetitive-edge": ((4, 7), (0.2, 0.6), 1, 2),
 }
 
+# facial family -> (vertex count range, edge-deletion range as multiples of
+# n, the first window type, the lowest type above the first that a fuzz run
+# must see fire); the deletions merge faces, so long windows exist
+FACIAL = {
+    "facial-thue-vertex": ((6, 14), (1, 2), 2, 3),
+    "facial-thue-edge": ((6, 12), (1, 2), 1, 2),
+}
 
-def searched_types(fam, name):
-    """Every type from the family's first searched one on, which must be
-    exactly the types it declares searched."""
-    types = [m.type_id for m in fam.metas if m.type_id >= SEARCHED[name][2]]
-    assert list(fam.searched) == types, (name, fam.searched)
-    return types
+CASES = {**SEARCHED, **FACIAL}
+
+
+def row_types(fam, name):
+    """Every type from the family's first row type on, which must be
+    exactly the types past its candidate tables."""
+    assert CASES[name][2] == len(fam.tables) + 1, (name, len(fam.tables))
+    return [m.type_id for m in fam.metas if m.type_id >= CASES[name][2]]
 
 
 def scan_finds(fam, coloring, v, j) -> bool:
@@ -85,9 +102,9 @@ def reference_detect(fam, coloring, v):
 
 
 def planted(fam, name, v, kappa, rng):
-    """Colors of one random witness of a random searched type through v,
+    """Colors of one random witness of a random row type through v,
     colored as a bad event of that type; {} when v has no such witness."""
-    j = rng.choice(searched_types(fam, name))
+    j = rng.choice(row_types(fam, name))
     rows, _ = fam.witness_rows(v, j)
     if not rows:
         return {}
@@ -101,18 +118,27 @@ def planted(fam, name, v, kappa, rng):
 
 def fuzzed_colorings(name: str, rng: random.Random):
     """(family, coloring, colored anchor) with kappa 2 or 3.  Half of the
-    colorings carry a planted bad witness of a searched type through the
-    anchor, and half color the other objects properly (no two adjacent
-    alike), so the long types fire and the type-1 event often stays quiet."""
-    (n_lo, n_hi), (p_lo, p_hi), _, _ = SEARCHED[name]
-    g = random_graph(rng.randint(n_lo, n_hi), rng.uniform(p_lo, p_hi), rng)
-    while not g.m:
-        g = random_graph(g.n, p_hi, rng)
-    fam = FAMILY_CASES[name][1](g, rng)
+    colorings carry a planted bad witness of a row type through the anchor,
+    and half color the other objects properly (no two adjacent alike, edges
+    adjacent when they share a vertex, or in the facial edge family when
+    they are consecutive on a face), so the long types fire and the type-1
+    event often stays quiet."""
+    (n_lo, n_hi), (lo, hi), _, _ = CASES[name]
+    if name in FACIAL:
+        n = rng.randint(n_lo, n_hi)
+        host = plane_with_long_faces(n, rng.randint(lo * n, hi * n), rng)
+        g = host.graph
+    else:
+        host = g = random_graph(rng.randint(n_lo, n_hi), rng.uniform(lo, hi), rng)
+        while not g.m:
+            host = g = random_graph(g.n, hi, rng)
+    fam = FAMILY_CASES[name][1](host, rng)
     if name == "nonrepetitive-edge":
         ends = [()] + list(g.edges)
         adjacent = [[f for f in range(1, g.m + 1) if f != e
                      and set(ends[e]) & set(ends[f])] for e in range(g.m + 1)]
+    elif name == "facial-thue-edge":
+        adjacent = fam.medial.adj
     else:
         adjacent = g.adj
     kappa = rng.choice((2, 3))
@@ -139,15 +165,37 @@ def test_search_fires_exactly_when_the_scan_finds_a_row(name):
         fam, pc, v = fuzzed_colorings(name, rng)
         got = list(fam.fired(pc, v))
         assert got == sorted(set(got)), (name, pc.as_dict(), v, got)
-        assert set(got) <= set(searched_types(fam, name)), (name, got)
-        for j in searched_types(fam, name):
+        assert set(got) <= set(row_types(fam, name)), (name, got)
+        for j in row_types(fam, name):
             want = scan_finds(fam, pc, v, j)
             assert (j in got) == want, (name, pc.as_dict(), v, j)
             fired[j] += want
     assert any(fired[j] for j in fired if j >= SEARCHED[name][3]), fired
 
 
-@pytest.mark.parametrize("name", sorted(SEARCHED))
+@pytest.mark.parametrize("name", sorted(FACIAL))
+def test_fired_holds_every_type_whose_scan_hits(name):
+    """The candidate contract `detect` relies on, for the facial families
+    (the searched ones meet it exactly, above): `fired` yields every window
+    type whose width fits both the colored set and the longest face,
+    ascending, so every type whose scan hits is among them."""
+    rng = random.Random(f"candidates {name}")
+    hits = Counter()
+    for _ in range(EXAMPLES):
+        fam, pc, v = fuzzed_colorings(name, rng)
+        got = list(fam.fired(pc, v))
+        types = row_types(fam, name)
+        fits = min(len(pc.colored), fam.widest)
+        assert got == [j for j in types if row_scan(fam, j)[0] <= fits], \
+            (name, v, got)
+        for j in types:
+            if scan_finds(fam, pc, v, j):
+                assert j in got, (name, pc.as_dict(), v, j)
+                hits[j] += 1
+    assert any(hits[j] for j in hits if j >= FACIAL[name][3]), hits
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHED) + ["facial-thue-vertex"])
 def test_detect_equals_enumerate_then_scan(name):
     rng = random.Random(f"detect {name}")
     hits = Counter()
@@ -156,7 +204,7 @@ def test_detect_equals_enumerate_then_scan(name):
         got = fam.detect(pc, v)
         assert got == reference_detect(fam, pc, v), (name, pc.as_dict(), v)
         hits[got and got[0]] += 1
-    assert any(hits[j] for j in hits if j and j >= SEARCHED[name][3]), hits
+    assert any(hits[j] for j in hits if j and j >= CASES[name][3]), hits
 
 
 @pytest.mark.parametrize("name", ["acyclic-gamma", "acyclic-v1", "acyclic-v2"])
