@@ -123,7 +123,10 @@ class BadEventFamily(Protocol):
     ``after``.  Both ``uncolor_set`` and ``rebuild_event`` receive as
     ``colored`` the colored set at detection, anchor v included; the set is
     the engine's own, so a family reads it only during the call and never
-    changes or keeps it.
+    changes or keeps it.  ``uncolor_set`` may raise ValueError for a class
+    within the type's ceiling that names no event at v; the engine reports
+    it as FamilyContractError in `run` and as DecodeError in replay and
+    decode.
 
     A family may also define ``frontier()``, returning a fresh object that
     tracks one run's colored set incrementally: ``pick()`` returns the next
@@ -313,7 +316,10 @@ def _checked_pick(fam, frontier, colored, exc) -> Optional[int]:
 
 
 def _checked_uncolor_set(fam, meta, v, colored, k, exc) -> tuple[int, ...]:
-    target = tuple(fam.uncolor_set(meta.type_id, v, colored, k))
+    try:
+        target = tuple(fam.uncolor_set(meta.type_id, v, colored, k))
+    except ValueError as err:
+        raise exc(f"family {fam.name!r}: {err}") from None
     distinct = set(target)
     if len(distinct) != len(target) or len(target) != meta.uncolor_size:
         raise exc(

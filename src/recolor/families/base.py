@@ -24,8 +24,12 @@ ascending order, each one way:
 Row types share the family's ``shape``: the row width for an uncolor size,
 the kernel finding the first bad row, the objects a hit erases and how they
 are rebuilt (`Repetition`, `acyclic.Bicolored`).  ``widest`` caps the width
-that ``fired`` probes.  A class is the hit's rank in its witness list plus
-one, except in the facial edge family (`_class_index`, `_row_for`).
+that ``fired`` probes.  Each (anchor, type) has one class list,
+`Family._classes`: the candidate tuple of a table type, the witness list of
+a row type, and in the facial edge family the witness rows avoiding the
+anchor's uncolored facial neighbor.  `detect` ranks a hit in it (class =
+position + 1) and `uncolor_set` and `rebuild_event` read the class back
+from it, so a class past its end is a ValueError, never another event.
 
 Witness lists (`witness_rows`) are enumerated lazily per (anchor, type) and
 memoized: they are pure functions of the immutable graph, so concurrent runs
@@ -83,7 +87,8 @@ class Family:
             if rows:
                 idx = self.shape.scan(colors, flat, self._width[j])
                 if idx >= 0:
-                    return j, self._class_index(v, j, idx, coloring.colored)
+                    classes = self._classes(v, j, coloring.colored)
+                    return j, classes.index(rows[idx]) + 1
         return None
 
     def fired(self, coloring, v):
@@ -100,16 +105,22 @@ class Family:
 
     def _event(self, j, v, colored, k):
         """The objects the type-j class-k event at v erases and, position by
-        position, the survivors whose colors they carried."""
+        position, the survivors whose colors they carried; ValueError when
+        the class names no event."""
+        classes = self._classes(v, j, colored)
+        if not 1 <= k <= len(classes):
+            raise ValueError(f"type {j} class {k} at {v} names no event")
         if j <= len(self.tables):
-            return (v,), (self.tables[j - 1][v][k - 1],)
-        return self.shape.split(self._row_for(j, v, colored, k), v)
+            return (v,), (classes[k - 1],)
+        return self.shape.split(classes[k - 1], v)
 
-    def _class_index(self, v, j, idx, colored):
-        return idx + 1
-
-    def _row_for(self, j: int, v: int, colored, k: int):
-        return self.witness_rows(v, j)[0][k - 1]
+    def _classes(self, v, j, colored):
+        """Type j's classes at v in order, the list `detect` ranks a hit in
+        and `_event` reads a class back from: the candidate tuple of a table
+        type, the witness list of a row type."""
+        if j <= len(self.tables):
+            return self.tables[j - 1][v]
+        return self.witness_rows(v, j)[0]
 
     def next_uncolored(self, colored):
         pool = (v for v in range(1, self.n_objects + 1) if v not in colored)

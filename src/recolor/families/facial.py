@@ -7,8 +7,9 @@ is the neighbor table, since a facial 2-window is an edge and every edge
 lies on a face.  The edge variant trades generality for sharper ceilings:
 the coloring order is constrained so every anchor has an uncolored facially
 adjacent edge e' (one consecutive with it on a face walk, an edge of
-`planar.medial_graph`), and classes count only witness paths avoiding e'
-(at most one on the face shared with e', 2j on the anchor's other face).
+`planar.medial_graph`), and its class list (`_classes`, which ranks hits
+and reads classes back) keeps only the witness paths avoiding e' (at most
+one on the face shared with e', 2j on the anchor's other face).
 That requires one distinguished edge to stay uncolored forever and the
 uncolored edge set to stay connected in the medial graph; the traversal
 maintains both by coloring leaves of a medial spanning tree rooted at the
@@ -170,22 +171,11 @@ class _FacialEdgeFamily(_FacialFamily):
     def frontier(self) -> "_LeafFrontier":
         return _LeafFrontier(self)
 
-    def _classes(self, e, rows, colored):
-        """The class list of e's witness ``rows``: those avoiding its
-        uncolored facial neighbor e', in order."""
+    def _classes(self, e, j, colored):
+        """The type-j witness rows at e that avoid its uncolored facial
+        neighbor e', in order; a hit is fully colored, so it avoids e'."""
         ep = self._uncolored_neighbor(e, colored)
-        return [row for row in rows if ep not in row]
-
-    def _class_index(self, e, j, idx, colored):
-        rows = self.witness_rows(e, j)[0]
-        # the hit row is fully colored, so it avoids the uncolored e'
-        return 1 + self._classes(e, rows, colored).index(rows[idx])
-
-    def _row_for(self, j, e, colored, k):
-        rows = self._classes(e, self.witness_rows(e, j)[0], colored)
-        if not 1 <= k <= len(rows):
-            raise ValueError(f"type {j} class {k} at edge {e} has no witness path")
-        return rows[k - 1]
+        return [row for row in self.witness_rows(e, j)[0] if ep not in row]
 
 
 class _LeafFrontier:

@@ -155,33 +155,34 @@ def _is_repetition(colors: list[int]) -> bool:
     return all(colors) and colors[:half] == colors[half:]
 
 
-def _facial_windows(pg: PlaneGraph, *, edges: bool):
-    """Canonical simple windows along face boundaries.
+def _facial_repetition(pg: PlaneGraph, phi: dict, *, edges: bool):
+    """The first repeating simple window along the face walks, as the
+    smaller of it and its reversal, or None.
 
-    Vertex windows are tuples of vertices; edge windows are tuples of edge
-    ids, kept vertex-simple so they are genuine paths.
+    Faces are read in order, then even sizes 2h ascending, then offsets
+    ascending.  A window is simple when it spans 2h distinct vertices
+    (2h + 1 for edges, which keeps edge windows genuine paths); its halves
+    are compared up to the first mismatch before that is checked.  Vertex
+    windows are tuples of vertices, edge windows tuples of edge ids.
     """
-    seen = set()
+    index = pg.graph.edge_index
     for face in pg.faces:
         f = len(face)
-        for size in range(2, f + 1):
+        verts = objs = [u for u, _ in face] * 2
+        if edges:
+            objs = [index[(u, v) if u < v else (v, u)] for u, v in face] * 2
+        colors = [_color(phi, x) for x in objs]
+        for h in range(1, f // 2 + 1):
+            span = 2 * h + edges
             for off in range(f):
-                darts = [face[(off + i) % f] for i in range(size)]
-                verts = [darts[0][0]] + [d[1] for d in darts]
-                if edges:
-                    if len(set(verts)) != size + 1:
-                        continue
-                    window = tuple(
-                        pg.graph.edge_index[(min(u, v), max(u, v))]
-                        for u, v in darts)
+                for i in range(off, off + h):
+                    if not colors[i] or colors[i] != colors[i + h]:
+                        break
                 else:
-                    if len(set(verts[:-1])) != size:
-                        continue
-                    window = tuple(verts[:-1])
-                canon = min(window, tuple(reversed(window)))
-                if canon not in seen:
-                    seen.add(canon)
-                    yield canon
+                    if len(set(verts[off:off + span])) == span:
+                        window = tuple(objs[off:off + 2 * h])
+                        return min(window, window[::-1])
+    return None
 
 
 def check_nonrepetitive(g: Graph, phi: dict, objects: str = "vertex",
@@ -190,7 +191,10 @@ def check_nonrepetitive(g: Graph, phi: dict, objects: str = "vertex",
 
     ``objects`` selects vertex paths or edge paths (colorings keyed by edge
     id); ``facial`` restricts the scope to windows along the embedding's
-    face boundaries, which stays tractable at any size.
+    face boundaries, read in place in memory linear in each face's length,
+    so no size guard applies.  Halves are compared up to their first
+    mismatch, so the time is quadratic in the face length when colors
+    differ early, as with distinct colors, and cubic at worst.
     """
     if objects not in ("vertex", "edge"):
         raise ValueError(f"objects must be 'vertex' or 'edge', got {objects!r}")
@@ -199,12 +203,9 @@ def check_nonrepetitive(g: Graph, phi: dict, objects: str = "vertex",
         # edges have to agree
         if facial.graph.n != g.n or facial.graph.edges != g.edges:
             raise ValueError("embedding does not match the graph")
-        for window in _facial_windows(facial, edges=objects == "edge"):
-            if len(window) % 2:
-                continue
-            if _is_repetition([_color(phi, x) for x in window]):
-                return CheckResult(False, window,
-                                   f"facial repetition on {window}")
+        window = _facial_repetition(facial, phi, edges=objects == "edge")
+        if window is not None:
+            return CheckResult(False, window, f"facial repetition on {window}")
         return _OK
     _guard(g.n, "path")
     if objects == "vertex":

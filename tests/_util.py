@@ -141,6 +141,37 @@ def plane_with_long_faces(n: int, drop: int, rng: random.Random):
     return PlaneGraph(Graph(n, kept), {v: tuple(r) for v, r in rotation.items()})
 
 
+def facial_windows(pg: PlaneGraph, *, edges: bool):
+    """Canonical simple windows along face boundaries, each once: faces in
+    order, then sizes ascending, then offsets.  The reference for the
+    in-place facial check in `check_nonrepetitive` and for the medial graph.
+
+    Vertex windows are tuples of vertices; edge windows are tuples of edge
+    ids, kept vertex-simple so they are genuine paths.
+    """
+    seen = set()
+    for face in pg.faces:
+        f = len(face)
+        for size in range(2, f + 1):
+            for off in range(f):
+                darts = [face[(off + i) % f] for i in range(size)]
+                verts = [darts[0][0]] + [d[1] for d in darts]
+                if edges:
+                    if len(set(verts)) != size + 1:
+                        continue
+                    window = tuple(
+                        pg.graph.edge_index[(min(u, v), max(u, v))]
+                        for u, v in darts)
+                else:
+                    if len(set(verts[:-1])) != size:
+                        continue
+                    window = tuple(verts[:-1])
+                canon = min(window, tuple(reversed(window)))
+                if canon not in seen:
+                    seen.add(canon)
+                    yield canon
+
+
 def _plain(lo, hi, p_lo, p_hi):
     def make(rng):
         return random_graph(rng.randint(lo, hi), rng.uniform(p_lo, p_hi), rng)

@@ -391,6 +391,14 @@ class TestFamilyContract:
         with pytest.raises(FamilyContractError, match="must contain"):
             run(K3, Bad(K3), EngineInput(kappa=1, seed=0, budget=5))
 
+    def test_uncolor_set_value_error_is_a_contract_error(self):
+        class Bad(MonoEdgeFamily):
+            def uncolor_set(self, j, v, colored, k):
+                raise ValueError(f"class {k} names no event")
+
+        with pytest.raises(FamilyContractError, match="names no event"):
+            run(K3, Bad(K3), EngineInput(kappa=1, seed=0, budget=5))
+
     def test_class_index_out_of_range(self):
         class Bad(MonoEdgeFamily):
             def detect(self, coloring, v):

@@ -5,15 +5,23 @@ for every later type, one row shape and one width cap; the event loop on
 `Family` reads the tables, then the row types its `fired` yields.  The loop
 probes types in order, so the declaration must cover each meta type exactly
 once and in ascending order, and every witness row must be as wide as its
-shape says.
+shape says.  A class past the anchor's class list is a decode error.
 """
 
 import random
 
 import pytest
 
+from recolor.engine import DecodeError, PartialColoring, Record, decode
+from recolor.families import (
+    acyclic_gamma_family,
+    facial_thue_edge_family,
+    nonrepetitive_vertex_family,
+)
 from recolor.families.acyclic import Bicolored
 from recolor.families.base import Repetition
+from recolor.graphs import Graph
+from recolor.planar import load_rotation
 
 from _util import FAMILY_CASES
 
@@ -23,6 +31,8 @@ ENUMERATED_WIDTH = 6
 
 # shape -> the width of a row type that uncolors u objects
 WIDTH = {Bicolored: lambda u: u + 2, Repetition: lambda u: 2 * u}
+
+K3_ROT = "3 3\n1: 2 3\n2: 3 1\n3: 1 2\n"
 
 
 def instances(name):
@@ -63,3 +73,22 @@ def test_row_widths_follow_the_shape_and_the_cap(name):
                     rows = fam.witness_rows(v, j)[0]
                     assert all(len(row) == width for row in rows), (name, j, v)
                     assert width <= fam.widest or not rows, (name, j, v)
+
+
+@pytest.mark.parametrize("make, n, step", [
+    # vertex 1 is pendant, so its type-1 candidate tuple holds one neighbor
+    # although the ceiling is the max degree 3
+    (lambda: acyclic_gamma_family(Graph(4, [(1, 2), (2, 3), (2, 4)]), 1), 4, (1, 2)),
+    # P4 has one type-2 path through vertex 1, and the ceiling is 16
+    (lambda: nonrepetitive_vertex_family(Graph(4, [(1, 2), (2, 3), (3, 4)])), 4, (2, 5)),
+    # edge 2 is colored first; one of its two rows holds the uncolored edge 1
+    (lambda: facial_thue_edge_family(load_rotation(K3_ROT), 1), 3, (1, 2)),
+], ids=["gamma-table", "nonrepetitive-row", "facial-edge-row"])
+def test_a_class_past_the_class_list_fails_as_decode_error(make, n, step):
+    """A forged record whose class is within its type's ceiling but past
+    the anchor's class list (`_classes`) names no event."""
+    fam = make()
+    j, k = step
+    assert k <= fam.metas[j - 1].cost
+    with pytest.raises(DecodeError, match="names no event"):
+        decode(None, fam, PartialColoring(n), Record((step,)))

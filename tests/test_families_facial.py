@@ -129,14 +129,15 @@ class TestEdgeFamilyRows:
             facial_thue_edge_family(load_rotation(K3_ROT), 4)
 
     def test_class_outside_the_list_is_rejected(self):
-        # with edge 1 uncolored, the rows through 3 avoiding it are ((2, 3),):
-        # class 1 is that row, and classes 0 and 2 name no row (0 must not
-        # wrap around to the last one)
+        # with edge 1 uncolored, the class list of edge 3 is the one row
+        # avoiding it, (2, 3): class 1 erases 3, and classes 0 and 2 name
+        # no row (0 must not wrap around to the last one)
         fam = facial_thue_edge_family(load_rotation(K3_ROT), 1)
-        assert fam._row_for(1, 3, {2, 3}, 1) == (2, 3)
+        assert fam._classes(3, 1, {2, 3}) == [(2, 3)]
+        assert fam.uncolor_set(1, 3, {2, 3}, 1) == (3,)
         for k in (0, 2):
-            with pytest.raises(ValueError, match="no witness path"):
-                fam._row_for(1, 3, {2, 3}, k)
+            with pytest.raises(ValueError, match="names no event"):
+                fam.uncolor_set(1, 3, {2, 3}, k)
 
     @given(st.integers(0, 10 ** 6), st.booleans())
     @settings(max_examples=25, deadline=None)

@@ -15,9 +15,7 @@ from recolor.planar import (
     medial_graph,
     random_triangulation,
 )
-from recolor.validators import _facial_windows
-
-from _util import plane_with_long_faces
+from _util import facial_windows, plane_with_long_faces
 
 K3_ROT = "3 3\n1: 2 3\n2: 3 1\n3: 1 2\n"
 C4_ROT = "4 4\n1: 2 4\n2: 3 1\n3: 4 2\n4: 1 3\n"
@@ -294,7 +292,7 @@ class TestMedialGraph:
                 pg = random_triangulation(n, rng)
             else:
                 pg = plane_with_long_faces(n, rng.randint(n, 2 * n), rng)
-            windows = sorted(w for w in _facial_windows(pg, edges=True)
+            windows = sorted(w for w in facial_windows(pg, edges=True)
                              if len(w) == 2)
             assert list(medial_graph(pg).edges) == windows, pg.to_text()
 

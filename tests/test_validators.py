@@ -7,6 +7,7 @@ refuse graphs beyond 14 vertices.
 """
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from recolor.engine import EngineInput, RunStatus, run
 from recolor.families import acyclic_gamma_family, nonrepetitive_vertex_family
 from recolor.graphs import Graph
-from recolor.planar import load_rotation
+from recolor.planar import load_rotation, random_triangulation
 from recolor.validators import (
     CheckResult,
     check_acyclic,
@@ -25,7 +26,13 @@ from recolor.validators import (
     check_r_acyclic,
 )
 
-from _util import cycle_graph, path_graph, random_graph
+from _util import (
+    cycle_graph,
+    facial_windows,
+    path_graph,
+    plane_with_long_faces,
+    random_graph,
+)
 
 K3 = Graph(3, [(1, 2), (1, 3), (2, 3)])
 C4 = cycle_graph(4)
@@ -115,6 +122,12 @@ def test_nonrepetitive_edge_mode():
     assert check_nonrepetitive(p5, {1: 1, 2: 2, 3: 3, 4: 1}, objects="edge")
 
 
+def cycle_embedding(n):
+    """C_n embedded in the plane: two faces of n vertices."""
+    return load_rotation(f"{n} {n}\n" + "".join(
+        f"{v}: {v % n + 1} {(v - 2) % n + 1}\n" for v in range(1, n + 1)))
+
+
 def test_nonrepetitive_facial_scope():
     pg = load_rotation(C4_ROTATION)
     assert check_nonrepetitive(pg.graph, {1: 1, 2: 2, 3: 3, 4: 2}, facial=pg)
@@ -157,11 +170,49 @@ def test_nonrepetitive_rejections():
 
 def test_facial_scope_handles_large_cycles():
     n = 30
-    text = f"{n} {n}\n" + "".join(
-        f"{v}: {v % n + 1} {(v - 2) % n + 1}\n" for v in range(1, n + 1))
-    pg = load_rotation(text)
+    pg = cycle_embedding(n)
     phi = {v: (0, 1, 0, 2)[v % 4] + 1 for v in range(1, n + 1)}
     assert check_nonrepetitive(pg.graph, phi, facial=pg) is not None
+
+
+def test_facial_scope_equals_the_window_enumeration():
+    """The in-place facial check gives the verdict and witness of the first
+    repeating even window of the reference enumeration, on triangulations
+    and on embeddings with long faces, with 0 to 12 colors (0 uncolored)."""
+    rng = random.Random("facial scope")
+    found = 0
+    for _ in range(3000):
+        n = rng.randint(3, 12)
+        if rng.random() < 0.5:
+            pg = random_triangulation(n, rng)
+        else:
+            pg = plane_with_long_faces(n, rng.randint(n, 2 * n), rng)
+        objects = rng.choice(("vertex", "edge"))
+        count = pg.graph.m if objects == "edge" else n
+        kappa = rng.randint(0, 12)
+        phi = {x: rng.randint(0, kappa) for x in range(1, count + 1)}
+        want = next((w for w in facial_windows(pg, edges=objects == "edge")
+                     if len(w) % 2 == 0 and all(phi[x] for x in w)
+                     and [phi[x] for x in w[:len(w) // 2]]
+                     == [phi[x] for x in w[len(w) // 2:]]), None)
+        res = check_nonrepetitive(pg.graph, phi, objects, facial=pg)
+        assert (res.ok, res.witness) == (want is None, want), pg.to_text()
+        found += want is not None
+    assert 300 < found < 2700, found
+
+
+def test_facial_scope_on_a_long_face_stays_small():
+    # two faces of 200 vertices, all colors distinct: no window repeats,
+    # and the check holds no window set
+    pg = cycle_embedding(200)
+    phi = {v: v for v in range(1, 201)}
+    tracemalloc.start()
+    try:
+        assert check_nonrepetitive(pg.graph, phi, facial=pg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
 
 
 # --- r-acyclic ---------------------------------------------------------------
