@@ -7,6 +7,10 @@ ratios, ships closed-form presets for the named coloring problems (with the
 evaluation points those bounds are usually quoted at), and solves the
 characteristic system governing the record-counting generating function.
 
+Each event type's class ceiling is declared once, in `ceilings`: the
+families build their event types from that list and the presets build Q
+from it, so a family's Q is its preset's.
+
 Presets whose type list grows with the host graph come in two modes: the
 exact finite sum (pass n) or a closed-form tail bounding the series from
 above, valid for x below the tail's radius.  The tail mode never undershoots
@@ -29,6 +33,7 @@ __all__ = [
     "PROBLEMS",
     "acyclic_chromatic_ceiling",
     "acyclic_v1_ratio",
+    "ceilings",
     "characteristic_system",
     "eval_at",
     "kappa_preset",
@@ -269,26 +274,75 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _power(d, e) -> float:
+    """``d ** e`` as a float, or math.inf past the float maximum: a ceiling
+    that large bounds class indices no witness list can reach."""
+    if type(d) is type(e) is int and e * (d.bit_length() - 1) > 1023:
+        return math.inf  # d ** e >= 2 ** 1024: skip the exact integer
+    try:
+        return float(d ** e)
+    except OverflowError:
+        return math.inf
+
+
+def ceilings(problem: str, delta, n: int | None, *, gamma: int = 1,
+             alpha: float = 0.5) -> list[tuple[float, int]]:
+    """(class ceiling C_j, uncolor size s_j) of each event type of a family
+    problem, type 1 first, on n vertices of maximum degree delta; a ceiling
+    past the float range reads as inf.  With n None the list stops where
+    the preset's closed-form tail takes over.  Powers are exact integers
+    for acyclic-gamma and floats for the repetition types."""
+    def upto(first, tail):
+        # type indices from ``first``: the path-length index runs to n // 2
+        return range(first, tail if n is None else n // 2 + 1)
+
+    d = delta
+    if problem == "acyclic-gamma":
+        return [(float(d), 1)] + [(0.5 * gamma * _power(d, 2 * k - 2), 2 * k - 2)
+                                  for k in upto(2, 2)]
+    if problem in ("acyclic-v1", "acyclic-v2"):
+        head = [(float(d), 1), (alpha * d ** (4 / 3), 1)]
+        if problem == "acyclic-v1":
+            return head + [(d ** (8 / 3) / (8 * alpha), 2),
+                           (0.5 * d * (d - 1) ** 4, 4)]
+        return head + [(d ** (8 / 3) / (8 * alpha) if k == 2
+                        else _power(d, 2 * k - 4 / 3) / (2 * alpha), 2 * k - 2)
+                       for k in upto(2, 3)]
+    if problem in ("nonrepetitive-vertex", "nonrepetitive-edge"):
+        mult = 2 if problem == "nonrepetitive-edge" else 1
+        return [(mult * j * _power(float(d), 2 * j - 1), j) for j in upto(1, 1)]
+    if problem == "facial-thue-vertex":
+        return [(float(d), 1)] + [(2 * j * float(d), j) for j in upto(2, 2)]
+    if problem == "facial-thue-edge":
+        return [(1.0 + 2 * j, j) for j in upto(1, 1)]
+    raise ValueError(f"{problem!r} declares no family")
+
+
+def _q(terms, n: int | None, fn, dfn, radius: float) -> QPolynomial:
+    """Q over a preset's ceilings: with n, the exact list, refusing a
+    ceiling past the float range; without, the leading terms plus the
+    closed-form tail ``fn`` (derivative ``dfn``, valid below ``radius``)."""
+    if math.inf in (c for c, _ in terms):
+        raise OverflowError("a class ceiling is past the float range")
+    tail = None if n is not None else ClosedTail(fn, dfn, radius)
+    return QPolynomial(tuple(terms), tail)
+
+
 def _acyclic_gamma(delta: int, gamma: int, n: int | None) -> PresetBound:
     _require(delta >= 1, f"acyclic-gamma requires delta >= 1, got {delta}")
     _require(gamma >= 1, f"acyclic-gamma requires gamma >= 1, got {gamma}")
-    base = [(float(delta), 1)]
-    if n is None:
-        g = float(gamma)
+    g = float(gamma)
 
-        def fn(x: float) -> float:
-            u = (delta * x) ** 2
-            return 0.5 * g * u / (1 - u)
+    def fn(x: float) -> float:
+        u = (delta * x) ** 2
+        return 0.5 * g * u / (1 - u)
 
-        def dfn(x: float) -> float:
-            u = (delta * x) ** 2
-            return 0.5 * g * 2 * delta ** 2 * x / (1 - u) ** 2
+    def dfn(x: float) -> float:
+        u = (delta * x) ** 2
+        return 0.5 * g * 2 * delta ** 2 * x / (1 - u) ** 2
 
-        q = QPolynomial(tuple(base), ClosedTail(fn, dfn, 1 / delta))
-    else:
-        q = QPolynomial(tuple(base) + tuple(
-            (0.5 * gamma * delta ** (2 * k - 2), 2 * k - 2)
-            for k in range(2, n // 2 + 1)))
+    q = _q(ceilings("acyclic-gamma", delta, n, gamma=gamma), n, fn, dfn,
+           1 / delta)
     x = math.sqrt(2 / (gamma + 2)) / delta
     display = delta * (1 + math.sqrt(2 * gamma + 4))
     return PresetBound(
@@ -309,13 +363,14 @@ def _acyclic_literature(delta: int) -> dict[str, int]:
 def _acyclic_v1(delta: int, alpha: float) -> PresetBound:
     _require(delta >= 24, f"acyclic-v1 requires delta >= 24, got {delta}")
     _require(0 < alpha <= 1, f"alpha must be in (0, 1], got {alpha}")
-    special = math.floor(alpha * delta ** (4 / 3))
-    terms = [(float(delta), 1)]
+    neighbor, (special, size), *rest = ceilings("acyclic-v1", delta, None,
+                                                alpha=alpha)
+    # a special set holds a whole number of vertices: the preset floors its
+    # ceiling and drops the type when no vertex fits
+    terms = [neighbor]
     if special >= 1:
-        terms.append((float(special), 1))
-    terms += [(delta ** (8 / 3) / (8 * alpha), 2),
-              (0.5 * delta * (delta - 1) ** 4, 4)]
-    q = QPolynomial(tuple(terms))
+        terms.append((math.floor(special), size))
+    q = QPolynomial(tuple(terms + rest))
     x = 2 * math.sqrt(2 * alpha) / delta ** (4 / 3)
     if alpha == 0.5:
         # the quoted constant absorbs the lower-order terms of the closed
@@ -331,23 +386,16 @@ def _acyclic_v2(delta: int, alpha: float, n: int | None) -> PresetBound:
     _require(delta >= 9, f"acyclic-v2 requires delta >= 9, got {delta}")
     _require(alpha == 0.5,
              "the acyclic-v2 closed form is pinned at alpha = 0.5")
-    base = [(float(delta), 1), (0.5 * delta ** (4 / 3), 1),
-            (0.25 * delta ** (8 / 3), 2)]
-    if n is None:
 
-        def fn(x: float) -> float:
-            return delta ** (14 / 3) * x ** 4 / (1 - delta ** 2 * x ** 2)
+    def fn(x: float) -> float:
+        return delta ** (14 / 3) * x ** 4 / (1 - delta ** 2 * x ** 2)
 
-        def dfn(x: float) -> float:
-            u = delta ** 2 * x ** 2
-            return delta ** (14 / 3) * (4 * x ** 3 - 2 * delta ** 2 * x ** 5) \
-                / (1 - u) ** 2
+    def dfn(x: float) -> float:
+        u = delta ** 2 * x ** 2
+        return delta ** (14 / 3) * (4 * x ** 3 - 2 * delta ** 2 * x ** 5) \
+            / (1 - u) ** 2
 
-        q = QPolynomial(tuple(base), ClosedTail(fn, dfn, 1 / delta))
-    else:
-        q = QPolynomial(tuple(base) + tuple(
-            (delta ** (2 * k - 4 / 3), 2 * k - 2)
-            for k in range(3, n // 2 + 1)))
+    q = _q(ceilings("acyclic-v2", delta, n, alpha=alpha), n, fn, dfn, 1 / delta)
     x = 2 / delta ** (4 / 3)
     display = (1.5 * delta ** (4 / 3) + delta
                + 8 * delta ** (4 / 3) / (delta ** (2 / 3) - 4))
@@ -359,20 +407,14 @@ def _nonrepetitive(delta: int, n: int | None, *, edge: bool) -> PresetBound:
     name = "nonrepetitive-edge" if edge else "nonrepetitive-vertex"
     _require(delta >= 3, f"{name} requires delta >= 3, got {delta}")
     mult = 2 if edge else 1
-    if n is None:
 
-        def fn(x: float) -> float:
-            return mult * delta * x / (1 - delta ** 2 * x) ** 2
+    def fn(x: float) -> float:
+        return mult * delta * x / (1 - delta ** 2 * x) ** 2
 
-        def dfn(x: float) -> float:
-            return mult * delta * (1 + delta ** 2 * x) \
-                / (1 - delta ** 2 * x) ** 3
+    def dfn(x: float) -> float:
+        return mult * delta * (1 + delta ** 2 * x) / (1 - delta ** 2 * x) ** 3
 
-        q = QPolynomial((), ClosedTail(fn, dfn, 1 / delta ** 2))
-    else:
-        q = QPolynomial(tuple(
-            (mult * j * float(delta) ** (2 * j - 1), j)
-            for j in range(1, n // 2 + 1)))
+    q = _q(ceilings(name, delta, n), n, fn, dfn, 1 / delta ** 2)
     x = 1 / delta ** 2 - (2 / delta ** 7) ** (1 / 3)
     u = 1 - (2 / delta) ** (1 / 3)
     display = delta ** 2 / u + mult * delta / (1 - u) ** 2
@@ -389,19 +431,14 @@ def _nonrepetitive(delta: int, n: int | None, *, edge: bool) -> PresetBound:
 def _facial_vertex(delta: int, n: int | None) -> PresetBound:
     _require(delta >= 2,
              f"facial-thue-vertex requires delta >= 2, got {delta}")
-    base = [(float(delta), 1)]
-    if n is None:
 
-        def fn(x: float) -> float:
-            return 2 * delta * (x / (1 - x) ** 2 - x)
+    def fn(x: float) -> float:
+        return 2 * delta * (x / (1 - x) ** 2 - x)
 
-        def dfn(x: float) -> float:
-            return 2 * delta * ((1 + x) / (1 - x) ** 3 - 1)
+    def dfn(x: float) -> float:
+        return 2 * delta * ((1 + x) / (1 - x) ** 3 - 1)
 
-        q = QPolynomial(tuple(base), ClosedTail(fn, dfn, 1.0))
-    else:
-        q = QPolynomial(tuple(base) + tuple(
-            (2 * j * float(delta), j) for j in range(2, n // 2 + 1)))
+    q = _q(ceilings("facial-thue-vertex", delta, n), n, fn, dfn, 1.0)
     x = 1 / (2 * math.sqrt(delta))
     display = delta + 4 * math.sqrt(delta) + 3
     return PresetBound("facial-thue-vertex", _pinned(q, x, display),
@@ -410,17 +447,13 @@ def _facial_vertex(delta: int, n: int | None) -> PresetBound:
 
 
 def _facial_edge(n: int | None) -> PresetBound:
-    if n is None:
+    def fn(x: float) -> float:
+        return x / (1 - x) + 2 * x / (1 - x) ** 2
 
-        def fn(x: float) -> float:
-            return x / (1 - x) + 2 * x / (1 - x) ** 2
+    def dfn(x: float) -> float:
+        return 1 / (1 - x) ** 2 + 2 * (1 + x) / (1 - x) ** 3
 
-        def dfn(x: float) -> float:
-            return 1 / (1 - x) ** 2 + 2 * (1 + x) / (1 - x) ** 3
-
-        q = QPolynomial((), ClosedTail(fn, dfn, 1.0))
-    else:
-        q = QPolynomial(tuple((1.0 + 2 * j, j) for j in range(1, n // 2 + 1)))
+    q = _q(ceilings("facial-thue-edge", None, n), n, fn, dfn, 1.0)
     x = (math.sqrt(17) - 3) / 4
     display = eval_at(q, x)
     return PresetBound("facial-thue-edge", _pinned(q, x, display),

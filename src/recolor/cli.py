@@ -38,7 +38,7 @@ from .families import (
     nonrepetitive_edge_family,
     nonrepetitive_vertex_family,
 )
-from .graphs import Graph, GraphFormatError, load_graph
+from .graphs import Graph, GraphFormatError, _clean_lines, load_graph
 from .planar import EmbeddingError, PlaneGraph, load_rotation
 from .records import enumerate_records, growth_report, record_series
 # Not called here since b, r and the growth check share one series pass;
@@ -118,10 +118,7 @@ def _parse_terms(text: str) -> list[tuple[float, int]]:
 
 def _parse_coloring(text: str) -> dict[int, int]:
     phi = {}
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#")[0].strip()
-        if not line:
-            continue
+    for no, line in _clean_lines(text):
         try:
             obj, color = map(int, line.split())
         except ValueError:
@@ -133,14 +130,15 @@ def _parse_coloring(text: str) -> dict[int, int]:
 
 def _parse_lists(text: str) -> dict[int, tuple[int, ...]]:
     lists = {}
-    for no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#")[0].strip()
-        if not line:
-            continue
+    for no, line in _clean_lines(text):
         head, sep, tail = line.partition(":")
-        if not sep:
-            raise ValueError(f"lists line {no}: expected 'object: c1 c2 ...'")
-        lists[int(head)] = tuple(int(c) for c in tail.split())
+        try:
+            if not sep:
+                raise ValueError
+            lists[int(head)] = tuple(int(c) for c in tail.split())
+        except ValueError:
+            raise ValueError(f"lists line {no}: expected 'object: c1 c2 ...'") \
+                from None
     return lists
 
 

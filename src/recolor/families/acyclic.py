@@ -7,7 +7,8 @@ over the same structure.  Cycle witnesses are stored in traversal order, so
 uncoloring is always a prefix of the row and rebuilding alternates the two
 colors still readable at the row's tail (`Bicolored`).
 
-Each family declares its bicolored witnesses once: the start paths through
+Each family's class ceilings come from `bounds.ceilings`, and each family
+declares its bicolored witnesses once: the start paths through
 the anchor (`_paths`) and the rule accepting a row's last vertex
 (`_closes`).  The family's `fired` yields exactly the bicolored types with a
 bad row through the anchor, so `detect` enumerates and scans only the first
@@ -20,9 +21,9 @@ ends (`_squares`), for the search and the enumeration alike.
 
 from __future__ import annotations
 
-from ..engine import EventTypeMeta
+from ..bounds import ceilings
 from ..graphs import Graph, SpecialStructure
-from .base import Family, alternating_widths, arms, clamped, neighbor_meta, power
+from .base import Family, alternating_widths, arms
 
 
 def first_equal(colors, anchor_color, candidates):
@@ -81,8 +82,8 @@ class _AcyclicFamily(Family):
 
     _closes = None
 
-    def __init__(self, g: Graph, name: str, metas, tables, alternating):
-        super().__init__(name, g.n, metas, Bicolored, tables, rank=g.rank)
+    def __init__(self, g: Graph, name: str, types, tables, alternating):
+        super().__init__(name, g.n, types, Bicolored, tables, rank=g.rank)
         self.g = g
         self._type_of = {self._width[j]: j for j in alternating}
 
@@ -125,14 +126,9 @@ class _GammaFamily(_AcyclicFamily):
     def __init__(self, g: Graph, gamma: int):
         if gamma < 1:
             raise ValueError("gamma must be a positive integer")
-        d = g.max_degree
-        metas = [neighbor_meta(g)]
-        metas += [
-            EventTypeMeta(k, clamped(0.5 * gamma * power(d, 2 * k - 2)), 2 * k - 2)
-            for k in range(2, g.n // 2 + 1)
-        ]
-        super().__init__(g, f"acyclic-gamma({gamma})", metas, (g.adj,),
-                         range(2, g.n // 2 + 1))
+        super().__init__(g, f"acyclic-gamma({gamma})",
+                         ceilings("acyclic-gamma", g.max_degree, g.n, gamma=gamma),
+                         (g.adj,), range(2, g.n // 2 + 1))
         self.gamma = gamma
 
     def _paths(self, v):
@@ -168,10 +164,12 @@ class _SpecialPairFamily(_AcyclicFamily):
     Type 3, the special-pair square, closes a start over a common neighbor
     of u1 and u3 (`_squares`); from type 4 on, rows grow from u3."""
 
-    def __init__(self, g: Graph, special: SpecialStructure, name: str, metas):
-        super().__init__(g, name, metas, (g.adj, special._special),
-                         [m.type_id for m in metas[3:]])
-        self.alpha = special.alpha
+    def __init__(self, g: Graph, special: SpecialStructure, problem: str):
+        alpha = special.alpha
+        types = ceilings(problem, g.max_degree, g.n, alpha=alpha)
+        super().__init__(g, f"{problem}({alpha})", types,
+                         (g.adj, special._special), range(4, len(types) + 1))
+        self.alpha = alpha
         self.special = special
 
     def fired(self, coloring, v):
@@ -226,15 +224,7 @@ class _SpecialPairFamily(_AcyclicFamily):
 class _V1Family(_SpecialPairFamily):
     def __init__(self, g: Graph, alpha: float):
         # built first: it refuses a bad alpha before the ceilings divide by it
-        special = SpecialStructure(g, alpha)
-        d = g.max_degree
-        metas = (
-            neighbor_meta(g),
-            EventTypeMeta(2, clamped(alpha * d ** (4 / 3)), 1),
-            EventTypeMeta(3, clamped(d ** (8 / 3) / (8 * alpha)), 2),
-            EventTypeMeta(4, clamped(0.5 * d * (d - 1) ** 4), 4),
-        )
-        super().__init__(g, special, f"acyclic-v1({alpha})", metas)
+        super().__init__(g, SpecialStructure(g, alpha), "acyclic-v1")
 
     def _enumerate(self, v, j):
         """Squares as (v, a, c, b); type-4 rows are open 6-vertex paths."""
@@ -254,14 +244,7 @@ def acyclic_v1_family(g: Graph, alpha: float) -> _V1Family:
 class _V2Family(_SpecialPairFamily):
     def __init__(self, g: Graph, alpha: float):
         # built first: it refuses a bad alpha before the ceilings divide by it
-        special = SpecialStructure(g, alpha)
-        d = g.max_degree
-        metas = [neighbor_meta(g), EventTypeMeta(2, clamped(alpha * d ** (4 / 3)), 1)]
-        for k in range(2, g.n // 2 + 1):
-            cost = d ** (8 / 3) / (8 * alpha) if k == 2 \
-                else power(d, 2 * k - 4 / 3) / (2 * alpha)
-            metas.append(EventTypeMeta(k + 1, clamped(cost), 2 * k - 2))
-        super().__init__(g, special, f"acyclic-v2({alpha})", metas)
+        super().__init__(g, SpecialStructure(g, alpha), "acyclic-v2")
 
     def _enumerate(self, v, j):
         """Squares as (a, v, b, c); then 2k-cycles with the anchor second."""

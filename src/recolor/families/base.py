@@ -1,8 +1,11 @@
 """Shared plumbing for bad-event families: one event table, one loop.
 
 A family declares its events and the loop on `Family` (`detect`,
-`uncolor_set`, `rebuild_event`) reads the declaration.  Types are probed in
-ascending order, each one way:
+`uncolor_set`, `rebuild_event`) reads the declaration.  Each type's class
+ceiling and uncolor size are declared once, in `bounds.ceilings`, which
+the presets read too; a family passes that list to `Family`, which raises
+a ceiling below 1 to 1 and builds the event-type metadata.  Types are
+probed in ascending order, each one way:
 
 - candidate ``tables`` for the first types, one tuple of objects per
   anchor: type i fires when the anchor's color recurs on
@@ -47,7 +50,6 @@ enumerator grows paths with.
 from __future__ import annotations
 
 import heapq
-import math
 from array import array
 
 from ..engine import EventTypeMeta
@@ -59,11 +61,14 @@ class Family:
     table (``rank[x]`` for object x, as `Graph.rank`) orders traversal and
     witness rows instead of the index."""
 
-    def __init__(self, name: str, n_objects: int, metas, shape, tables=(),
+    def __init__(self, name: str, n_objects: int, ceilings, shape, tables=(),
                  widest=None, rank=None):
         self.name = name
         self.n_objects = n_objects
-        self.metas = tuple(metas)
+        # a ceiling formula can fall below 1 on tiny graphs, whose class
+        # lists are empty anyway
+        self.metas = tuple(EventTypeMeta(j, max(1.0, c), s)
+                           for j, (c, s) in enumerate(ceilings, start=1))
         self.shape = shape
         self.tables = tuple(tables)
         self._width = {m.type_id: shape.width(m.uncolor_size)
@@ -169,22 +174,6 @@ class RankFrontier:
     def released(self, target) -> None:
         for u in target:
             heapq.heappush(self._heap, (self._key(u), u))
-
-
-def clamped(cost: float) -> float:
-    """Class-count ceilings must be >= 1 even when the formula degenerates on
-    tiny graphs (where the class lists are empty anyway)."""
-    return max(1.0, cost)
-
-
-def power(d: int, e) -> float:
-    """``d ** e`` as a float for a ceiling formula, or math.inf past the
-    float maximum: a ceiling that large bounds class indices no witness
-    list can reach, and the family still constructs on any graph."""
-    try:
-        return float(d ** e)
-    except OverflowError:
-        return math.inf
 
 
 def arms(adj, objs, start: int, steps: int, used: set[int]):
@@ -370,11 +359,6 @@ class PathRepetitionFamily(Family):
                                 joined = True
             layer = grown
             length += 1
-
-
-def neighbor_meta(g) -> EventTypeMeta:
-    """Type 1 everywhere it appears: the anchor matches a neighbor's color."""
-    return EventTypeMeta(1, clamped(g.max_degree), 1)
 
 
 # a cycle (acyclic.py imports this module): `detect` reads `first_equal`

@@ -2,9 +2,9 @@
 
 Both families are repetition families whose type-j witnesses are the simple
 windows of 2j consecutive objects on a face walk through the anchor, read
-by one window walk (`_FacialFamily._windows`).  The vertex variant's type 1
-is the neighbor table, since a facial 2-window is an edge and every edge
-lies on a face.  The edge variant trades generality for sharper ceilings:
+by one window walk (`_FacialFamily._windows`), with the class ceilings of
+`bounds.ceilings`.  The vertex variant's type 1 is the neighbor table,
+since a facial 2-window is an edge and every edge lies on a face.  The edge variant trades generality for sharper ceilings:
 the coloring order is constrained so every anchor has an uncolored facially
 adjacent edge e' (one consecutive with it on a face walk, an edge of
 `planar.medial_graph`), and its class list (`_classes`, which ranks hits
@@ -27,9 +27,9 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
-from ..engine import EventTypeMeta
+from ..bounds import ceilings
 from ..planar import PlaneGraph, medial_graph
-from .base import Family, Repetition, clamped, neighbor_meta
+from .base import Family, Repetition
 
 
 class MedialConnectivityError(RuntimeError):
@@ -47,12 +47,12 @@ class _FacialFamily(Family):
 
     on_edges = False
 
-    def __init__(self, name: str, pg: PlaneGraph, metas, **kw):
+    def __init__(self, name: str, pg: PlaneGraph, **kw):
         self.pg = pg
-        self.g = pg.graph
+        self.g = g = pg.graph
         self._occurrences = None
-        n_objects = pg.graph.m if self.on_edges else pg.graph.n
-        super().__init__(name, n_objects, metas, Repetition,
+        super().__init__(name, g.m if self.on_edges else g.n,
+                         ceilings(name, g.max_degree, g.n), Repetition,
                          widest=max(map(len, pg.faces), default=0), **kw)
 
     def fired(self, coloring, x):
@@ -107,14 +107,7 @@ class _FacialFamily(Family):
 class _FacialVertexFamily(_FacialFamily):
     def __init__(self, pg: PlaneGraph):
         g = pg.graph
-        d = g.max_degree
-        metas = [neighbor_meta(g)]
-        metas += [
-            EventTypeMeta(j, clamped(2 * j * d), j)
-            for j in range(2, g.n // 2 + 1)
-        ]
-        super().__init__("facial-thue-vertex", pg, metas, tables=(g.adj,),
-                         rank=g.rank)
+        super().__init__("facial-thue-vertex", pg, tables=(g.adj,), rank=g.rank)
 
 
 def facial_thue_vertex_family(pg: PlaneGraph) -> _FacialVertexFamily:
@@ -127,11 +120,9 @@ class _FacialEdgeFamily(_FacialFamily):
     on_edges = True
 
     def __init__(self, pg: PlaneGraph, e_star: int):
-        g = pg.graph
-        if not 1 <= e_star <= g.m:
+        if not 1 <= e_star <= pg.graph.m:
             raise ValueError(f"reserved edge id {e_star} out of range")
-        metas = [EventTypeMeta(j, 1 + 2 * j, j) for j in range(1, g.n // 2 + 1)]
-        super().__init__("facial-thue-edge", pg, metas)
+        super().__init__("facial-thue-edge", pg)
         self.e_star = e_star
         self.medial = medial_graph(pg)
 

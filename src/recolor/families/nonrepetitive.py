@@ -3,30 +3,27 @@
 The type-j event is a colored repetition on a 2j-object simple path through
 the anchor; both variants uncolor the half containing the anchor and rebuild
 by mirroring the surviving half, which pins the anchor's erased color because
-repetition pairs positions i and i+j (`Repetition` rows).  Each variant only
-declares its step table (``_steps``, aligned with ``g.adj``: the neighbor
-itself for vertex paths, the edge id for edge paths) and the ends of an
-object; `PathRepetitionFamily` walks that table both to search every type
+repetition pairs positions i and i+j (`Repetition` rows).  The class
+ceilings come from `bounds.ceilings`, and each variant only declares its
+step table (``_steps``, aligned with ``g.adj``: the neighbor itself for
+vertex paths, the edge id for edge paths) and the ends of an object;
+`PathRepetitionFamily` walks that table both to search every type
 (growing the colored paths through the anchor two mirrored objects at a
 time) and to enumerate the witnesses that rank a hit.
 """
 
 from __future__ import annotations
 
-from ..engine import EventTypeMeta
+from ..bounds import ceilings
 from ..graphs import Graph
-from .base import PathRepetitionFamily, Repetition, clamped
+from .base import PathRepetitionFamily, Repetition
 
 
 class _NonrepVertexFamily(PathRepetitionFamily):
     def __init__(self, g: Graph):
-        d = g.max_degree
-        metas = [
-            EventTypeMeta(j, clamped(j * d ** (2 * j - 1)), j)
-            for j in range(1, g.n // 2 + 1)
-        ]
-        super().__init__("nonrepetitive-vertex", g.n, metas, Repetition,
-                         rank=g.rank)
+        super().__init__("nonrepetitive-vertex", g.n,
+                         ceilings("nonrepetitive-vertex", g.max_degree, g.n),
+                         Repetition, rank=g.rank)
         self.g = g
         self._steps = g.adj
 
@@ -43,12 +40,9 @@ def nonrepetitive_vertex_family(g: Graph) -> _NonrepVertexFamily:
 
 class _NonrepEdgeFamily(PathRepetitionFamily):
     def __init__(self, g: Graph):
-        d = g.max_degree
-        metas = [
-            EventTypeMeta(j, clamped(2 * j * d ** (2 * j - 1)), j)
-            for j in range(1, g.n // 2 + 1)
-        ]
-        super().__init__("nonrepetitive-edge", g.m, metas, Repetition)
+        super().__init__("nonrepetitive-edge", g.m,
+                         ceilings("nonrepetitive-edge", g.max_degree, g.n),
+                         Repetition)
         self.g = g
         self._steps = tuple(
             tuple(g.edge_index[(min(x, w), max(x, w))] for w in nb)

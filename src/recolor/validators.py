@@ -161,9 +161,11 @@ def _facial_repetition(pg: PlaneGraph, phi: dict, *, edges: bool):
 
     Faces are read in order, then even sizes 2h ascending, then offsets
     ascending.  A window is simple when it spans 2h distinct vertices
-    (2h + 1 for edges, which keeps edge windows genuine paths); its halves
-    are compared up to the first mismatch before that is checked.  Vertex
-    windows are tuples of vertices, edge windows tuples of edge ids.
+    (2h + 1 for edges, which keeps edge windows genuine paths): each
+    offset's longest run of distinct vertices is measured once, and only
+    the windows it holds have their halves compared, up to the first
+    mismatch.  Vertex windows are tuples of vertices, edge windows tuples
+    of edge ids.
     """
     index = pg.graph.edge_index
     for face in pg.faces:
@@ -172,16 +174,26 @@ def _facial_repetition(pg: PlaneGraph, phi: dict, *, edges: bool):
         if edges:
             objs = [index[(u, v) if u < v else (v, u)] for u, v in face] * 2
         colors = [_color(phi, x) for x in objs]
-        for h in range(1, f // 2 + 1):
+        # run[off]: distinct vertices from off on; verts[off + f] repeats
+        # verts[off], so ``end`` stays inside the doubled walk
+        run, seen, end = [], set(), 0
+        for off in range(f):
+            while verts[end] not in seen:
+                seen.add(verts[end])
+                end += 1
+            run.append(end - off)
+            seen.discard(verts[off])
+        for h in range(1, (max(run) - edges) // 2 + 1):
             span = 2 * h + edges
             for off in range(f):
+                if run[off] < span:
+                    continue
                 for i in range(off, off + h):
                     if not colors[i] or colors[i] != colors[i + h]:
                         break
                 else:
-                    if len(set(verts[off:off + span])) == span:
-                        window = tuple(objs[off:off + 2 * h])
-                        return min(window, window[::-1])
+                    window = tuple(objs[off:off + 2 * h])
+                    return min(window, window[::-1])
     return None
 
 
@@ -192,9 +204,11 @@ def check_nonrepetitive(g: Graph, phi: dict, objects: str = "vertex",
     ``objects`` selects vertex paths or edge paths (colorings keyed by edge
     id); ``facial`` restricts the scope to windows along the embedding's
     face boundaries, read in place in memory linear in each face's length,
-    so no size guard applies.  Halves are compared up to their first
-    mismatch, so the time is quadratic in the face length when colors
-    differ early, as with distinct colors, and cubic at worst.
+    so no size guard applies.  Windows that revisit a vertex are skipped
+    before their halves are compared, which stops at the first mismatch,
+    so the time is linear in the face length where the longest simple
+    window is short (a star's face), quadratic where colors differ early
+    (distinct colors), and cubic at worst.
     """
     if objects not in ("vertex", "edge"):
         raise ValueError(f"objects must be 'vertex' or 'edge', got {objects!r}")

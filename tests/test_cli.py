@@ -111,6 +111,19 @@ def test_bound_family_file_past_float_range(capsys, tmp_path, terms):
     assert "float range" in err
 
 
+@pytest.mark.parametrize("problem",
+                         ["nonrepetitive-vertex", "acyclic-gamma", "acyclic-v2"])
+@pytest.mark.parametrize("command", [["bound"],
+                                     ["count-records", "--n", "5", "--tmax", "5"]],
+                         ids=["bound", "count-records"])
+def test_exact_preset_past_float_range(capsys, problem, command):
+    # at n = 1000 the largest class ceilings pass the float range
+    code, out, err = run_cli(capsys, *command, "--problem", problem,
+                             "--delta", "9", "--exact-n", "1000")
+    assert code == 2 and out == ""
+    assert "float range" in err
+
+
 def test_bound_family_file_huge_ceiling_keeps_its_minimizer(capsys, tmp_path):
     # (s - 1) C passes the float maximum, (s - 1) (C x^s) does not: the
     # minimizer sits near 1.77e-103 instead of underflowing to 0
@@ -296,6 +309,21 @@ def test_color_lists_file(capsys, tmp_path):
               for line in out.splitlines()}
     assert colors[1] in (11, 12, 13)
     assert colors[2] in (21, 22, 23)
+
+
+@pytest.mark.parametrize("text", ["x: 1 2\n", "# lists\n1: 1 y\n", "1 2 3\n"])
+def test_color_lists_file_names_its_bad_line(capsys, tmp_path, text):
+    graph = tmp_path / "k3.txt"
+    graph.write_text(K3_GRAPH)
+    lists = tmp_path / "lists.txt"
+    lists.write_text(text)
+    code, out, err = run_cli(
+        capsys, "color", "--graph", str(graph), "--family", "acyclic-gamma",
+        "--kappa", "3", "--seed", "5", "--budget", "40",
+        "--lists", str(lists))
+    assert code == 2 and out == ""
+    line = text.count("\n")
+    assert f"lists line {line}" in err, err
 
 
 # --- roundtrip -----------------------------------------------------------------

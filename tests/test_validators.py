@@ -7,6 +7,7 @@ refuse graphs beyond 14 vertices.
 """
 
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -128,6 +129,23 @@ def cycle_embedding(n):
         f"{v}: {v % n + 1} {(v - 2) % n + 1}\n" for v in range(1, n + 1)))
 
 
+def broom_embedding(leaves, n, rng=None):
+    """K_{1,leaves} whose last leaf grows a path to n vertices, embedded with
+    rotations shuffled by ``rng``: one face walking every edge both ways,
+    revisiting the center at every other step."""
+    edges = [(1, v) for v in range(2, leaves + 2)] \
+        + [(v, v + 1) for v in range(leaves + 1, n)]
+    rot = {v: [] for v in range(1, n + 1)}
+    for a, b in edges:
+        rot[a].append(b)
+        rot[b].append(a)
+    if rng is not None:
+        for nbrs in rot.values():
+            rng.shuffle(nbrs)
+    return load_rotation(f"{n} {len(edges)}\n" + "".join(
+        f"{v}: {' '.join(map(str, rot[v]))}\n" for v in range(1, n + 1)))
+
+
 def test_nonrepetitive_facial_scope():
     pg = load_rotation(C4_ROTATION)
     assert check_nonrepetitive(pg.graph, {1: 1, 2: 2, 3: 3, 4: 2}, facial=pg)
@@ -177,16 +195,20 @@ def test_facial_scope_handles_large_cycles():
 
 def test_facial_scope_equals_the_window_enumeration():
     """The in-place facial check gives the verdict and witness of the first
-    repeating even window of the reference enumeration, on triangulations
-    and on embeddings with long faces, with 0 to 12 colors (0 uncolored)."""
+    repeating even window of the reference enumeration, on triangulations,
+    on embeddings with long faces and on stars and brooms, whose one face
+    revisits the center, with 0 to 12 colors (0 uncolored)."""
     rng = random.Random("facial scope")
     found = 0
     for _ in range(3000):
         n = rng.randint(3, 12)
-        if rng.random() < 0.5:
+        kind = rng.random()
+        if kind < 0.4:
             pg = random_triangulation(n, rng)
-        else:
+        elif kind < 0.8:
             pg = plane_with_long_faces(n, rng.randint(n, 2 * n), rng)
+        else:
+            pg = broom_embedding(rng.randint(2, n - 1), n, rng)
         objects = rng.choice(("vertex", "edge"))
         count = pg.graph.m if objects == "edge" else n
         kappa = rng.randint(0, 12)
@@ -199,6 +221,25 @@ def test_facial_scope_equals_the_window_enumeration():
         assert (res.ok, res.witness) == (want is None, want), pg.to_text()
         found += want is not None
     assert 300 < found < 2700, found
+
+
+@pytest.mark.parametrize("objects", ["vertex", "edge"])
+def test_facial_scope_on_a_large_star_is_linear(objects):
+    # K_{1,400}: one face of 800 darts, where windows of many sizes repeat
+    # in color but only windows of two objects are simple, and those do
+    # not repeat.  Comparing the halves of windows that revisit the center
+    # took 2-4 s.  The reference enumeration agrees here but is cubic in
+    # the face, so `test_facial_scope_equals_the_window_enumeration`
+    # compares with it on small stars.
+    pg = broom_embedding(400, 401)
+    if objects == "vertex":
+        phi = {v: 1 if v == 1 else 2 for v in range(1, 402)}
+    else:
+        phi = {e: e % 2 + 1 for e in range(1, 401)}
+    start = time.perf_counter()
+    res = check_nonrepetitive(pg.graph, phi, objects, facial=pg)
+    assert time.perf_counter() - start < 0.5
+    assert (res.ok, res.witness) == (True, None)
 
 
 def test_facial_scope_on_a_long_face_stays_small():
