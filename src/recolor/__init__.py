@@ -5,98 +5,50 @@ detects configured bad events, uncolors a small witness set when one fires,
 and logs every move.  The log plus the final partial coloring determine the
 input vector exactly; that inversion, the event-cost bound calculators, and
 the record-counting tools are the point of the package.
+
+Importing the package loads no submodule.  Each name in ``__all__`` is
+looked up in ``_EXPORTS``, its defining submodule, and that submodule is
+imported on first access (PEP 562), so ``from recolor import kappa_preset``
+loads `bounds` alone and a CLI command pays only for the modules it runs.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .bounds import (
-    CharacteristicSystem,
-    ClosedTail,
-    PresetBound,
-    PROBLEMS,
-    QPolynomial,
-    RatioResult,
-    acyclic_chromatic_ceiling,
-    acyclic_v1_ratio,
-    characteristic_system,
-    kappa_preset,
-    optimal_alpha,
-    optimize_ratio,
-)
-from .engine import (
-    BadEventFamily,
-    DecodeError,
-    EngineInput,
-    EventTypeMeta,
-    FamilyContractError,
-    PartialColoring,
-    Record,
-    RunResult,
-    RunStatus,
-    decode,
-    run,
-)
-from .graphs import Graph, GraphFormatError, load_graph
-from .planar import EmbeddingError, PlaneGraph, load_rotation
-from .records import (
-    GrowthReport,
-    count_b,
-    count_r,
-    enumerate_records,
-    growth_check,
-    growth_report,
-    record_series,
-)
-from .validators import (
-    CheckResult,
-    check_acyclic,
-    check_nonrepetitive,
-    check_pair_forbidden,
-    check_proper,
-    check_r_acyclic,
-)
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("bounds", "CharacteristicSystem ClosedTail PresetBound PROBLEMS "
+                   "QPolynomial RatioResult acyclic_chromatic_ceiling "
+                   "acyclic_v1_ratio characteristic_system kappa_preset "
+                   "optimal_alpha optimize_ratio"),
+        ("engine", "BadEventFamily EngineInput EventTypeMeta PartialColoring "
+                   "Record RunResult RunStatus decode run"),
+        ("errors", "DecodeError FamilyContractError"),
+        ("graphs", "Graph GraphFormatError load_graph"),
+        ("planar", "EmbeddingError PlaneGraph load_rotation"),
+        ("records", "GrowthReport count_b count_r enumerate_records "
+                    "growth_check growth_report record_series"),
+        ("validators", "CheckResult check_acyclic check_nonrepetitive "
+                       "check_pair_forbidden check_proper check_r_acyclic"),
+    )
+    for name in names.split()
+}
 
-__all__ = [
-    "BadEventFamily",
-    "CharacteristicSystem",
-    "CheckResult",
-    "ClosedTail",
-    "DecodeError",
-    "EngineInput",
-    "EventTypeMeta",
-    "EmbeddingError",
-    "FamilyContractError",
-    "Graph",
-    "GraphFormatError",
-    "GrowthReport",
-    "PartialColoring",
-    "PlaneGraph",
-    "PresetBound",
-    "PROBLEMS",
-    "QPolynomial",
-    "RatioResult",
-    "Record",
-    "RunResult",
-    "RunStatus",
-    "acyclic_chromatic_ceiling",
-    "acyclic_v1_ratio",
-    "characteristic_system",
-    "check_acyclic",
-    "check_nonrepetitive",
-    "check_pair_forbidden",
-    "check_proper",
-    "check_r_acyclic",
-    "count_b",
-    "count_r",
-    "decode",
-    "enumerate_records",
-    "growth_check",
-    "growth_report",
-    "kappa_preset",
-    "load_graph",
-    "load_rotation",
-    "optimal_alpha",
-    "optimize_ratio",
-    "record_series",
-    "run",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") \
+            from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

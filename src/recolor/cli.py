@@ -3,7 +3,12 @@ and validation, emitting machine-readable TSV on stdout and a short human
 summary on stderr.
 
 Exit codes: 0 success/accept, 1 reject or incomplete run, 2 usage or domain
-error, 3 broken internal contract.
+error, 3 broken internal contract (a `roundtrip` decode inconsistency
+included).
+
+Only `bounds`, `records` and `errors` load with this module, all that
+`bound`, `table` and `count-records` run; every other module is imported
+by the command or helper that calls it.
 """
 
 from __future__ import annotations
@@ -12,7 +17,11 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+# `bounds` and `records` stay imported at module level, by name: the
+# benchmark's tracer (perfbench/spans.py) rebinds `kappa_preset`, `count_b`,
+# `count_r` and `growth_check` on this module.
 from .bounds import (
     PROBLEMS,
     QPolynomial,
@@ -20,37 +29,15 @@ from .bounds import (
     optimal_alpha,
     optimize_ratio,
 )
-from .engine import (
-    DecodeError,
-    EngineInput,
-    FamilyContractError,
-    RunStatus,
-    decode,
-    run,
-)
-from .families import (
-    MedialConnectivityError,
-    acyclic_gamma_family,
-    acyclic_v1_family,
-    acyclic_v2_family,
-    facial_thue_edge_family,
-    facial_thue_vertex_family,
-    nonrepetitive_edge_family,
-    nonrepetitive_vertex_family,
-)
-from .graphs import Graph, GraphFormatError, _clean_lines, load_graph
-from .planar import EmbeddingError, PlaneGraph, load_rotation
+from .errors import DecodeError, FamilyContractError, MedialConnectivityError
 from .records import enumerate_records, growth_report, record_series
-# Not called here since b, r and the growth check share one series pass;
-# the benchmark's tracer (perfbench/spans.py) still rebinds these names.
+# Not called here since b, r and the growth check share one series pass.
 from .records import count_b, count_r, growth_check  # noqa: F401
-from .validators import (
-    check_acyclic,
-    check_nonrepetitive,
-    check_pair_forbidden,
-    check_proper,
-    check_r_acyclic,
-)
+
+if TYPE_CHECKING:
+    from .engine import EngineInput
+    from .graphs import Graph
+    from .planar import PlaneGraph
 
 FAMILIES = (
     "acyclic-gamma",
@@ -89,6 +76,8 @@ def _read(path: str) -> str:
 
 
 def _load_embedding(args, g: Graph | None) -> PlaneGraph:
+    from .planar import load_rotation
+
     if not args.embedding:
         raise ValueError(f"{args.family} needs --embedding")
     return load_rotation(_read(args.embedding), graph=g)
@@ -117,6 +106,8 @@ def _parse_terms(text: str) -> list[tuple[float, int]]:
 
 
 def _parse_coloring(text: str) -> dict[int, int]:
+    from .graphs import _clean_lines
+
     phi = {}
     for no, line in _clean_lines(text):
         try:
@@ -129,6 +120,8 @@ def _parse_coloring(text: str) -> dict[int, int]:
 
 
 def _parse_lists(text: str) -> dict[int, tuple[int, ...]]:
+    from .graphs import _clean_lines
+
     lists = {}
     for no, line in _clean_lines(text):
         head, sep, tail = line.partition(":")
@@ -143,6 +136,16 @@ def _parse_lists(text: str) -> dict[int, tuple[int, ...]]:
 
 
 def _build_family(args, g: Graph | None):
+    from .families import (
+        acyclic_gamma_family,
+        acyclic_v1_family,
+        acyclic_v2_family,
+        facial_thue_edge_family,
+        facial_thue_vertex_family,
+        nonrepetitive_edge_family,
+        nonrepetitive_vertex_family,
+    )
+
     name = args.family
     if name == "acyclic-gamma":
         return g, acyclic_gamma_family(g, args.gamma)
@@ -163,6 +166,8 @@ def _build_family(args, g: Graph | None):
 
 
 def _engine_input(args) -> EngineInput:
+    from .engine import EngineInput
+
     lists = _parse_lists(_read(args.lists)) if args.lists else None
     if args.vector:
         vector = tuple(int(x) for x in args.vector.replace(",", " ").split())
@@ -230,6 +235,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_color(args) -> int:
+    from .engine import RunStatus, run
+    from .graphs import load_graph
+
     g = load_graph(_read(args.graph)) if args.graph else None
     g, fam = _build_family(args, g)
     inp = _engine_input(args)
@@ -253,6 +261,9 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    from .engine import decode, run
+    from .graphs import load_graph
+
     g = load_graph(_read(args.graph)) if args.graph else None
     g, fam = _build_family(args, g)
     inp = _engine_input(args)
@@ -325,6 +336,16 @@ def _cmd_count_records(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .graphs import load_graph
+    from .planar import load_rotation
+    from .validators import (
+        check_acyclic,
+        check_nonrepetitive,
+        check_pair_forbidden,
+        check_proper,
+        check_r_acyclic,
+    )
+
     phi = _parse_coloring(_read(args.coloring))
     prop = args.property
     if prop.startswith("facial"):
@@ -437,15 +458,16 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, EmbeddingError, ValueError, OSError) as exc:
+    # before ValueError: a DecodeError is one, but a broken contract
+    except (FamilyContractError, DecodeError, MedialConnectivityError) as exc:
+        _note(f"contract violation: {exc}")
+        return 3
+    except (ValueError, OSError) as exc:
         _note(f"error: {exc}")
         return 2
     except OverflowError as exc:
         _note(f"error: a value is past the float range ({exc})")
         return 2
-    except (FamilyContractError, DecodeError, MedialConnectivityError) as exc:
-        _note(f"contract violation: {exc}")
-        return 3
 
 
 if __name__ == "__main__":

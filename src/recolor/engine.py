@@ -22,17 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import AbstractSet, Optional, Protocol
 
-
-class FamilyContractError(RuntimeError):
-    """A family broke its contract (wrong USBE size, out-of-range class, ...).
-
-    These are bugs in family implementations, never user errors, so they are
-    surfaced loudly instead of being folded into run status.
-    """
-
-
-class DecodeError(ValueError):
-    """Record or final coloring inconsistent with the family."""
+from .errors import DecodeError, FamilyContractError
 
 
 class RunStatus(Enum):

@@ -28,12 +28,9 @@ import heapq
 from collections import deque
 
 from ..bounds import ceilings
+from ..errors import MedialConnectivityError
 from ..planar import PlaneGraph, medial_graph
 from .base import Family, Repetition
-
-
-class MedialConnectivityError(RuntimeError):
-    """Uncolored edges no longer induce a connected medial subgraph."""
 
 
 class _FacialFamily(Family):

@@ -150,7 +150,8 @@ def load_graph(text: str) -> Graph:
     """Parse the edge-list format: a "n m" header, then m lines "u v".
 
     Lines may carry '#' comments.  An optional "order: p1 p2 ... pn" line
-    anywhere after the header overrides the vertex order.
+    anywhere after the header overrides the vertex order; it must be a
+    permutation of 1..n, and a document holds at most one.
     """
     lines = list(_clean_lines(text))
     n, m = _header(lines)
@@ -158,10 +159,14 @@ def load_graph(text: str) -> Graph:
     order = None
     for no, line in lines[1:]:
         if line.startswith("order:"):
+            if order is not None:
+                raise GraphFormatError("a second order line", no)
             try:
                 order = [int(x) for x in line[len("order:"):].split()]
             except ValueError:
                 raise GraphFormatError("order line must list integers", no) from None
+            if sorted(order) != list(range(1, n + 1)):
+                raise GraphFormatError("order line is not a permutation of 1..n", no)
             continue
         parts = line.split()
         if len(parts) != 2:

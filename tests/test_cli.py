@@ -16,8 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import recolor
+import recolor.engine
 from recolor.bounds import PROBLEMS, kappa_preset
 from recolor.cli import FAMILIES, PROPERTIES, main
+from recolor.errors import DecodeError, FamilyContractError
 
 K3_GRAPH = "3 3\n1 2\n1 3\n2 3\n"
 K3_ROTATION = "3 3\n1: 2 3\n2: 1 3\n3: 1 2\n"
@@ -361,6 +363,30 @@ def test_roundtrip_exhausted_run_still_passes(capsys, tmp_path):
         "--seed", "3", "--budget", "6")
     assert code == 0
     assert out == "PASS\t6\n"
+
+
+@pytest.mark.parametrize("target, error, code, message", [
+    ("decode", DecodeError("replay diverged"), 3,
+     "contract violation: replay diverged"),
+    ("run", FamilyContractError("class out of range"), 3,
+     "contract violation: class out of range"),
+    ("decode", ValueError("bad value"), 2, "error: bad value"),
+])
+def test_roundtrip_error_exit_codes(capsys, tmp_path, monkeypatch,
+                                    target, error, code, message):
+    # a DecodeError is a ValueError, but it reports a broken contract
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(recolor.engine, target, broken)
+    graph = tmp_path / "k3.txt"
+    graph.write_text(K3_GRAPH)
+    got, out, err = run_cli(
+        capsys, "roundtrip", "--graph", str(graph),
+        "--family", "acyclic-gamma", "--kappa", "4",
+        "--seed", "7", "--budget", "50")
+    assert (got, out) == (code, "")
+    assert message in err
 
 
 # --- count-records ---------------------------------------------------------------

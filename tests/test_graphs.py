@@ -79,6 +79,15 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match="permutation"):
             load_graph("3 1\norder: 1 1 2\n1 2\n")
 
+    def test_bad_order_line_names_its_line(self):
+        with pytest.raises(GraphFormatError,
+                           match="line 3: order line is not a permutation"):
+            load_graph("3 1\n1 2\norder: 1 2\n")
+
+    def test_second_order_line_refused(self):
+        with pytest.raises(GraphFormatError, match="line 4: a second order line"):
+            load_graph("3 1\norder: 3 1 2\n1 2\norder: 1 2 3\n")
+
     def test_text_roundtrip(self):
         g = load_graph(C4_TEXT)
         assert load_graph(g.to_text()) == g
