@@ -147,6 +147,8 @@ def _build_family(args, g: Graph | None):
     )
 
     name = args.family
+    if g is None and not name.startswith("facial"):
+        raise ValueError(f"{name} needs --graph")
     if name == "acyclic-gamma":
         return g, acyclic_gamma_family(g, args.gamma)
     if name == "acyclic-v1":
@@ -196,6 +198,8 @@ def _cmd_bound(args) -> int:
         raise ValueError("supply --problem or --family-file")
     alpha = args.alpha
     if args.optimize_alpha:
+        if args.delta is None:
+            raise ValueError("--optimize-alpha needs --delta")
         alpha = optimal_alpha(args.delta)
     descriptors = None
     if args.pattern_shape:
@@ -356,6 +360,8 @@ def _cmd_verify(args) -> int:
         objects = "edge" if prop == "facial-thue-edge" else "vertex"
         result = check_nonrepetitive(g, phi, objects=objects, facial=pg)
     else:
+        if not args.graph:
+            raise ValueError(f"{prop} needs --graph")
         g = load_graph(_read(args.graph))
         if prop == "proper":
             result = check_proper(g, phi)
@@ -391,6 +397,8 @@ def _parser() -> argparse.ArgumentParser:
     def add_family_params(p):
         p.add_argument("--gamma", type=int, default=1)
         p.add_argument("--alpha", type=float, default=0.5)
+
+    def add_r(p):
         p.add_argument("--r", type=int, default=4)
 
     def add_run_flags(p):
@@ -415,19 +423,24 @@ def _parser() -> argparse.ArgumentParser:
                    help="pair-forbidden descriptors as N:M pairs")
     p.add_argument("--form", choices=("vertex", "edge"), default="vertex")
     add_family_params(p)
+    add_r(p)
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("table", help="reproduce a numeric table")
     p.add_argument("--name", required=True)
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("color", help="run the coloring engine")
+    # the run commands match no flag prefix: they take no --r, which would
+    # otherwise be read as color's --record-out
+    p = sub.add_parser("color", help="run the coloring engine",
+                       allow_abbrev=False)
     add_run_flags(p)
     p.add_argument("--record-out")
     p.set_defaults(func=_cmd_color)
 
     p = sub.add_parser("roundtrip",
-                       help="run, decode the record, compare the drawn colors")
+                       help="run, decode the record, compare the drawn colors",
+                       allow_abbrev=False)
     add_run_flags(p)
     p.set_defaults(func=_cmd_roundtrip)
 
@@ -441,6 +454,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--tmax", type=int, required=True)
     p.add_argument("--brute", action="store_true")
     add_family_params(p)
+    add_r(p)
     p.set_defaults(func=_cmd_count_records)
 
     p = sub.add_parser("verify", help="check a coloring against a property")
@@ -449,7 +463,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--coloring", required=True)
     p.add_argument("--property", required=True, choices=PROPERTIES)
     p.add_argument("--pattern")
-    p.add_argument("--r", type=int, default=4)
+    add_r(p)
     p.set_defaults(func=_cmd_verify)
     return top
 

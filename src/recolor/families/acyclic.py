@@ -77,15 +77,14 @@ class Bicolored:
 class _AcyclicFamily(Family):
     """Candidate tables for the first types, bicolored rows for the rest:
     start paths (`_paths`) grown into rows whose last vertex w passes
-    ``_closes(path, w)``, every row when ``_closes`` is None.  Rows of the
-    ``alternating`` types are searched by `alternating_widths`."""
+    ``_closes(path, w)``, every row when ``_closes`` is None.  Row types
+    other than the special-pair square are searched by `alternating_widths`."""
 
     _closes = None
 
-    def __init__(self, g: Graph, name: str, types, tables, alternating):
-        super().__init__(name, g.n, types, Bicolored, tables, rank=g.rank)
-        self.g = g
-        self._type_of = {self._width[j]: j for j in alternating}
+    def __init__(self, g: Graph, name: str, types, tables):
+        super().__init__(g, name, types, Bicolored, tables)
+        self._type_of = {w: j for j, w in self._width.items()}
 
     def fired(self, coloring, v):
         """Every type with a bad row through v, ascending."""
@@ -128,7 +127,7 @@ class _GammaFamily(_AcyclicFamily):
             raise ValueError("gamma must be a positive integer")
         super().__init__(g, f"acyclic-gamma({gamma})",
                          ceilings("acyclic-gamma", g.max_degree, g.n, gamma=gamma),
-                         (g.adj,), range(2, g.n // 2 + 1))
+                         (g.adj,))
         self.gamma = gamma
 
     def _paths(self, v):
@@ -162,15 +161,19 @@ class _SpecialPairFamily(_AcyclicFamily):
     same-color event against the anchor's special set, then bicolored rows
     through a start path (u1, v, u3) over two neighbors of the anchor v.
     Type 3, the special-pair square, closes a start over a common neighbor
-    of u1 and u3 (`_squares`); from type 4 on, rows grow from u3."""
+    of u1 and u3 (`_squares`); from type 4 on, rows grow from u3.  A
+    subclass names its ``problem`` in `bounds.ceilings`."""
 
-    def __init__(self, g: Graph, special: SpecialStructure, problem: str):
-        alpha = special.alpha
-        types = ceilings(problem, g.max_degree, g.n, alpha=alpha)
-        super().__init__(g, f"{problem}({alpha})", types,
-                         (g.adj, special._special), range(4, len(types) + 1))
+    def __init__(self, g: Graph, alpha: float):
+        # built first: it refuses a bad alpha before the ceilings divide by it
+        self.special = SpecialStructure(g, alpha)
         self.alpha = alpha
-        self.special = special
+        super().__init__(g, f"{self.problem}({alpha})",
+                         ceilings(self.problem, g.max_degree, g.n, alpha=alpha),
+                         (g.adj, self.special._special))
+        # the square is searched by `_squares`: a width-4 alternating hit is
+        # an open P4 (v1) or a 4-cycle closed at u1 (v2), never a square
+        self._type_of.pop(4, None)
 
     def fired(self, coloring, v):
         """The square type first when a bicolored square sits at v, then
@@ -194,6 +197,7 @@ class _SpecialPairFamily(_AcyclicFamily):
     def _starts(self, coloring, v):
         """The start paths (u1, v, u3) with u1 and u3 colored alike and
         apart from v."""
+        # not `_paths` filtered by color: that ran v1-large ~1.5x slower
         colors, rank = coloring.colors, self.g.rank
         b = colors[v]
         nb = self.g.adj[v]
@@ -222,9 +226,7 @@ class _SpecialPairFamily(_AcyclicFamily):
 
 
 class _V1Family(_SpecialPairFamily):
-    def __init__(self, g: Graph, alpha: float):
-        # built first: it refuses a bad alpha before the ceilings divide by it
-        super().__init__(g, SpecialStructure(g, alpha), "acyclic-v1")
+    problem = "acyclic-v1"
 
     def _enumerate(self, v, j):
         """Squares as (v, a, c, b); type-4 rows are open 6-vertex paths."""
@@ -242,9 +244,7 @@ def acyclic_v1_family(g: Graph, alpha: float) -> _V1Family:
 
 
 class _V2Family(_SpecialPairFamily):
-    def __init__(self, g: Graph, alpha: float):
-        # built first: it refuses a bad alpha before the ceilings divide by it
-        super().__init__(g, SpecialStructure(g, alpha), "acyclic-v2")
+    problem = "acyclic-v2"
 
     def _enumerate(self, v, j):
         """Squares as (a, v, b, c); then 2k-cycles with the anchor second."""

@@ -1,7 +1,10 @@
 """Shared plumbing for bad-event families: one event table, one loop.
 
 A family declares its events and the loop on `Family` (`detect`,
-`uncolor_set`, `rebuild_event`) reads the declaration.  Each type's class
+`uncolor_set`, `rebuild_event`) reads the declaration.  A family is built
+on a graph ``g``, and one class flag fixes its objects: the vertices in
+``g.rank`` order, or with ``on_edges`` set the edge ids in index order.
+That order drives traversal and sorts witness lists.  Each type's class
 ceiling and uncolor size are declared once, in `bounds.ceilings`, which
 the presets read too; a family passes that list to `Family`, which raises
 a ceiling below 1 to 1 and builds the event-type metadata.  Types are
@@ -38,9 +41,9 @@ Witness lists (`witness_rows`) are enumerated lazily per (anchor, type) and
 memoized: they are pure functions of the immutable graph, so concurrent runs
 share the memo.  Each path is kept in one orientation, the order-smaller of
 it and its reversal (``min(row, row[::-1], key=_row_key)``), and the lists
-are sorted by the graph's vertex order, making class ranks the stable
-bijection the decoder relies on.  The repetition families declare their
-paths once, as one step table that the search and the enumeration both walk
+are sorted by the object order, making class ranks the stable bijection
+the decoder relies on.  The repetition families declare their paths once,
+as one step table that the search and the enumeration both walk
 (`PathRepetitionFamily`); the acyclic families declare start paths and one
 rule ``close(path, w)`` on a row's last vertex w, which `alternating_widths`
 and the enumeration both apply.  `arms` is the one arm recursion every
@@ -56,15 +59,16 @@ from ..engine import EventTypeMeta
 
 
 class Family:
-    """Families over objects 1..n with index-ordered traversal, running the
-    event loop on their declaration (see the module docstring).  A ``rank``
-    table (``rank[x]`` for object x, as `Graph.rank`) orders traversal and
-    witness rows instead of the index."""
+    """A family over the objects 1..n of graph ``g`` (its vertices, or its
+    edge ids with ``on_edges`` set), running the event loop on its
+    declaration (see the module docstring)."""
 
-    def __init__(self, name: str, n_objects: int, ceilings, shape, tables=(),
-                 widest=None, rank=None):
+    on_edges = False
+
+    def __init__(self, g, name: str, ceilings, shape, tables=()):
+        self.g = g
         self.name = name
-        self.n_objects = n_objects
+        self.n_objects = g.m if self.on_edges else g.n
         # a ceiling formula can fall below 1 on tiny graphs, whose class
         # lists are empty anyway
         self.metas = tuple(EventTypeMeta(j, max(1.0, c), s)
@@ -73,7 +77,8 @@ class Family:
         self.tables = tuple(tables)
         self._width = {m.type_id: shape.width(m.uncolor_size)
                        for m in self.metas[len(self.tables):]}
-        self.widest = max(self._width.values(), default=0) if widest is None else widest
+        self.widest = max(self._width.values(), default=0)
+        rank = None if self.on_edges else g.rank
         self._rank = None if rank is None else rank.__getitem__
         self._row_key = None if rank is None else (lambda row: [rank[x] for x in row])
         self._rows: dict[tuple[int, int], tuple] = {}
@@ -137,9 +142,9 @@ class Family:
         return RankFrontier(self.n_objects, self._rank)
 
     def witness_rows(self, v: int, j: int) -> tuple[tuple[tuple[int, ...], ...], array]:
-        """Canonical witness list for (anchor, type), sorted by the objects'
-        ranks (by index where there is no rank), plus the same rows laid
-        back to back in one int array, the form the row scans read."""
+        """Canonical witness list for (anchor, type), sorted by the object
+        order, plus the same rows laid back to back in one int array, the
+        form the row scans read."""
         key = (v, j)
         hit = self._rows.get(key)
         if hit is None:
@@ -268,7 +273,9 @@ class Repetition:
 
 class PathRepetitionFamily(Family):
     """Repetition families whose type-j witnesses are all the simple paths
-    of 2j objects through the anchor, every type searched by `fired`.
+    of 2j objects through the anchor, every type searched by `fired`: vertex
+    paths, or with ``on_edges`` set edge paths, whose consecutive objects
+    share a vertex rather than an edge.
 
     The paths are declared once, by one step table that both the search
     (`fired`) and the enumeration ranking a hit (`_enumerate`) walk.
@@ -276,12 +283,8 @@ class PathRepetitionFamily(Family):
     step from vertex x to ``g.adj[x][i]`` passes (the neighbor itself for
     vertex paths, so ``_steps`` is ``g.adj``, and the edge's id for edge
     paths), and supply ``_ends(x)``, the (first, last) vertices of object x
-    in each direction a path can run through it.  ``shared_joint`` is true
-    when consecutive objects share a vertex (edge paths) rather than an
-    edge (vertex paths).
+    in each direction a path can run through it.
     """
-
-    shared_joint = False
 
     def _enumerate(self, x, j):
         """Each type-j witness through x once: ``pos`` steps back from the
@@ -312,7 +315,7 @@ class PathRepetitionFamily(Family):
         A's last object followed by B's first or B's last by A's first.
         """
         colors, adj, steps = coloring.colors, self.g.adj, self._steps
-        shared, nbr = self.shared_joint, self.g.nbr
+        shared, nbr = self.on_edges, self.g.nbr
         c = colors[x]
         a_first, a_last = self._ends(x)[0]
         layer, joined = [], False

@@ -34,23 +34,20 @@ from .base import Family, Repetition
 
 
 class _FacialFamily(Family):
-    """Repetition families whose witnesses are windows along face walks.
-
-    The objects are the vertices, or with ``on_edges`` set the edge ids, and a
-    type-j row is a window of 2j consecutive objects on some face walk whose
-    vertices are distinct, in its order-smaller orientation.  ``widest`` is
-    the longest face.
+    """Repetition families whose witnesses are windows along face walks of
+    ``pg``: a type-j row is a window of 2j consecutive objects (vertices, or
+    with ``on_edges`` set edge ids) on some face walk whose vertices are
+    distinct, in its order-smaller orientation.  ``widest`` is the longest
+    face.
     """
 
-    on_edges = False
-
-    def __init__(self, name: str, pg: PlaneGraph, **kw):
+    def __init__(self, pg: PlaneGraph, name: str, tables=()):
+        g = pg.graph
+        super().__init__(g, name, ceilings(name, g.max_degree, g.n),
+                         Repetition, tables)
+        self.widest = max(map(len, pg.faces), default=0)
         self.pg = pg
-        self.g = g = pg.graph
         self._occurrences = None
-        super().__init__(name, g.m if self.on_edges else g.n,
-                         ceilings(name, g.max_degree, g.n), Repetition,
-                         widest=max(map(len, pg.faces), default=0), **kw)
 
     def fired(self, coloring, x):
         """Every window type whose width fits both the colored set and the
@@ -103,8 +100,7 @@ class _FacialFamily(Family):
 
 class _FacialVertexFamily(_FacialFamily):
     def __init__(self, pg: PlaneGraph):
-        g = pg.graph
-        super().__init__("facial-thue-vertex", pg, tables=(g.adj,), rank=g.rank)
+        super().__init__(pg, "facial-thue-vertex", (pg.graph.adj,))
 
 
 def facial_thue_vertex_family(pg: PlaneGraph) -> _FacialVertexFamily:
@@ -119,7 +115,7 @@ class _FacialEdgeFamily(_FacialFamily):
     def __init__(self, pg: PlaneGraph, e_star: int):
         if not 1 <= e_star <= pg.graph.m:
             raise ValueError(f"reserved edge id {e_star} out of range")
-        super().__init__("facial-thue-edge", pg)
+        super().__init__(pg, "facial-thue-edge")
         self.e_star = e_star
         self.medial = medial_graph(pg)
 

@@ -21,10 +21,9 @@ from .base import PathRepetitionFamily, Repetition
 
 class _NonrepVertexFamily(PathRepetitionFamily):
     def __init__(self, g: Graph):
-        super().__init__("nonrepetitive-vertex", g.n,
+        super().__init__(g, "nonrepetitive-vertex",
                          ceilings("nonrepetitive-vertex", g.max_degree, g.n),
-                         Repetition, rank=g.rank)
-        self.g = g
+                         Repetition)
         self._steps = g.adj
 
     def _ends(self, v):
@@ -39,16 +38,15 @@ def nonrepetitive_vertex_family(g: Graph) -> _NonrepVertexFamily:
 
 
 class _NonrepEdgeFamily(PathRepetitionFamily):
+    on_edges = True
+
     def __init__(self, g: Graph):
-        super().__init__("nonrepetitive-edge", g.m,
+        super().__init__(g, "nonrepetitive-edge",
                          ceilings("nonrepetitive-edge", g.max_degree, g.n),
                          Repetition)
-        self.g = g
         self._steps = tuple(
             tuple(g.edge_index[(min(x, w), max(x, w))] for w in nb)
             for x, nb in enumerate(g.adj))
-
-    shared_joint = True
 
     def _ends(self, e):
         a, b = self.g.endpoints(e)

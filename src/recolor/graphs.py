@@ -39,8 +39,9 @@ def _clean_lines(text: str):
 
 
 def _header(lines) -> tuple[int, int]:
-    """(n, m) from the "n m" header opening a cleaned document, refusing
-    more than MAX_FILE_VERTICES vertices before anything is allocated."""
+    """(n, m) from the "n m" header opening a cleaned document, refusing a
+    negative count or more than MAX_FILE_VERTICES vertices before anything
+    is allocated."""
     if not lines:
         raise GraphFormatError("empty document")
     no, header = lines[0]
@@ -51,6 +52,8 @@ def _header(lines) -> tuple[int, int]:
         n, m = int(parts[0]), int(parts[1])
     except ValueError:
         raise GraphFormatError("expected integers in header 'n m'", no) from None
+    if n < 0 or m < 0:
+        raise GraphFormatError(f"negative count in header '{n} {m}'", no)
     if n > MAX_FILE_VERTICES:
         raise GraphFormatError(
             f"header announces {n} vertices, more than the {MAX_FILE_VERTICES} "

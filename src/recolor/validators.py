@@ -230,8 +230,6 @@ def check_nonrepetitive(g: Graph, phi: dict, objects: str = "vertex",
         for path in _simple_paths(g, parity_even_vertices=False):
             ids = tuple(g.edge_index[(min(a, b), max(a, b))]
                         for a, b in zip(path, path[1:]))
-            if len(ids) % 2:
-                continue
             if _is_repetition([_color(phi, e) for e in ids]):
                 return CheckResult(False, ids, f"edge repetition on {ids}")
     return _OK

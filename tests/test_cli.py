@@ -601,9 +601,31 @@ def test_module_entry_point_runs():
     assert "kappa_total\t10" in proc.stdout
 
 
-def test_argparse_usage_error_is_exit_two():
+def test_argparse_usage_error_is_exit_two(tmp_path):
     proc = _cli_process("bound", "--problem", "nope")
     assert proc.returncode == 2
+    # a run command takes no --r, nor reads it as a prefix of --record-out
+    for command in ("color", "roundtrip"):
+        proc = _cli_process(command, "--family", "acyclic-gamma", "--kappa",
+                            "3", "--seed", "1", "--budget", "5", "--r", "4")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --r" in proc.stderr
+    # a missing input is refused by name, never with a traceback
+    coloring = tmp_path / "phi.txt"
+    coloring.write_text("1 1\n")
+    run = ("--kappa", "3", "--seed", "1", "--budget", "5")
+    for argv, needs in [
+        (("bound", "--problem", "acyclic-v1", "--optimize-alpha"), "--delta"),
+        (("color", "--family", "acyclic-gamma") + run, "--graph"),
+        (("color", "--family", "nonrepetitive-edge") + run, "--graph"),
+        (("roundtrip", "--family", "acyclic-gamma") + run, "--graph"),
+        (("verify", "--property", "proper", "--coloring", str(coloring)),
+         "--graph"),
+    ]:
+        proc = _cli_process(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("error: ") and f"needs {needs}" in proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
 
 
 # --- fuzzed argv ---------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Every family's event table, checked against its metas and witnesses.
 
-A family declares candidate tables for its first types and a row width
-for every later type, one row shape and one width cap; the event loop on
-`Family` reads the tables, then the row types its `fired` yields.  The loop
-probes types in order, so the declaration must cover each meta type exactly
-once and in ascending order, and every witness row must be as wide as its
-shape says.  A class past the anchor's class list is a decode error.
+A family declares its objects (edges exactly when ``on_edges`` is set, so
+the object count is ``g.m``, else ``g.n``), candidate tables for its first
+types and a row width for every later type, one row shape and one width
+cap; the event loop on `Family` reads the tables, then the row types its
+`fired` yields.  The loop probes types in order, so the declaration must
+cover each meta type exactly once and in ascending order, and every witness
+row must be as wide as its shape says.  A class past the anchor's class
+list is a decode error.
 """
 
 import random
@@ -45,6 +47,8 @@ def instances(name):
 @pytest.mark.parametrize("name", sorted(FAMILY_CASES))
 def test_every_type_is_declared_once_in_order(name):
     for fam in instances(name):
+        assert fam.on_edges == (name in ("nonrepetitive-edge", "facial-thue-edge"))
+        assert fam.n_objects == (fam.g.m if fam.on_edges else fam.g.n)
         types = [m.type_id for m in fam.metas]
         tables = list(range(1, len(fam.tables) + 1))
         assert tables + list(fam._width) == types

@@ -62,6 +62,13 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match="more than the 3"):
             load_graph("4 0\n")
 
+    @pytest.mark.parametrize("header", ["-1 0", "3 -2"])
+    def test_negative_header_count_names_line(self, header):
+        for load in (load_graph, load_rotation):
+            with pytest.raises(GraphFormatError,
+                               match="line 1: negative count in header"):
+                load(header + "\n")
+
     def test_vertex_out_of_range_names_line(self):
         with pytest.raises(GraphFormatError, match="line 3"):
             load_graph("3 2\n1 2\n1 7\n")
