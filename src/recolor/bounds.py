@@ -7,9 +7,11 @@ ratios, ships closed-form presets for the named coloring problems (with the
 evaluation points those bounds are usually quoted at), and solves the
 characteristic system governing the record-counting generating function.
 
-Each event type's class ceiling is declared once, in `ceilings`: the
-families build their event types from that list and the presets build Q
-from it, so a family's Q is its preset's.
+Each named problem is declared once, as a row of `PROBLEM_TABLE`: its
+preset, the arguments the preset reads, and what the CLI needs to run and
+check it.  Each event type's class ceiling is declared once, in `ceilings`:
+the families build their event types from that list and the presets build
+Q from it, so a family's Q is its preset's.
 
 Presets whose type list grows with the host graph come in two modes: the
 exact finite sum (pass n) or a closed-form tail bounding the series from
@@ -21,8 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Callable
+from functools import partial, reduce
+from typing import Callable, NamedTuple
 
 __all__ = [
     "CharacteristicSystem",
@@ -31,6 +33,8 @@ __all__ = [
     "QPolynomial",
     "RatioResult",
     "PROBLEMS",
+    "PROBLEM_TABLE",
+    "Problem",
     "acyclic_chromatic_ceiling",
     "acyclic_v1_ratio",
     "ceilings",
@@ -558,18 +562,46 @@ def _pair_forbidden(delta: int, descriptors, n: int | None,
                        optimize_ratio(q), q, lit)
 
 
-PROBLEMS = (
-    "acyclic-gamma",
-    "acyclic-v1",
-    "acyclic-v2",
-    "nonrepetitive-vertex",
-    "nonrepetitive-edge",
-    "facial-thue-vertex",
-    "facial-thue-edge",
-    "r-acyclic",
-    "pair-forbidden",
-    "star",
-)
+class Problem(NamedTuple):
+    """A named problem: its preset, the `kappa_preset` arguments that preset
+    reads (space-separated, in order) and the `verify` property checking
+    its colorings; a problem the engine runs also names its family."""
+
+    preset: Callable[..., PresetBound]
+    options: str
+    verify: str | None = None
+    factory: str | None = None  # attribute of `recolor.families`, loaded on use
+    option: str | None = None  # the CLI option the factory takes after its host
+    embedded: bool = False  # the host is a plane embedding, not a graph
+    on_edges: bool = False  # the colored objects are edges, not vertices
+
+
+PROBLEM_TABLE = {
+    "acyclic-gamma": Problem(_acyclic_gamma, "delta gamma n", "acyclic",
+                             "acyclic_gamma_family", "gamma"),
+    "acyclic-v1": Problem(_acyclic_v1, "delta alpha", "acyclic",
+                          "acyclic_v1_family", "alpha"),
+    "acyclic-v2": Problem(_acyclic_v2, "delta alpha n", "acyclic",
+                          "acyclic_v2_family", "alpha"),
+    "nonrepetitive-vertex": Problem(
+        partial(_nonrepetitive, edge=False), "delta n",
+        "nonrepetitive-vertex", "nonrepetitive_vertex_family"),
+    "nonrepetitive-edge": Problem(
+        partial(_nonrepetitive, edge=True), "delta n", "nonrepetitive-edge",
+        "nonrepetitive_edge_family", on_edges=True),
+    "facial-thue-vertex": Problem(
+        _facial_vertex, "delta n", "facial-thue-vertex",
+        "facial_thue_vertex_family", embedded=True),
+    "facial-thue-edge": Problem(
+        _facial_edge, "n", "facial-thue-edge", "facial_thue_edge_family",
+        "estar", embedded=True, on_edges=True),
+    "r-acyclic": Problem(_r_acyclic, "delta r", "r-acyclic"),
+    "pair-forbidden": Problem(_pair_forbidden, "delta descriptors n form",
+                              "pair-forbidden"),
+    "star": Problem(_star, "delta"),
+}
+
+PROBLEMS = tuple(PROBLEM_TABLE)
 
 
 def kappa_preset(problem: str, delta: int | None = None, *,
@@ -582,26 +614,11 @@ def kappa_preset(problem: str, delta: int | None = None, *,
     Parameters outside a preset's validity range raise ValueError quoting
     the threshold.
     """
-    if problem != "facial-thue-edge":
-        _require(delta is not None, f"{problem} requires delta")
-    if problem == "acyclic-gamma":
-        return _acyclic_gamma(delta, gamma, n)
-    if problem == "acyclic-v1":
-        return _acyclic_v1(delta, alpha)
-    if problem == "acyclic-v2":
-        return _acyclic_v2(delta, alpha, n)
-    if problem == "nonrepetitive-vertex":
-        return _nonrepetitive(delta, n, edge=False)
-    if problem == "nonrepetitive-edge":
-        return _nonrepetitive(delta, n, edge=True)
-    if problem == "facial-thue-vertex":
-        return _facial_vertex(delta, n)
-    if problem == "facial-thue-edge":
-        return _facial_edge(n)
-    if problem == "r-acyclic":
-        return _r_acyclic(delta, r)
-    if problem == "star":
-        return _star(delta)
-    if problem == "pair-forbidden":
-        return _pair_forbidden(delta, descriptors, n, form)
-    raise ValueError(f"unknown problem {problem!r}; known: {PROBLEMS}")
+    row = PROBLEM_TABLE.get(problem)
+    _require(row is not None, f"unknown problem {problem!r}; known: {PROBLEMS}")
+    names = row.options.split()
+    _require(delta is not None or "delta" not in names,
+             f"{problem} requires delta")
+    given = {"delta": delta, "gamma": gamma, "alpha": alpha, "r": r, "n": n,
+             "descriptors": descriptors, "form": form}
+    return row.preset(*map(given.get, names))

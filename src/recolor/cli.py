@@ -6,9 +6,11 @@ Exit codes: 0 success/accept, 1 reject or incomplete run, 2 usage or domain
 error, 3 broken internal contract (a `roundtrip` decode inconsistency
 included).
 
-Only `bounds`, `records` and `errors` load with this module, all that
-`bound`, `table` and `count-records` run; every other module is imported
-by the command or helper that calls it.
+The problem, family and property choices, a family's constructor, host
+and options, and a property's host and objects are read from
+`bounds.PROBLEM_TABLE`.  Only `bounds`, `records` and `errors` load with
+this module, all that `bound`, `table` and `count-records` run; every
+other module is imported by the command or helper that calls it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from typing import TYPE_CHECKING
 # benchmark's tracer (perfbench/spans.py) rebinds `kappa_preset`, `count_b`,
 # `count_r` and `growth_check` on this module.
 from .bounds import (
+    PROBLEM_TABLE,
     PROBLEMS,
+    Problem,
     QPolynomial,
     kappa_preset,
     optimal_alpha,
@@ -39,26 +43,13 @@ if TYPE_CHECKING:
     from .graphs import Graph
     from .planar import PlaneGraph
 
-FAMILIES = (
-    "acyclic-gamma",
-    "acyclic-v1",
-    "acyclic-v2",
-    "nonrepetitive-vertex",
-    "nonrepetitive-edge",
-    "facial-thue-vertex",
-    "facial-thue-edge",
-)
+FAMILIES = tuple(name for name, row in PROBLEM_TABLE.items() if row.factory)
 
-PROPERTIES = (
-    "proper",
-    "acyclic",
-    "nonrepetitive-vertex",
-    "nonrepetitive-edge",
-    "facial-thue-vertex",
-    "facial-thue-edge",
-    "r-acyclic",
-    "pair-forbidden",
-)
+# the row a `verify` property reads its host and objects from; `proper`
+# checks a graph's vertices, as a row does by default
+_CHECKS = {"proper": Problem(None, "")} | {
+    row.verify: row for row in PROBLEM_TABLE.values() if row.verify}
+PROPERTIES = tuple(_CHECKS)
 
 _ALPHA_TABLE_DELTAS = (27, 28, 29, 30, 100, 1000, 10000, 100000, 1000000)
 
@@ -75,11 +66,20 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _load_embedding(args, g: Graph | None) -> PlaneGraph:
+def _host(args, row: Problem, name: str) -> Graph | PlaneGraph:
+    """The `--graph` a problem's row reads, or its `--embedding`, checked
+    against a `--graph` given with it; ``name`` labels a missing one."""
+    from .graphs import load_graph
+
+    g = load_graph(_read(args.graph)) if args.graph else None
+    if not row.embedded:
+        if g is None:
+            raise ValueError(f"{name} needs --graph")
+        return g
+    if not args.embedding:
+        raise ValueError(f"{name} needs --embedding")
     from .planar import load_rotation
 
-    if not args.embedding:
-        raise ValueError(f"{args.family} needs --embedding")
     return load_rotation(_read(args.embedding), graph=g)
 
 
@@ -105,7 +105,9 @@ def _parse_terms(text: str) -> list[tuple[float, int]]:
     return terms
 
 
-def _parse_coloring(text: str) -> dict[int, int]:
+def _parse_coloring(text: str, count: int) -> dict[int, int]:
+    """{object: color} from "object color" lines, objects in 1..count and
+    each at most once, colors nonnegative (0 is uncolored)."""
     from .graphs import _clean_lines
 
     phi = {}
@@ -115,6 +117,13 @@ def _parse_coloring(text: str) -> dict[int, int]:
         except ValueError:
             raise ValueError(f"coloring line {no}: expected 'object color'") \
                 from None
+        if not 1 <= obj <= count:
+            raise ValueError(
+                f"coloring line {no}: object {obj} out of range 1..{count}")
+        if obj in phi:
+            raise ValueError(f"coloring line {no}: object {obj} colored twice")
+        if color < 0:
+            raise ValueError(f"coloring line {no}: negative color {color}")
         phi[obj] = color
     return phi
 
@@ -128,43 +137,27 @@ def _parse_lists(text: str) -> dict[int, tuple[int, ...]]:
         try:
             if not sep:
                 raise ValueError
-            lists[int(head)] = tuple(int(c) for c in tail.split())
+            obj, colors = int(head), tuple(int(c) for c in tail.split())
         except ValueError:
             raise ValueError(f"lists line {no}: expected 'object: c1 c2 ...'") \
                 from None
+        if obj in lists:
+            raise ValueError(f"lists line {no}: object {obj} listed twice")
+        lists[obj] = colors
     return lists
 
 
-def _build_family(args, g: Graph | None):
-    from .families import (
-        acyclic_gamma_family,
-        acyclic_v1_family,
-        acyclic_v2_family,
-        facial_thue_edge_family,
-        facial_thue_vertex_family,
-        nonrepetitive_edge_family,
-        nonrepetitive_vertex_family,
-    )
+def _build_family(args):
+    """(graph, family) of `--family` on its host."""
+    from . import families
 
-    name = args.family
-    if g is None and not name.startswith("facial"):
-        raise ValueError(f"{name} needs --graph")
-    if name == "acyclic-gamma":
-        return g, acyclic_gamma_family(g, args.gamma)
-    if name == "acyclic-v1":
-        return g, acyclic_v1_family(g, args.alpha)
-    if name == "acyclic-v2":
-        return g, acyclic_v2_family(g, args.alpha)
-    if name == "nonrepetitive-vertex":
-        return g, nonrepetitive_vertex_family(g)
-    if name == "nonrepetitive-edge":
-        return g, nonrepetitive_edge_family(g)
-    pg = _load_embedding(args, g)
-    if name == "facial-thue-vertex":
-        return pg.graph, facial_thue_vertex_family(pg)
-    if args.estar is None:
-        raise ValueError("facial-thue-edge needs --estar")
-    return pg.graph, facial_thue_edge_family(pg, args.estar)
+    row = PROBLEM_TABLE[args.family]
+    host = _host(args, row, args.family)
+    option = [getattr(args, row.option)] if row.option else []
+    if None in option:
+        raise ValueError(f"{args.family} needs --{row.option}")
+    fam = getattr(families, row.factory)(host, *option)
+    return fam.g, fam
 
 
 def _engine_input(args) -> EngineInput:
@@ -240,10 +233,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_color(args) -> int:
     from .engine import RunStatus, run
-    from .graphs import load_graph
 
-    g = load_graph(_read(args.graph)) if args.graph else None
-    g, fam = _build_family(args, g)
+    g, fam = _build_family(args)
     inp = _engine_input(args)
     res = run(g, fam, inp)
     manifest = {
@@ -266,10 +257,8 @@ def _cmd_color(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     from .engine import decode, run
-    from .graphs import load_graph
 
-    g = load_graph(_read(args.graph)) if args.graph else None
-    g, fam = _build_family(args, g)
+    g, fam = _build_family(args)
     inp = _engine_input(args)
     res = run(g, fam, inp)
     recovered = tuple(decode(g, fam, res.coloring, res.record,
@@ -341,7 +330,6 @@ def _cmd_count_records(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .graphs import load_graph
-    from .planar import load_rotation
     from .validators import (
         check_acyclic,
         check_nonrepetitive,
@@ -350,34 +338,24 @@ def _cmd_verify(args) -> int:
         check_r_acyclic,
     )
 
-    phi = _parse_coloring(_read(args.coloring))
     prop = args.property
-    if prop.startswith("facial"):
-        pg = load_rotation(_read(args.embedding)) if args.embedding else None
-        if pg is None:
-            raise ValueError(f"{prop} needs --embedding")
-        g = pg.graph
-        objects = "edge" if prop == "facial-thue-edge" else "vertex"
-        result = check_nonrepetitive(g, phi, objects=objects, facial=pg)
+    row = _CHECKS[prop]
+    host = _host(args, row, prop)
+    g, pg = (host.graph, host) if row.embedded else (host, None)
+    phi = _parse_coloring(_read(args.coloring), g.m if row.on_edges else g.n)
+    if prop == "proper":
+        result = check_proper(g, phi)
+    elif prop == "acyclic":
+        result = check_acyclic(g, phi)
+    elif prop == "r-acyclic":
+        result = check_r_acyclic(g, phi, args.r)
+    elif prop == "pair-forbidden":
+        if not args.pattern:
+            raise ValueError("pair-forbidden needs --pattern")
+        result = check_pair_forbidden(g, phi, load_graph(_read(args.pattern)))
     else:
-        if not args.graph:
-            raise ValueError(f"{prop} needs --graph")
-        g = load_graph(_read(args.graph))
-        if prop == "proper":
-            result = check_proper(g, phi)
-        elif prop == "acyclic":
-            result = check_acyclic(g, phi)
-        elif prop == "nonrepetitive-vertex":
-            result = check_nonrepetitive(g, phi, objects="vertex")
-        elif prop == "nonrepetitive-edge":
-            result = check_nonrepetitive(g, phi, objects="edge")
-        elif prop == "r-acyclic":
-            result = check_r_acyclic(g, phi, args.r)
-        else:
-            if not args.pattern:
-                raise ValueError("pair-forbidden needs --pattern")
-            h = load_graph(_read(args.pattern))
-            result = check_pair_forbidden(g, phi, h)
+        result = check_nonrepetitive(
+            g, phi, objects="edge" if row.on_edges else "vertex", facial=pg)
     if result.ok:
         _emit("ACCEPT")
         _note(f"{prop}: ok")

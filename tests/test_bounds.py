@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recolor.bounds import (
+    PROBLEM_TABLE,
     PROBLEMS,
     CharacteristicSystem,
     ClosedTail,
@@ -362,6 +363,8 @@ def test_preset_pair_forbidden():
 def test_preset_dispatch_errors():
     with pytest.raises(ValueError, match="unknown problem"):
         kappa_preset("nope", 5)
+    with pytest.raises(ValueError, match="unknown problem"):
+        kappa_preset("nope")
     with pytest.raises(ValueError, match="requires delta"):
         kappa_preset("acyclic-v1")
 
@@ -483,9 +486,15 @@ def test_presets_match_their_pinned_digest():
 
 
 def test_problem_roster():
-    assert len(PROBLEMS) == 10
-    assert "acyclic-v1" in PROBLEMS
-    assert "pair-forbidden" in PROBLEMS
+    # the benchmark samples PROBLEMS by position, so the order is pinned
+    assert PROBLEMS == (
+        "acyclic-gamma", "acyclic-v1", "acyclic-v2", "nonrepetitive-vertex",
+        "nonrepetitive-edge", "facial-thue-vertex", "facial-thue-edge",
+        "r-acyclic", "pair-forbidden", "star")
+    # a `verify` property reads one host and one object kind
+    for prop in {row.verify for row in PROBLEM_TABLE.values()}:
+        assert len({(row.embedded, row.on_edges) for row in
+                    PROBLEM_TABLE.values() if row.verify == prop}) == 1, prop
 
 
 def test_characteristic_matches_gamma_preset_terms():

@@ -21,7 +21,10 @@ from recolor.bounds import PROBLEMS, kappa_preset
 from recolor.cli import FAMILIES, PROPERTIES, main
 from recolor.errors import DecodeError, FamilyContractError
 
+from _util import FAMILY_CASES
+
 K3_GRAPH = "3 3\n1 2\n1 3\n2 3\n"
+C4_GRAPH = "4 4\n1 2\n2 3\n3 4\n4 1\n"
 K3_ROTATION = "3 3\n1: 2 3\n2: 1 3\n3: 1 2\n"
 TWO_EDGES_ROTATION = "4 2\n1: 2\n2: 1\n3: 4\n4: 3\n"
 
@@ -313,7 +316,8 @@ def test_color_lists_file(capsys, tmp_path):
     assert colors[2] in (21, 22, 23)
 
 
-@pytest.mark.parametrize("text", ["x: 1 2\n", "# lists\n1: 1 y\n", "1 2 3\n"])
+@pytest.mark.parametrize("text", ["x: 1 2\n", "# lists\n1: 1 y\n", "1 2 3\n",
+                                  "1: 1 2 3\n1: 4 5 6\n"])
 def test_color_lists_file_names_its_bad_line(capsys, tmp_path, text):
     graph = tmp_path / "k3.txt"
     graph.write_text(K3_GRAPH)
@@ -566,14 +570,54 @@ def test_verify_r_acyclic(capsys, tmp_path):
 
 
 def test_verify_bad_coloring_file(capsys, tmp_path):
-    graph = tmp_path / "k3.txt"
-    graph.write_text(K3_GRAPH)
-    phi = tmp_path / "garbled.phi"
-    phi.write_text("1 red\n")
-    code, _, err = run_cli(capsys, "verify", "--graph", str(graph),
+    """An unreadable, repeated or out-of-range coloring line is refused by
+    its line; objects run over 1..n, or 1..m for an edge property."""
+    graph = tmp_path / "c4.txt"
+    graph.write_text(C4_GRAPH)
+    phi = tmp_path / "bad.phi"
+    for prop, text, message in [
+        ("proper", "1 red\n", "coloring line 1: expected 'object color'"),
+        ("proper", "1 1\n2 2\n1 2\n", "coloring line 3: object 1 colored twice"),
+        ("proper", "1 1\n9 5\n", "coloring line 2: object 9 out of range 1..4"),
+        ("proper", "1 -1\n", "coloring line 1: negative color -1"),
+        ("nonrepetitive-edge", "4 1\n5 1\n",
+         "coloring line 2: object 5 out of range 1..4"),
+    ]:
+        phi.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--graph", str(graph),
+                                 "--coloring", str(phi), "--property", prop)
+        assert code == 2 and out == "", text
+        assert message in err, (text, err)
+
+
+def test_verify_reads_color_zero_as_uncolored(capsys, tmp_path):
+    graph = tmp_path / "c4.txt"
+    graph.write_text(C4_GRAPH)
+    phi = tmp_path / "zeros.phi"
+    phi.write_text("1 0\n2 0\n3 1\n")
+    code, out, _ = run_cli(capsys, "verify", "--graph", str(graph),
                            "--coloring", str(phi), "--property", "proper")
-    assert code == 2
-    assert "expected 'object color'" in err
+    assert code == 0 and out == "ACCEPT\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 2\n1 2\n2 3\n", "does not match the graph file"),
+    ("3 3\n1 2\nx y\n", "line 3"),
+], ids=["other-edges", "garbled"])
+def test_verify_facial_checks_the_graph_file(capsys, tmp_path, text, message):
+    """`verify` loads a facial host as `color` does: a `--graph` given with
+    the `--embedding` must be readable and have the embedding's edges."""
+    graph = tmp_path / "graph.txt"
+    graph.write_text(text)
+    rotation = tmp_path / "k3.rot"
+    rotation.write_text(K3_ROTATION)
+    phi = tmp_path / "k3.phi"
+    phi.write_text("1 1\n2 2\n3 3\n")
+    code, out, err = run_cli(capsys, "verify", "--graph", str(graph),
+                             "--embedding", str(rotation), "--coloring",
+                             str(phi), "--property", "facial-thue-vertex")
+    assert code == 2 and out == ""
+    assert message in err, err
 
 
 def test_verify_missing_file(capsys):
@@ -584,6 +628,16 @@ def test_verify_missing_file(capsys):
 
 
 # --- wiring --------------------------------------------------------------------
+
+def test_families_and_properties_read_the_problem_table():
+    # argparse prints these choices in order in its usage errors
+    assert FAMILIES == PROBLEMS[:7]
+    assert PROPERTIES == (
+        "proper", "acyclic", "nonrepetitive-vertex", "nonrepetitive-edge",
+        "facial-thue-vertex", "facial-thue-edge", "r-acyclic", "pair-forbidden")
+    # a family missing from the fuzzed cases would skip every fuzz test
+    assert tuple(FAMILY_CASES) == FAMILIES
+
 
 def _cli_process(*argv):
     """`python -m recolor.cli ARGV` in a child importing this recolor."""
@@ -689,7 +743,7 @@ def test_bound_fuzzed_argv_keeps_exit_codes(tmp_path, data):
 # header's vertex count is allocated as given.
 _TOKEN = st.one_of(st.integers(-2, 12).map(str), st.sampled_from(
     ["x", "1.5", "1e3", ":", "#", "order:", "-", "\u00e9", "1:2"]))
-_GRAPH_DOCS = (K3_GRAPH, "4 4\n1 2\n2 3\n3 4\n4 1\n",
+_GRAPH_DOCS = (K3_GRAPH, C4_GRAPH,
                "4 6\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n",
                "5 4\n1 2\n1 3\n1 4\n1 5\norder: 5 4 3 2 1\n",
                "1 0\n", "0 0\n", "2 1\n1 2\n")

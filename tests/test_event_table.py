@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from recolor.bounds import PROBLEM_TABLE
 from recolor.engine import DecodeError, PartialColoring, Record, decode
 from recolor.families import (
     acyclic_gamma_family,
@@ -47,7 +48,7 @@ def instances(name):
 @pytest.mark.parametrize("name", sorted(FAMILY_CASES))
 def test_every_type_is_declared_once_in_order(name):
     for fam in instances(name):
-        assert fam.on_edges == (name in ("nonrepetitive-edge", "facial-thue-edge"))
+        assert fam.on_edges == PROBLEM_TABLE[name].on_edges
         assert fam.n_objects == (fam.g.m if fam.on_edges else fam.g.n)
         types = [m.type_id for m in fam.metas]
         tables = list(range(1, len(fam.tables) + 1))
