@@ -22,7 +22,6 @@ the exact mode, so its bounds stay safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial, reduce
 from typing import Callable, NamedTuple
 
@@ -46,8 +45,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClosedTail:
+# Named tuples, not dataclasses: `import dataclasses` (with `inspect` behind
+# it) would be most of every CLI command's start-up.
+class ClosedTail(NamedTuple):
     """Closed form added on top of the finite terms, valid for x < radius."""
 
     fn: Callable[[float], float]
@@ -55,23 +55,26 @@ class ClosedTail:
     radius: float
 
 
-@dataclass(frozen=True)
-class QPolynomial:
+class _QFields(NamedTuple):
+    terms: tuple[tuple[float, int], ...]
+    tail: ClosedTail | None
+
+
+class QPolynomial(_QFields):
     """Q(x) = 1 + sum C_j x^{s_j} (+ tail); C_j > 0, s_j integer >= 1."""
 
-    terms: tuple[tuple[float, int], ...]
-    tail: ClosedTail | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "terms", tuple((float(c), int(s)) for c, s in self.terms))
-        for c, s in self.terms:
+    def __new__(cls, terms, tail: ClosedTail | None = None) -> "QPolynomial":
+        terms = tuple((float(c), int(s)) for c, s in terms)
+        for c, s in terms:
             if c <= 0:
                 raise ValueError(f"coefficients must be positive, got {c}")
             if s < 1:
                 raise ValueError(f"sizes must be positive integers, got {s}")
-        if not self.terms and self.tail is None:
+        if not terms and tail is None:
             raise ValueError("need at least one term or a tail")
+        return super().__new__(cls, terms, tail)
 
     @classmethod
     def from_metas(cls, metas) -> "QPolynomial":
@@ -106,8 +109,7 @@ def eval_at(q: QPolynomial, x: float) -> float:
     return q.q(x) / x
 
 
-@dataclass(frozen=True)
-class RatioResult:
+class RatioResult(NamedTuple):
     x: float
     ratio: float
     kappa: int
@@ -159,8 +161,7 @@ def optimize_ratio(q: QPolynomial) -> RatioResult:
     return RatioResult(x, ratio, math.ceil(ratio), abs(q.p(x)), False)
 
 
-@dataclass(frozen=True)
-class CharacteristicSystem:
+class CharacteristicSystem(NamedTuple):
     d: int
     r: float
     s: float
@@ -250,22 +251,34 @@ def acyclic_chromatic_ceiling(delta: int) -> float:
                1.5 * d43 + delta + 8 * d43 / (delta ** (2 / 3) - 4) + 1)
 
 
-@dataclass(frozen=True)
-class PresetBound:
-    """A preset's bound at its quoted evaluation point and at the true root.
-
-    ``pinned.kappa`` is the integer the bound is stated with; ``optimized``
-    comes from minimizing the same Q, so optimized.kappa <= pinned.kappa.
-    ``kappa_total`` is set when finishing the coloring costs extra colors
-    beyond the engine palette (the reserved-edge variant).
-    """
-
+class _PresetFields(NamedTuple):
     problem: str
     pinned: RatioResult
     optimized: RatioResult
     q: QPolynomial
-    literature: dict[str, int] = field(default_factory=dict)
-    kappa_total: int | None = None
+    literature: dict[str, int]
+    kappa_total: int | None
+
+
+class PresetBound(_PresetFields):
+    """A preset's bound at its quoted evaluation point and at the true root.
+
+    ``pinned.kappa`` is the integer the bound is stated with; ``optimized``
+    comes from minimizing the same Q, so optimized.kappa <= pinned.kappa.
+    ``literature`` defaults to a fresh empty dict per bound.
+    ``kappa_total`` is set when finishing the coloring costs extra colors
+    beyond the engine palette (the reserved-edge variant).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, problem: str, pinned: RatioResult,
+                optimized: RatioResult, q: QPolynomial,
+                literature: dict[str, int] | None = None,
+                kappa_total: int | None = None) -> "PresetBound":
+        return super().__new__(cls, problem, pinned, optimized, q,
+                               {} if literature is None else literature,
+                               kappa_total)
 
 
 def _pinned(q: QPolynomial, x: float, display: float) -> RatioResult:

@@ -18,9 +18,8 @@ from __future__ import annotations
 import random
 from array import array
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import AbstractSet, Optional, Protocol
+from typing import AbstractSet, NamedTuple, Optional, Protocol
 
 from .errors import DecodeError, FamilyContractError
 
@@ -30,8 +29,15 @@ class RunStatus(Enum):
     BUDGET_EXHAUSTED = "BudgetExhausted"
 
 
-@dataclass(frozen=True)
-class EventTypeMeta:
+# Named tuples and a slotted class, not dataclasses, whose import (with
+# `inspect` behind it) every run would pay at start-up.
+class _EventTypeFields(NamedTuple):
+    type_id: int
+    cost: float
+    uncolor_size: int
+
+
+class EventTypeMeta(_EventTypeFields):
     """Declared shape of one bad-event type.
 
     ``cost`` is the class-count ceiling: every class index the family emits
@@ -41,17 +47,17 @@ class EventTypeMeta:
     uncolors.
     """
 
-    type_id: int
-    cost: float
-    uncolor_size: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.type_id < 1:
+    def __new__(cls, type_id: int, cost: float,
+                uncolor_size: int) -> "EventTypeMeta":
+        if type_id < 1:
             raise ValueError("type_id must be >= 1")
-        if not self.cost >= 1:
+        if not cost >= 1:
             raise ValueError("cost must be >= 1")
-        if self.uncolor_size < 1:
+        if uncolor_size < 1:
             raise ValueError("uncolor_size must be >= 1")
+        return super().__new__(cls, type_id, cost, uncolor_size)
 
 
 class PartialColoring:
@@ -170,15 +176,35 @@ def frontier_of(fam: BadEventFamily):
     return make() if make is not None else _NextUncolored(fam)
 
 
-@dataclass(frozen=True)
 class Record:
     """One entry per step: None for a surviving color, (j, k) when the step's
-    color triggered the class-k bad event of type j and its set was uncolored."""
+    color triggered the class-k bad event of type j and its set was uncolored.
 
-    steps: tuple[Optional[tuple[int, int]], ...]
+    Not a tuple: its length is its step count.  ``steps`` is read-only, and
+    records compare and hash by their steps."""
+
+    __slots__ = ("_steps",)
+
+    def __init__(self, steps: tuple[Optional[tuple[int, int]], ...]):
+        self._steps = steps
+
+    @property
+    def steps(self) -> tuple[Optional[tuple[int, int]], ...]:
+        return self._steps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._steps == other._steps
+
+    def __hash__(self) -> int:
+        return hash((self._steps,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(steps={self._steps!r})"
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self._steps)
 
     def levels(self, metas: Sequence[EventTypeMeta]) -> tuple[int, ...]:
         """Dyck level (count of currently colored objects) after each step."""
@@ -229,35 +255,41 @@ class Record:
         return cls(tuple(steps)), manifest
 
 
-@dataclass(frozen=True)
-class EngineInput:
+class _EngineInputFields(NamedTuple):
+    kappa: int
+    vector: tuple[int, ...] | None
+    seed: int | None
+    budget: int | None
+    lists: Mapping[int, Sequence[int]] | None
+
+
+class EngineInput(_EngineInputFields):
     """Color source for a run: an explicit vector, or (seed, budget) for the
     documented PRNG stream (`random.Random(seed)`, one randint(1, kappa) per
     step).  In list mode each drawn value is a 1-based index into the colored
     object's list, and lists must hold at least kappa colors."""
 
-    kappa: int
-    vector: tuple[int, ...] | None = None
-    seed: int | None = None
-    budget: int | None = None
-    lists: Mapping[int, Sequence[int]] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kappa < 1:
+    def __new__(cls, kappa: int, vector: Sequence[int] | None = None,
+                seed: int | None = None, budget: int | None = None,
+                lists: Mapping[int, Sequence[int]] | None = None,
+                ) -> "EngineInput":
+        if kappa < 1:
             raise ValueError("kappa must be >= 1")
-        if (self.vector is None) == (self.seed is None):
+        if (vector is None) == (seed is None):
             raise ValueError("supply exactly one of vector and seed")
-        if self.vector is not None:
-            object.__setattr__(self, "vector", tuple(self.vector))
-            bad = [x for x in self.vector if not 1 <= x <= self.kappa]
+        if vector is not None:
+            vector = tuple(vector)
+            bad = [x for x in vector if not 1 <= x <= kappa]
             if bad:
                 raise ValueError(f"vector entries outside 1..kappa: {bad[:3]}")
-            if self.budget is not None and self.budget != len(self.vector):
+            if budget is not None and budget != len(vector):
                 raise ValueError("budget and vector length disagree")
-            object.__setattr__(self, "budget", len(self.vector))
-        else:
-            if self.budget is None or self.budget < 0:
-                raise ValueError("seeded input needs a budget >= 0")
+            budget = len(vector)
+        elif budget is None or budget < 0:
+            raise ValueError("seeded input needs a budget >= 0")
+        return super().__new__(cls, kappa, vector, seed, budget, lists)
 
     def make_vector(self) -> tuple[int, ...]:
         """Materialize the full color stream this input draws from."""
@@ -279,13 +311,12 @@ class EngineInput:
         return colors
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     coloring: PartialColoring
     record: Record
     status: RunStatus
     steps_used: int
-    surviving_order: tuple[int, ...] = field(default=())
+    surviving_order: tuple[int, ...] = ()
 
 
 def _checked_event(fam, metas, j: int, k: int, exc) -> EventTypeMeta:
@@ -333,7 +364,7 @@ def run(g, fam: BadEventFamily, inp: EngineInput) -> RunResult:
     metas = {m.type_id: m for m in fam.metas}
     pc = PartialColoring(fam.n_objects)
     frontier = frontier_of(fam)
-    vector = inp.vector
+    vector, kappa, lists = inp.vector, inp.kappa, inp.lists
     rng = random.Random(inp.seed) if vector is None else None
     steps: list[Optional[tuple[int, int]]] = []
     last_step: dict[int, int] = {}
@@ -344,8 +375,8 @@ def run(g, fam: BadEventFamily, inp: EngineInput) -> RunResult:
         if v is None:
             status = RunStatus.COMPLETED
             break
-        idx = vector[i] if vector is not None else rng.randint(1, inp.kappa)
-        color = inp.list_for(v)[idx - 1] if inp.lists is not None else idx
+        idx = vector[i] if vector is not None else rng.randint(1, kappa)
+        color = inp.list_for(v)[idx - 1] if lists is not None else idx
         if color < 1:
             raise ValueError(f"color {color} for object {v} is not a positive integer")
         pc.assign(v, color)
@@ -424,6 +455,7 @@ def decode(g, fam: BadEventFamily, final: PartialColoring, record: Record,
     if colored != final.colored:
         raise DecodeError("final coloring does not match the record's replay")
     pc = final.copy()
+    steps = record.steps
     live = set(pc.colored)
     values = [0] * len(pairs)
 
@@ -437,7 +469,7 @@ def decode(g, fam: BadEventFamily, final: PartialColoring, record: Record,
 
     for i in range(len(pairs) - 1, -1, -1):
         v, target = pairs[i]
-        step = record.steps[i]
+        step = steps[i]
         if step is None:
             if v not in pc.colored:
                 raise DecodeError(f"step {i + 1} colored {v} but it is gone")

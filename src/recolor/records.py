@@ -36,7 +36,7 @@ transiently exceed the cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import QPolynomial, characteristic_system
 
@@ -148,8 +148,7 @@ def enumerate_records(terms, n: int, t: int) -> list[tuple]:
     return out
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     ok: bool
     base: float
     prefactor: float

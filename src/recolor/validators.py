@@ -12,7 +12,7 @@ uncolored entry never count as violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph
 from .planar import PlaneGraph
@@ -29,8 +29,7 @@ __all__ = [
 _SCALE_CAP = 14
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     witness: tuple | None
     message: str

@@ -2,7 +2,9 @@
 
 `import recolor` loads no submodule, and `import recolor.cli` loads only
 what `bound`, `table` and `count-records` run: every other module is
-imported by the command that calls it.  The guard lists the modules of a
+imported by the command that calls it.  Neither the CLI nor the modules
+a run adds import `dataclasses`, beyond what `site` loads at every
+interpreter start.  The guard lists the modules of a
 child interpreter, so what this process has imported does not matter,
 and it bounds no time.
 """
@@ -22,18 +24,23 @@ import recolor.families
 
 SRC = Path(recolor.__file__).resolve().parents[1]
 
-def loaded_after(statement):
-    """Names of the `recolor` modules a fresh interpreter holds after
-    running ``statement``."""
+def modules_after(statement):
+    """Names of the modules a fresh interpreter holds after running
+    ``statement``."""
     path = [str(SRC)]
     if os.environ.get("PYTHONPATH"):
         path.append(os.environ["PYTHONPATH"])
-    probe = (f"import sys; {statement}; print(*(m for m in sys.modules "
-             "if m.split('.')[0] == 'recolor'))")
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True,
-        check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+        [sys.executable, "-c", f"import sys; {statement}; print(*sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
     return set(proc.stdout.split())
+
+
+def loaded_after(statement):
+    """Names of the `recolor` modules a fresh interpreter holds after
+    running ``statement``."""
+    return {m for m in modules_after(statement) if m.split(".")[0] == "recolor"}
 
 
 def test_package_import_loads_no_submodule():
@@ -45,6 +52,17 @@ def test_cli_import_loads_no_run_module():
     assert loaded_after("import recolor.cli") == {
         "recolor", "recolor.bounds", "recolor.cli", "recolor.errors",
         "recolor.records"}
+
+
+@pytest.mark.parametrize("statement", [
+    "import recolor.cli",
+    "import recolor.cli, recolor.engine, recolor.families, recolor.validators",
+])
+def test_no_dataclasses_at_start_up(statement):
+    # the result types are named tuples and slotted classes: `dataclasses`
+    # would bring `inspect`, `ast` and `dis` into every command's start-up
+    added = modules_after(statement) - modules_after("pass")
+    assert "dataclasses" not in added
 
 
 @pytest.mark.parametrize("name", recolor.__all__)
