@@ -128,7 +128,9 @@ def _parse_coloring(text: str, count: int) -> dict[int, int]:
     return phi
 
 
-def _parse_lists(text: str) -> dict[int, tuple[int, ...]]:
+def _parse_lists(text: str, count: int) -> dict[int, tuple[int, ...]]:
+    """{object: colors} from "object: c1 c2 ..." lines, objects in
+    1..count and each at most once."""
     from .graphs import _clean_lines
 
     lists = {}
@@ -141,6 +143,9 @@ def _parse_lists(text: str) -> dict[int, tuple[int, ...]]:
         except ValueError:
             raise ValueError(f"lists line {no}: expected 'object: c1 c2 ...'") \
                 from None
+        if not 1 <= obj <= count:
+            raise ValueError(
+                f"lists line {no}: object {obj} out of range 1..{count}")
         if obj in lists:
             raise ValueError(f"lists line {no}: object {obj} listed twice")
         lists[obj] = colors
@@ -160,10 +165,11 @@ def _build_family(args):
     return fam.g, fam
 
 
-def _engine_input(args) -> EngineInput:
+def _engine_input(args, count: int) -> EngineInput:
+    """The run's color source; `--lists` names objects in 1..count."""
     from .engine import EngineInput
 
-    lists = _parse_lists(_read(args.lists)) if args.lists else None
+    lists = _parse_lists(_read(args.lists), count) if args.lists else None
     if args.vector:
         vector = tuple(int(x) for x in args.vector.replace(",", " ").split())
         return EngineInput(args.kappa, vector=vector, lists=lists)
@@ -173,6 +179,18 @@ def _engine_input(args) -> EngineInput:
         raise ValueError("seeded runs need --budget")
     return EngineInput(args.kappa, seed=args.seed, budget=args.budget,
                        lists=lists)
+
+
+def _preset(args, alpha: float):
+    """`kappa_preset` of `--problem` with the preset options `bound` and
+    `count-records` share, at ``alpha``."""
+    descriptors = None
+    if args.pattern_shape:
+        descriptors = [(n, m) for _, n, m in _pairs(
+            args.pattern_shape, int, "pattern shape", "N:M")]
+    return kappa_preset(args.problem, args.delta, gamma=args.gamma,
+                        alpha=alpha, r=args.r, n=args.exact_n,
+                        descriptors=descriptors, form=args.form)
 
 
 def _cmd_bound(args) -> int:
@@ -194,13 +212,7 @@ def _cmd_bound(args) -> int:
         if args.delta is None:
             raise ValueError("--optimize-alpha needs --delta")
         alpha = optimal_alpha(args.delta)
-    descriptors = None
-    if args.pattern_shape:
-        descriptors = [(n, m) for _, n, m in _pairs(
-            args.pattern_shape, int, "pattern shape", "N:M")]
-    bound = kappa_preset(args.problem, args.delta, gamma=args.gamma,
-                         alpha=alpha, r=args.r, n=args.exact_n,
-                         descriptors=descriptors, form=args.form)
+    bound = _preset(args, alpha)
     _emit("problem", bound.problem)
     if args.optimize_alpha:
         _emit("alpha", alpha)
@@ -235,7 +247,7 @@ def _cmd_color(args) -> int:
     from .engine import RunStatus, run
 
     g, fam = _build_family(args)
-    inp = _engine_input(args)
+    inp = _engine_input(args, fam.n_objects)
     res = run(g, fam, inp)
     manifest = {
         "graph": g.digest(),
@@ -259,7 +271,7 @@ def _cmd_roundtrip(args) -> int:
     from .engine import decode, run
 
     g, fam = _build_family(args)
-    inp = _engine_input(args)
+    inp = _engine_input(args, fam.n_objects)
     res = run(g, fam, inp)
     recovered = tuple(decode(g, fam, res.coloring, res.record,
                              lists=inp.lists))
@@ -297,8 +309,7 @@ def _cmd_count_records(args) -> int:
     if args.terms:
         terms = _parse_terms(args.terms)
     elif args.problem:
-        bound = kappa_preset(args.problem, args.delta, gamma=args.gamma,
-                             alpha=args.alpha, r=args.r, n=args.exact_n)
+        bound = _preset(args, args.alpha)
         if bound.q.tail is not None:
             raise ValueError(
                 f"{args.problem} has a closed-form tail; pass --exact-n "
@@ -379,6 +390,11 @@ def _parser() -> argparse.ArgumentParser:
     def add_r(p):
         p.add_argument("--r", type=int, default=4)
 
+    def add_pattern(p):
+        p.add_argument("--pattern-shape",
+                       help="pair-forbidden descriptors as N:M pairs")
+        p.add_argument("--form", choices=("vertex", "edge"), default="vertex")
+
     def add_run_flags(p):
         p.add_argument("--graph")
         p.add_argument("--embedding")
@@ -397,9 +413,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-n", type=int)
     p.add_argument("--optimize-alpha", action="store_true")
     p.add_argument("--family-file")
-    p.add_argument("--pattern-shape",
-                   help="pair-forbidden descriptors as N:M pairs")
-    p.add_argument("--form", choices=("vertex", "edge"), default="vertex")
+    add_pattern(p)
     add_family_params(p)
     add_r(p)
     p.set_defaults(func=_cmd_bound)
@@ -431,6 +445,7 @@ def _parser() -> argparse.ArgumentParser:
                    dest="level_cap")
     p.add_argument("--tmax", type=int, required=True)
     p.add_argument("--brute", action="store_true")
+    add_pattern(p)
     add_family_params(p)
     add_r(p)
     p.set_defaults(func=_cmd_count_records)

@@ -332,6 +332,26 @@ def test_color_lists_file_names_its_bad_line(capsys, tmp_path, text):
     assert f"lists line {line}" in err, err
 
 
+@pytest.mark.parametrize("family, line, obj", [
+    ("acyclic-gamma", "9: 4 5 6", 9),
+    ("acyclic-gamma", "0: 4 5 6", 0),
+    ("nonrepetitive-edge", "5: 4 5 6", 5),  # C4 has edge ids 1..4
+])
+@pytest.mark.parametrize("command", ["color", "roundtrip"])
+def test_lists_file_refuses_an_object_out_of_range(capsys, tmp_path, command,
+                                                   family, line, obj):
+    graph = tmp_path / "c4.txt"
+    graph.write_text(C4_GRAPH)
+    lists = tmp_path / "lists.txt"
+    lists.write_text(f"1: 5 6 7\n2: 6 7 8\n3: 7 8 9\n4: 8 9 5\n{line}\n")
+    code, out, err = run_cli(
+        capsys, command, "--graph", str(graph), "--family", family,
+        "--kappa", "3", "--seed", "1", "--budget", "20",
+        "--lists", str(lists))
+    assert (code, out) == (2, "")
+    assert f"lists line 5: object {obj} out of range 1..4" in err, err
+
+
 # --- roundtrip -----------------------------------------------------------------
 
 def test_roundtrip_pass(capsys, tmp_path):
@@ -453,6 +473,29 @@ def test_count_records_brute_refuses_huge_counts(capsys):
                              "--level-cap", "3", "--tmax", "3", "--brute")
     assert code == 2 and out == ""
     assert "refusing to enumerate" in err
+
+
+@pytest.mark.parametrize("form", ["vertex", "edge"])
+def test_count_records_pair_forbidden_reads_its_pattern_shape(capsys, form):
+    from recolor.records import record_series
+
+    argv = ["count-records", "--problem", "pair-forbidden", "--delta", "4",
+            "--exact-n", "6", "--level-cap", "4", "--tmax", "4"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "pair-forbidden needs at least one (n_i, m_i)" in err
+    shape = ["--pattern-shape", "4:4", "--form", form]
+    code, out, err = run_cli(capsys, *argv, *shape)
+    assert code == 0, err
+    terms = kappa_preset("pair-forbidden", 4, descriptors=[(4, 4)], n=6,
+                         form=form).q.terms
+    rows = [line.split("\t")[1:3] for line in out.splitlines()[1:]]
+    assert rows == [[str(b), str(r)]
+                    for b, r in zip(*record_series(terms, 4, 4))]
+    # the brute-force check stops short of t = 3, whose count passes the
+    # enumeration cap
+    code, _, err = run_cli(capsys, *argv[:-1], "2", *shape, "--brute")
+    assert code == 0 and "enumeration agrees up to t=2" in err
 
 
 def test_count_records_preset_needs_exact_terms(capsys):
