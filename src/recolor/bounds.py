@@ -45,8 +45,8 @@ __all__ = [
 ]
 
 
-# Named tuples, not dataclasses: `import dataclasses` (with `inspect` behind
-# it) would be most of every CLI command's start-up.
+# Named tuples, not dataclasses: `import dataclasses` (with `inspect`, `ast`
+# and `dis` behind it) would add to every CLI command's start-up.
 class ClosedTail(NamedTuple):
     """Closed form added on top of the finite terms, valid for x < radius."""
 

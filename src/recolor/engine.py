@@ -29,8 +29,7 @@ class RunStatus(Enum):
     BUDGET_EXHAUSTED = "BudgetExhausted"
 
 
-# Named tuples and a slotted class, not dataclasses, whose import (with
-# `inspect` behind it) every run would pay at start-up.
+# Named tuples and a slotted class, not dataclasses: see `recolor.bounds`.
 class _EventTypeFields(NamedTuple):
     type_id: int
     cost: float
