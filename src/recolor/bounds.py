@@ -149,9 +149,6 @@ def optimize_ratio(q: QPolynomial) -> RatioResult:
     -1; when p stays negative up to the domain edge the ratio is still
     falling there and the edge is returned with the boundary flag set.
     """
-    if all(s == 1 for _, s in q.terms) and q.tail is None:
-        ratio = 1.0 + sum(c for c, _ in q.terms)
-        return RatioResult(1.0, ratio, math.ceil(ratio), abs(q.p(1.0)), True)
     hi = 1.0 if q.radius > 1 else q.radius * (1 - 1e-12)
     if _p_safe(q, hi) < 0:
         return RatioResult(hi, q.q(hi) / hi, math.ceil(q.q(hi) / hi),
@@ -514,6 +511,23 @@ def _star(delta: int) -> PresetBound:
     return PresetBound("star", _pinned(q, x, display), optimize_ratio(q), q)
 
 
+def _set_ceiling(delta: int, gamma: float, i: int) -> float:
+    """delta^(gamma i) / i!, the ceiling of the size-i monochromatic-set
+    type.  Where that expression raises, because i! (i > 170) or the power
+    is past the float range, it is computed in log space instead, reading
+    math.inf past the float maximum.  There it may underflow to 0.0, which
+    cannot change Q(x) in floats, and `_pair_forbidden` leaves it out."""
+    if i <= 170:  # 171! is past the float maximum
+        try:
+            return delta ** (gamma * i) / math.factorial(i)
+        except OverflowError:  # the power is past it
+            pass
+    try:
+        return math.exp(gamma * i * math.log(delta) - math.lgamma(i + 1))
+    except OverflowError:
+        return math.inf
+
+
 def _pair_forbidden(delta: int, descriptors, n: int | None,
                     form: str) -> PresetBound:
     _require(bool(descriptors), "pair-forbidden needs at least one (n_i, m_i)")
@@ -557,19 +571,17 @@ def _pair_forbidden(delta: int, descriptors, n: int | None,
             64 * (m + 1) ** 3 * max(1, k_edge) * delta ** gamma)}
     else:
         raise ValueError(f"form must be 'vertex' or 'edge', got {form!r}")
-    if n is None:
 
-        def fn(x_: float) -> float:
-            return math.expm1(delta ** gamma * x_)
+    def fn(x_: float) -> float:
+        return math.expm1(delta ** gamma * x_)
 
-        def dfn(x_: float) -> float:
-            return delta ** gamma * math.exp(delta ** gamma * x_)
+    def dfn(x_: float) -> float:
+        return delta ** gamma * math.exp(delta ** gamma * x_)
 
-        q = QPolynomial(tuple(terms), ClosedTail(fn, dfn, math.inf))
-    else:
-        sets = tuple((delta ** (gamma * (j - 1)) / math.factorial(j - 1),
-                      j - 1) for j in range(2, n))
-        q = QPolynomial(tuple(terms) + sets)
+    if n is not None:
+        terms += [(c, i) for i in range(1, n - 1)
+                  if (c := _set_ceiling(delta, gamma, i))]
+    q = _q(terms, n, fn, dfn, math.inf)
     display = eval_at(q, x)
     return PresetBound("pair-forbidden", _pinned(q, x, display),
                        optimize_ratio(q), q, lit)

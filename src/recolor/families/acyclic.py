@@ -7,10 +7,10 @@ over the same structure.  Cycle witnesses are stored in traversal order, so
 uncoloring is always a prefix of the row and rebuilding alternates the two
 colors still readable at the row's tail (`Bicolored`).
 
-Each family's class ceilings come from `bounds.ceilings`, and each family
-declares its bicolored witnesses once: the start paths through
-the anchor (`_paths`) and the rule accepting a row's last vertex
-(`_closes`).  The family's `fired` yields exactly the bicolored types with a
+Each family names its problem, whose `bounds.PROBLEM_TABLE` row fixes its
+object kind and class ceilings, and declares its bicolored witnesses once:
+the start paths through the anchor (`_paths`) and the rule accepting a
+row's last vertex (`_closes`).  The family's `fired` yields exactly the bicolored types with a
 bad row through the anchor, so `detect` enumerates and scans only the first
 of them, to rank the hit.  The search grows only the start paths already
 alternating two colors (`_starts`), inside the two-colored subgraph at the
@@ -21,7 +21,6 @@ ends (`_squares`), for the search and the enumeration alike.
 
 from __future__ import annotations
 
-from ..bounds import ceilings
 from ..graphs import Graph, SpecialStructure
 from .base import Family, alternating_widths, arms
 
@@ -80,10 +79,11 @@ class _AcyclicFamily(Family):
     ``_closes(path, w)``, every row when ``_closes`` is None.  Row types
     other than the special-pair square are searched by `alternating_widths`."""
 
+    shape = Bicolored
     _closes = None
 
-    def __init__(self, g: Graph, name: str, types, tables):
-        super().__init__(g, name, types, Bicolored, tables)
+    def __init__(self, g: Graph, tables, **params):
+        super().__init__(g, tables, **params)
         self._type_of = {w: j for j, w in self._width.items()}
 
     def fired(self, coloring, v):
@@ -122,13 +122,12 @@ class _AcyclicFamily(Family):
 
 
 class _GammaFamily(_AcyclicFamily):
+    problem = "acyclic-gamma"
+
     def __init__(self, g: Graph, gamma: int):
         if gamma < 1:
             raise ValueError("gamma must be a positive integer")
-        super().__init__(g, f"acyclic-gamma({gamma})",
-                         ceilings("acyclic-gamma", g.max_degree, g.n, gamma=gamma),
-                         (g.adj,))
-        self.gamma = gamma
+        super().__init__(g, (g.adj,), gamma=gamma)
 
     def _paths(self, v):
         """(v, u2) for each neighbor u2: rows are 2j-cycles (v, u2, ...)."""
@@ -161,16 +160,12 @@ class _SpecialPairFamily(_AcyclicFamily):
     same-color event against the anchor's special set, then bicolored rows
     through a start path (u1, v, u3) over two neighbors of the anchor v.
     Type 3, the special-pair square, closes a start over a common neighbor
-    of u1 and u3 (`_squares`); from type 4 on, rows grow from u3.  A
-    subclass names its ``problem`` in `bounds.ceilings`."""
+    of u1 and u3 (`_squares`); from type 4 on, rows grow from u3."""
 
     def __init__(self, g: Graph, alpha: float):
         # built first: it refuses a bad alpha before the ceilings divide by it
         self.special = SpecialStructure(g, alpha)
-        self.alpha = alpha
-        super().__init__(g, f"{self.problem}({alpha})",
-                         ceilings(self.problem, g.max_degree, g.n, alpha=alpha),
-                         (g.adj, self.special._special))
+        super().__init__(g, (g.adj, self.special._special), alpha=alpha)
         # the square is searched by `_squares`: a width-4 alternating hit is
         # an open P4 (v1) or a 4-cycle closed at u1 (v2), never a square
         self._type_of.pop(4, None)

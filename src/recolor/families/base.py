@@ -2,13 +2,14 @@
 
 A family declares its events and the loop on `Family` (`detect`,
 `uncolor_set`, `rebuild_event`) reads the declaration.  A family is built
-on a graph ``g``, and one class flag fixes its objects: the vertices in
-``g.rank`` order, or with ``on_edges`` set the edge ids in index order.
-That order drives traversal and sorts witness lists.  Each type's class
-ceiling and uncolor size are declared once, in `bounds.ceilings`, which
-the presets read too; a family passes that list to `Family`, which raises
-a ceiling below 1 to 1 and builds the event-type metadata.  Types are
-probed in ascending order, each one way:
+on a graph ``g`` and names its problem, a key of `bounds.PROBLEM_TABLE`,
+whose row fixes its objects: the vertices in ``g.rank`` order, or with
+``on_edges`` the edge ids in index order.  That order drives traversal and
+sorts witness lists.  Each type's class ceiling and uncolor size are
+declared once, in `bounds.ceilings`, which the presets read too; `Family`
+reads that list for its problem, raises a ceiling below 1 to 1 and builds
+the event-type metadata.  Types are probed in ascending order, each one
+way:
 
 - candidate ``tables`` for the first types, one tuple of objects per
   anchor: type i fires when the anchor's color recurs on
@@ -55,27 +56,33 @@ from __future__ import annotations
 import heapq
 from array import array
 
+from ..bounds import PROBLEM_TABLE, ceilings
 from ..engine import EventTypeMeta
 
 
 class Family:
     """A family over the objects 1..n of graph ``g`` (its vertices, or its
-    edge ids with ``on_edges`` set), running the event loop on its
-    declaration (see the module docstring)."""
+    edge ids when its problem's row sets ``on_edges``), running the event
+    loop on its declaration (see the module docstring).  A concrete family
+    declares ``problem``, its `PROBLEM_TABLE` key, and its row ``shape``;
+    ``params`` are the problem's `ceilings` keywords (``gamma=`` or
+    ``alpha=``), which also name the family ``problem(value)``."""
 
-    on_edges = False
+    problem: str
+    shape: type
 
-    def __init__(self, g, name: str, ceilings, shape, tables=()):
+    def __init__(self, g, tables=(), **params):
         self.g = g
-        self.name = name
+        self.name = self.problem + "".join(f"({v})" for v in params.values())
+        self.on_edges = PROBLEM_TABLE[self.problem].on_edges
         self.n_objects = g.m if self.on_edges else g.n
         # a ceiling formula can fall below 1 on tiny graphs, whose class
         # lists are empty anyway
-        self.metas = tuple(EventTypeMeta(j, max(1.0, c), s)
-                           for j, (c, s) in enumerate(ceilings, start=1))
-        self.shape = shape
+        self.metas = tuple(
+            EventTypeMeta(j, max(1.0, c), s) for j, (c, s) in enumerate(
+                ceilings(self.problem, g.max_degree, g.n, **params), start=1))
         self.tables = tuple(tables)
-        self._width = {m.type_id: shape.width(m.uncolor_size)
+        self._width = {m.type_id: self.shape.width(m.uncolor_size)
                        for m in self.metas[len(self.tables):]}
         self.widest = max(self._width.values(), default=0)
         rank = None if self.on_edges else g.rank
@@ -278,13 +285,26 @@ class PathRepetitionFamily(Family):
     share a vertex rather than an edge.
 
     The paths are declared once, by one step table that both the search
-    (`fired`) and the enumeration ranking a hit (`_enumerate`) walk.
-    Subclasses set ``_steps[x]``, aligned with ``g.adj[x]``: the object a
-    step from vertex x to ``g.adj[x][i]`` passes (the neighbor itself for
-    vertex paths, so ``_steps`` is ``g.adj``, and the edge's id for edge
-    paths), and supply ``_ends(x)``, the (first, last) vertices of object x
-    in each direction a path can run through it.
+    (`fired`) and the enumeration ranking a hit (`_enumerate`) walk, built
+    from the object kind: ``_steps[x]``, aligned with ``g.adj[x]``, holds
+    the object a step from vertex x to ``g.adj[x][i]`` passes (the neighbor
+    itself for vertex paths, so ``_steps`` is ``g.adj``, and the edge's id
+    for edge paths), and ``_ends[x]`` the (first, last) vertices of object
+    x in each direction a path can run through it.
     """
+
+    shape = Repetition
+
+    def __init__(self, g):
+        super().__init__(g)
+        if self.on_edges:
+            self._steps = tuple(
+                tuple(g.edge_index[(min(x, w), max(x, w))] for w in nb)
+                for x, nb in enumerate(g.adj))
+            self._ends = ((),) + tuple(((a, b), (b, a)) for a, b in g.edges)
+        else:
+            self._steps = g.adj
+            self._ends = tuple(((v, v),) for v in range(g.n + 1))
 
     def _enumerate(self, x, j):
         """Each type-j witness through x once: ``pos`` steps back from the
@@ -294,7 +314,7 @@ class PathRepetitionFamily(Family):
         and exactly one way has x in its first half, so ``pos < j``
         suffices."""
         adj, steps, key = self.g.adj, self._steps, self._row_key
-        first, last = self._ends(x)[0]
+        first, last = self._ends[x][0]
         used = {first, last}
         for pos in range(j if first == last else 2 * j):
             for back in arms(adj, steps, first, pos, used):
@@ -317,12 +337,12 @@ class PathRepetitionFamily(Family):
         colors, adj, steps = coloring.colors, self.g.adj, self._steps
         shared, nbr = self.on_edges, self.g.nbr
         c = colors[x]
-        a_first, a_last = self._ends(x)[0]
+        a_first, a_last = self._ends[x][0]
         layer, joined = [], False
         for y in range(1, self.n_objects + 1):
             if colors[y] != c or y == x:
                 continue
-            for b_first, b_last in self._ends(y):
+            for b_first, b_last in self._ends[y]:
                 ends = {a_first, a_last, b_first, b_last}
                 if {a_first, a_last}.isdisjoint((b_first, b_last)):
                     layer.append((a_first, a_last, b_first, b_last,

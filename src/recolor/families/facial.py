@@ -2,14 +2,15 @@
 
 Both families are repetition families whose type-j witnesses are the simple
 windows of 2j consecutive objects on a face walk through the anchor, read
-by one window walk (`_FacialFamily._windows`), with the class ceilings of
-`bounds.ceilings`.  The vertex variant's type 1 is the neighbor table,
-since a facial 2-window is an edge and every edge lies on a face.  The edge variant trades generality for sharper ceilings:
-the coloring order is constrained so every anchor has an uncolored facially
-adjacent edge e' (one consecutive with it on a face walk, an edge of
-`planar.medial_graph`), and its class list (`_classes`, which ranks hits
-and reads classes back) keeps only the witness paths avoiding e' (at most
-one on the face shared with e', 2j on the anchor's other face).
+by one window walk (`_FacialFamily._windows`); each names its problem, whose
+`bounds.PROBLEM_TABLE` row fixes its object kind and class ceilings.  The
+vertex variant's type 1 is the neighbor table, since a facial 2-window is an
+edge and every edge lies on a face.  The edge variant trades generality for
+sharper ceilings: the coloring order is constrained so every anchor has an
+uncolored facially adjacent edge e' (one consecutive with it on a face walk,
+an edge of `planar.medial_graph`), and its class list (`_classes`, which
+ranks hits and reads classes back) keeps only the witness paths avoiding e'
+(at most one on the face shared with e', 2j on the anchor's other face).
 That requires one distinguished edge to stay uncolored forever and the
 uncolored edge set to stay connected in the medial graph; the traversal
 maintains both by coloring leaves of a medial spanning tree rooted at the
@@ -27,7 +28,6 @@ from __future__ import annotations
 import heapq
 from collections import deque
 
-from ..bounds import ceilings
 from ..errors import MedialConnectivityError
 from ..planar import PlaneGraph, medial_graph
 from .base import Family, Repetition
@@ -41,10 +41,10 @@ class _FacialFamily(Family):
     face.
     """
 
-    def __init__(self, pg: PlaneGraph, name: str, tables=()):
-        g = pg.graph
-        super().__init__(g, name, ceilings(name, g.max_degree, g.n),
-                         Repetition, tables)
+    shape = Repetition
+
+    def __init__(self, pg: PlaneGraph, tables=()):
+        super().__init__(pg.graph, tables)
         self.widest = max(map(len, pg.faces), default=0)
         self.pg = pg
         self._occurrences = None
@@ -99,8 +99,10 @@ class _FacialFamily(Family):
 
 
 class _FacialVertexFamily(_FacialFamily):
+    problem = "facial-thue-vertex"
+
     def __init__(self, pg: PlaneGraph):
-        super().__init__(pg, "facial-thue-vertex", (pg.graph.adj,))
+        super().__init__(pg, (pg.graph.adj,))
 
 
 def facial_thue_vertex_family(pg: PlaneGraph) -> _FacialVertexFamily:
@@ -110,12 +112,12 @@ def facial_thue_vertex_family(pg: PlaneGraph) -> _FacialVertexFamily:
 
 
 class _FacialEdgeFamily(_FacialFamily):
-    on_edges = True
+    problem = "facial-thue-edge"
 
     def __init__(self, pg: PlaneGraph, e_star: int):
         if not 1 <= e_star <= pg.graph.m:
             raise ValueError(f"reserved edge id {e_star} out of range")
-        super().__init__(pg, "facial-thue-edge")
+        super().__init__(pg)
         self.e_star = e_star
         self.medial = medial_graph(pg)
 

@@ -3,31 +3,22 @@
 The type-j event is a colored repetition on a 2j-object simple path through
 the anchor; both variants uncolor the half containing the anchor and rebuild
 by mirroring the surviving half, which pins the anchor's erased color because
-repetition pairs positions i and i+j (`Repetition` rows).  The class
-ceilings come from `bounds.ceilings`, and each variant only declares its
-step table (``_steps``, aligned with ``g.adj``: the neighbor itself for
-vertex paths, the edge id for edge paths) and the ends of an object;
-`PathRepetitionFamily` walks that table both to search every type
+repetition pairs positions i and i+j (`Repetition` rows).  Each variant only
+names its problem: `Family` reads the object kind and the class ceilings
+from its `bounds.PROBLEM_TABLE` row, and `PathRepetitionFamily` builds the
+step table from the object kind and walks it both to search every type
 (growing the colored paths through the anchor two mirrored objects at a
 time) and to enumerate the witnesses that rank a hit.
 """
 
 from __future__ import annotations
 
-from ..bounds import ceilings
 from ..graphs import Graph
-from .base import PathRepetitionFamily, Repetition
+from .base import PathRepetitionFamily
 
 
 class _NonrepVertexFamily(PathRepetitionFamily):
-    def __init__(self, g: Graph):
-        super().__init__(g, "nonrepetitive-vertex",
-                         ceilings("nonrepetitive-vertex", g.max_degree, g.n),
-                         Repetition)
-        self._steps = g.adj
-
-    def _ends(self, v):
-        return ((v, v),)
+    problem = "nonrepetitive-vertex"
 
 
 def nonrepetitive_vertex_family(g: Graph) -> _NonrepVertexFamily:
@@ -38,19 +29,7 @@ def nonrepetitive_vertex_family(g: Graph) -> _NonrepVertexFamily:
 
 
 class _NonrepEdgeFamily(PathRepetitionFamily):
-    on_edges = True
-
-    def __init__(self, g: Graph):
-        super().__init__(g, "nonrepetitive-edge",
-                         ceilings("nonrepetitive-edge", g.max_degree, g.n),
-                         Repetition)
-        self._steps = tuple(
-            tuple(g.edge_index[(min(x, w), max(x, w))] for w in nb)
-            for x, nb in enumerate(g.adj))
-
-    def _ends(self, e):
-        a, b = self.g.endpoints(e)
-        return ((a, b), (b, a))
+    problem = "nonrepetitive-edge"
 
 
 def nonrepetitive_edge_family(g: Graph) -> _NonrepEdgeFamily:

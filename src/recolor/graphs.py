@@ -185,12 +185,7 @@ def load_graph(text: str) -> Graph:
         edges.append((u, v))
     if len(edges) != m:
         raise GraphFormatError(f"header announced {m} edges, found {len(edges)}")
-    try:
-        return Graph(n, edges, order=order)
-    except GraphFormatError:
-        raise
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
+    return Graph(n, edges, order=order)
 
 
 class SpecialStructure:
@@ -203,13 +198,11 @@ class SpecialStructure:
     ordering is part of the contract.
     """
 
-    __slots__ = ("g", "alpha", "cap", "_special")
+    __slots__ = ("cap", "_special")
 
     def __init__(self, g: Graph, alpha: float):
         if not 0 < alpha <= 1:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.g = g
-        self.alpha = alpha
         self.cap = floor(alpha * g.max_degree ** (4 / 3))
         adj, rank = g.adj, g.rank
         special = [()] * (g.n + 1)

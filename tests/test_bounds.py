@@ -108,6 +108,12 @@ def test_optimize_all_unit_sizes_sits_on_boundary():
     assert res.root_residual == pytest.approx(1.0)
 
 
+def test_optimize_refuses_an_infinite_unit_ceiling():
+    # p(x) is nan at every x, so no minimizer is found
+    with pytest.raises(ValueError, match="past the float range"):
+        optimize_ratio(QPolynomial(((math.inf, 1),)))
+
+
 def test_optimize_boundary_when_root_lies_outside():
     res = optimize_ratio(QPolynomial(((0.1, 2),)))
     assert res.boundary
@@ -358,6 +364,23 @@ def test_preset_pair_forbidden():
         kappa_preset("pair-forbidden", 5, descriptors=[(2, 1)])
     with pytest.raises(ValueError, match="form must be"):
         kappa_preset("pair-forbidden", 5, descriptors=[(4, 4)], form="odd")
+
+
+def test_pair_forbidden_exact_sets_past_the_float_range():
+    """Set ceilings delta^(gamma i) / i! whose expression raises (i! is past
+    the float range from i = 171) come from log space; those that work keep
+    their bits, and those that underflow to 0.0 are left out."""
+    shape = [(4, 4)]
+    at_150 = kappa_preset("pair-forbidden", 4, descriptors=shape, n=150)
+    at_200 = kappa_preset("pair-forbidden", 4, descriptors=shape, n=200)
+    assert at_200.q.terms[:len(at_150.q.terms)] == at_150.q.terms
+    assert len(at_200.q.terms) == len(at_150.q.terms) + 50
+    for bound in (at_150, at_200):
+        assert (bound.pinned.kappa, bound.optimized.kappa) == (2075, 219)
+    wide = kappa_preset("pair-forbidden", 4, descriptors=shape, n=2000)
+    assert all(c > 0 for c, _ in wide.q.terms)
+    assert max(s for _, s in wide.q.terms) < 1998
+    assert (wide.pinned.kappa, wide.optimized.kappa) == (2075, 219)
 
 
 def test_preset_dispatch_errors():

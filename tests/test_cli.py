@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import recolor
 import recolor.engine
 from recolor.bounds import PROBLEMS, kappa_preset
-from recolor.cli import FAMILIES, PROPERTIES, main
+from recolor.cli import FAMILIES, PROPERTIES, _bound_cell, main
 from recolor.errors import DecodeError, FamilyContractError
 
 from _util import FAMILY_CASES
@@ -127,6 +127,25 @@ def test_exact_preset_past_float_range(capsys, problem, command):
                              "--delta", "9", "--exact-n", "1000")
     assert code == 2 and out == ""
     assert "float range" in err
+
+
+@pytest.mark.parametrize("delta, n, kappas", [
+    ("4", "200", ("2075", "219")),  # as at --exact-n 150 and the tail
+    ("1000", "100", ("3262362", "338803")),  # as the tail
+    ("1000", "180", None),  # the size-150 ceiling is about e^777
+])
+def test_bound_pair_forbidden_set_ceilings_past_float_range(capsys, delta, n,
+                                                            kappas):
+    code, out, err = run_cli(capsys, "bound", "--problem", "pair-forbidden",
+                             "--pattern-shape", "4:4", "--delta", delta,
+                             "--exact-n", n)
+    if kappas is None:
+        assert code == 2 and out == ""
+        assert "a class ceiling is past the float range" in err
+    else:
+        assert code == 0
+        pairs, _ = kv(out)
+        assert (pairs["pinned_kappa"], pairs["optimized_kappa"]) == kappas
 
 
 def test_bound_family_file_huge_ceiling_keeps_its_minimizer(capsys, tmp_path):
@@ -423,6 +442,10 @@ def test_count_records_catalan(capsys):
     assert rows[0] == ["t", "b", "r", "bound"]
     assert [r[1] for r in rows[1:]] == ["1", "0", "1", "0", "2", "0", "5"]
     assert "agrees" in err
+
+
+def test_bound_cell_carries_a_mantissa_rounded_to_ten():
+    assert _bound_cell(9.999999999999, 10.0, 400) == "1e+401"
 
 
 def test_count_records_bound_past_float_range(capsys):

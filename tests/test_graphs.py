@@ -91,6 +91,11 @@ class TestLoadGraph:
                            match="line 3: order line is not a permutation"):
             load_graph("3 1\n1 2\norder: 1 2\n")
 
+    def test_non_integer_order_line_names_its_line(self):
+        with pytest.raises(GraphFormatError,
+                           match="line 2: order line must list integers"):
+            load_graph("3 1\norder: 3 x 2\n1 2\n")
+
     def test_second_order_line_refused(self):
         with pytest.raises(GraphFormatError, match="line 4: a second order line"):
             load_graph("3 1\norder: 3 1 2\n1 2\norder: 1 2 3\n")
@@ -98,6 +103,20 @@ class TestLoadGraph:
     def test_text_roundtrip(self):
         g = load_graph(C4_TEXT)
         assert load_graph(g.to_text()) == g
+
+
+@pytest.mark.parametrize("n, edges, order, message", [
+    (-1, [], None, "vertex count must be nonnegative"),
+    (3, [(1, 4)], None, r"edge \(1,4\) out of range 1..3"),
+    (3, [(0, 2)], None, r"edge \(0,2\) out of range 1..3"),
+    (3, [(2, 2)], None, "loop edge at vertex 2"),
+    (3, [(1, 2)], (1, 1, 2), "order line is not a permutation of 1..n"),
+    (3, [(1, 2)], (1, 2), "order line is not a permutation of 1..n"),
+], ids=["negative-n", "edge-past-n", "edge-at-0", "loop", "repeat", "short"])
+def test_graph_refuses_what_the_parser_refuses(n, edges, order, message):
+    """`Graph(...)` in code checks what `load_graph` checks line by line."""
+    with pytest.raises(GraphFormatError, match=message):
+        Graph(n, edges, order=order)
         assert load_graph(g.to_text()).digest() == g.digest()
 
 

@@ -121,6 +121,17 @@ class TestLoadRotation:
                            match=rf"line 3: neighbor {nbr} of vertex 2 out of range 1..3"):
             load_rotation(text)
 
+    @pytest.mark.parametrize("line", ["2: 3 x", "y: 1 3"])
+    def test_non_integer_line_names_its_line(self, line):
+        with pytest.raises(GraphFormatError,
+                           match="line 3: expected integers in rotation line"):
+            load_rotation(f"3 3\n1: 2 3\n{line}\n3: 1 2\n")
+
+    def test_repeated_neighbor_refused(self):
+        with pytest.raises(GraphFormatError,
+                           match="rotation at 2 repeats a neighbor"):
+            load_rotation("3 3\n1: 2 3\n2: 3 1 3\n3: 1 2\n")
+
     def test_loop_names_line(self):
         with pytest.raises(GraphFormatError, match="line 2: loop edge at vertex 1"):
             load_rotation("2 1\n1: 1 2\n2: 1\n")
