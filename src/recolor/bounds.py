@@ -517,11 +517,10 @@ def _set_ceiling(delta: int, gamma: float, i: int) -> float:
     is past the float range, it is computed in log space instead, reading
     math.inf past the float maximum.  There it may underflow to 0.0, which
     cannot change Q(x) in floats, and `_pair_forbidden` leaves it out."""
-    if i <= 170:  # 171! is past the float maximum
-        try:
-            return delta ** (gamma * i) / math.factorial(i)
-        except OverflowError:  # the power is past it
-            pass
+    try:
+        return delta ** (gamma * i) / math.factorial(i)
+    except OverflowError:  # the power or i! is past the float maximum
+        pass
     try:
         return math.exp(gamma * i * math.log(delta) - math.lgamma(i + 1))
     except OverflowError:
