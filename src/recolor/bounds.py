@@ -544,11 +544,11 @@ def _pair_forbidden(delta: int, descriptors, n: int | None,
     gamma = m / (m - 1)
     terms: list[tuple[float, int]] = [(float(delta), 1)]
     if form == "vertex":
-        terms.append(((m + 1) * 4.0 ** (m + 1) * delta ** m, m - 1))
+        terms.append(((m + 1) * 4.0 ** (m + 1) * _power(delta, m), m - 1))
         for ni, mi in pairs:
             if ni <= m:
-                terms.append((ni * delta ** (gamma * (ni - 2)
-                                             - (mi - m) / (m - 1)), ni - 2))
+                terms.append((ni * _power(delta, gamma * (ni - 2)
+                                          - (mi - m) / (m - 1)), ni - 2))
         x = 1 / (4 * delta ** gamma)
         k_small = sum(1 for ni, _ in pairs if ni <= m)
         lit = {"aravind-subramanian": math.ceil(
@@ -557,13 +557,13 @@ def _pair_forbidden(delta: int, descriptors, n: int | None,
     elif form == "edge":
         for ni, mi in pairs:
             if mi == m:
-                terms.append((ni * delta ** (gamma * (ni - 2)), ni - 2))
+                terms.append((ni * _power(delta, gamma * (ni - 2)), ni - 2))
         if m + 2 > len(_TREE_COUNTS):
             raise ValueError(f"edge form supports min edge count <= "
                              f"{len(_TREE_COUNTS) - 2}, got {m}")
         trees = _TREE_COUNTS[m + 1]
         gamma_tree = (m + 1) / m
-        terms.append((trees * (m + 2) * delta ** (gamma_tree * m), m))
+        terms.append((trees * (m + 2) * _power(delta, gamma_tree * m), m))
         x = 1 / delta ** gamma
         k_edge = sum(1 for _, mi in pairs if mi == m)
         lit = {"aravind-subramanian": math.ceil(

@@ -130,7 +130,8 @@ def _parse_coloring(text: str, count: int) -> dict[int, int]:
 
 def _parse_lists(text: str, count: int) -> dict[int, tuple[int, ...]]:
     """{object: colors} from "object: c1 c2 ..." lines, objects in
-    1..count and each at most once."""
+    1..count and each at most once, colors positive and distinct: decode
+    reads a drawn index back from its color."""
     from .graphs import _clean_lines
 
     lists = {}
@@ -148,6 +149,10 @@ def _parse_lists(text: str, count: int) -> dict[int, tuple[int, ...]]:
                 f"lists line {no}: object {obj} out of range 1..{count}")
         if obj in lists:
             raise ValueError(f"lists line {no}: object {obj} listed twice")
+        if colors and (low := min(colors)) < 1:
+            raise ValueError(f"lists line {no}: color {low} is not positive")
+        if len(set(colors)) != len(colors):
+            raise ValueError(f"lists line {no}: a color is listed twice")
         lists[obj] = colors
     return lists
 
@@ -268,6 +273,8 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    from itertools import islice
+
     from .engine import decode, run
 
     g, fam = _build_family(args)
@@ -275,7 +282,8 @@ def _cmd_roundtrip(args) -> int:
     res = run(g, fam, inp)
     recovered = tuple(decode(g, fam, res.coloring, res.record,
                              lists=inp.lists))
-    expected = tuple(inp.make_vector()[:res.steps_used])
+    # only the drawn prefix: the cost follows the steps, not the budget
+    expected = tuple(islice(inp.draws(), res.steps_used))
     if recovered == expected:
         _emit("PASS", res.steps_used)
         _note(f"decode recovered all {res.steps_used} drawn colors")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from enum import Enum
 from typing import AbstractSet, NamedTuple, Optional, Protocol
 
@@ -264,9 +264,11 @@ class _EngineInputFields(NamedTuple):
 
 class EngineInput(_EngineInputFields):
     """Color source for a run: an explicit vector, or (seed, budget) for the
-    documented PRNG stream (`random.Random(seed)`, one randint(1, kappa) per
-    step).  In list mode each drawn value is a 1-based index into the colored
-    object's list, and lists must hold at least kappa colors."""
+    documented PRNG stream, one randint(1, kappa) per step.  `draws` is the
+    one definition of that stream.  In list mode each
+    drawn value is a 1-based index into the colored object's list; every
+    given list is checked here, once: it must hold at least kappa colors,
+    all positive."""
 
     __slots__ = ()
 
@@ -288,26 +290,26 @@ class EngineInput(_EngineInputFields):
             budget = len(vector)
         elif budget is None or budget < 0:
             raise ValueError("seeded input needs a budget >= 0")
+        for v, colors in (lists or {}).items():
+            if len(colors) < kappa:
+                raise ValueError(
+                    f"list for object {v} has {len(colors)} colors, needs >= {kappa}")
+            if (low := min(colors)) < 1:
+                raise ValueError(f"list for object {v} holds color {low}, needs >= 1")
         return super().__new__(cls, kappa, vector, seed, budget, lists)
+
+    def draws(self) -> Iterator[int]:
+        """The color stream, drawn lazily: the vector's entries, or
+        ``budget`` values of ``randint(1, kappa)`` from a ``random.Random``
+        seeded with ``seed``."""
+        if self.vector is not None:
+            return iter(self.vector)
+        rng, kappa = random.Random(self.seed), self.kappa
+        return (rng.randint(1, kappa) for _ in range(self.budget))
 
     def make_vector(self) -> tuple[int, ...]:
         """Materialize the full color stream this input draws from."""
-        if self.vector is not None:
-            return self.vector
-        rng = random.Random(self.seed)
-        return tuple(rng.randint(1, self.kappa) for _ in range(self.budget))
-
-    def list_for(self, v: int) -> Sequence[int]:
-        assert self.lists is not None
-        try:
-            colors = self.lists[v]
-        except KeyError:
-            raise ValueError(f"no color list for object {v}") from None
-        if len(colors) < self.kappa:
-            raise ValueError(
-                f"list for object {v} has {len(colors)} colors, needs >= {self.kappa}"
-            )
-        return colors
+        return tuple(self.draws())
 
 
 class RunResult(NamedTuple):
@@ -363,24 +365,24 @@ def run(g, fam: BadEventFamily, inp: EngineInput) -> RunResult:
     metas = {m.type_id: m for m in fam.metas}
     pc = PartialColoring(fam.n_objects)
     frontier = frontier_of(fam)
-    vector, kappa, lists = inp.vector, inp.kappa, inp.lists
-    rng = random.Random(inp.seed) if vector is None else None
+    lists = inp.lists
     steps: list[Optional[tuple[int, int]]] = []
     last_step: dict[int, int] = {}
     status = None
-    used = 0
-    for i in range(inp.budget):
+    for i, idx in enumerate(inp.draws()):
         v = _checked_pick(fam, frontier, pc.colored, FamilyContractError)
         if v is None:
             status = RunStatus.COMPLETED
             break
-        idx = vector[i] if vector is not None else rng.randint(1, kappa)
-        color = inp.list_for(v)[idx - 1] if lists is not None else idx
-        if color < 1:
-            raise ValueError(f"color {color} for object {v} is not a positive integer")
+        if lists is None:
+            color = idx
+        else:
+            try:
+                color = lists[v][idx - 1]
+            except KeyError:
+                raise ValueError(f"no color list for object {v}") from None
         pc.assign(v, color)
         frontier.took(v)
-        used = i + 1
         last_step[v] = i
         hit = fam.detect(pc, v)
         if hit is None:
@@ -400,7 +402,7 @@ def run(g, fam: BadEventFamily, inp: EngineInput) -> RunResult:
             else RunStatus.BUDGET_EXHAUSTED
         )
     order = tuple(sorted(pc.colored, key=last_step.__getitem__))
-    return RunResult(pc, Record(tuple(steps)), status, used, order)
+    return RunResult(pc, Record(tuple(steps)), status, len(steps), order)
 
 
 def replay_colored_sets(fam: BadEventFamily,
@@ -462,7 +464,7 @@ def decode(g, fam: BadEventFamily, final: PartialColoring, record: Record,
         if lists is None:
             return color
         try:
-            return list(lists[v]).index(color) + 1
+            return lists[v].index(color) + 1
         except (KeyError, ValueError):
             raise DecodeError(f"color {color} not in the list of object {v}") from None
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from recolor.bounds import (
     PROBLEM_TABLE,
+    _p_safe,
     PROBLEMS,
     CharacteristicSystem,
     ClosedTail,
@@ -471,6 +472,22 @@ def test_ceilings_past_the_float_range_read_inf_without_exact_powers():
     assert terms[323] == (0.5 * 3 ** 646, 646)
     assert terms[324] == (math.inf, 648) and terms[-1] == (math.inf, 39_998)
     assert ceilings("nonrepetitive-edge", 9, 1000)[-1] == (math.inf, 500)
+
+
+def test_ceilings_refuse_a_problem_without_a_family():
+    with pytest.raises(ValueError, match="'star' declares no family"):
+        ceilings("star", 3, None)
+
+
+def test_root_search_reads_an_overflowing_q_as_inf():
+    # Q of this preset overflows at x = 1, right of its root; the bisection
+    # takes that as the sign it needs
+    bound = kappa_preset("pair-forbidden", 300, descriptors=[(4, 4)])
+    with pytest.raises(OverflowError):
+        bound.q.p(1.0)
+    assert _p_safe(bound.q, 1.0) == math.inf
+    assert (bound.pinned.kappa, bound.optimized.kappa) == (655279, 68141)
+    assert bound.optimized.boundary is False
 
 
 def _preset_sweep():

@@ -148,6 +148,20 @@ def test_bound_pair_forbidden_set_ceilings_past_float_range(capsys, delta, n,
         assert (pairs["pinned_kappa"], pairs["optimized_kappa"]) == kappas
 
 
+@pytest.mark.parametrize("argv", [
+    ["--pattern-shape", "20:100", "--delta", "100000"],
+    ["--pattern-shape", "20:100", "--delta", "100000", "--exact-n", "10"],
+    ["--pattern-shape", "12:12", "--form", "edge", "--delta", str(10 ** 29)],
+], ids=["vertex-tail", "vertex-exact", "edge-tail"])
+def test_bound_pair_forbidden_powers_past_float_range(capsys, argv):
+    # the head, per-pair and tree powers read inf past the float range, so
+    # the refusal is the same as for every other preset's ceilings
+    code, out, err = run_cli(capsys, "bound", "--problem", "pair-forbidden",
+                             *argv)
+    assert (code, out) == (2, "")
+    assert "a class ceiling is past the float range" in err, err
+
+
 def test_bound_family_file_huge_ceiling_keeps_its_minimizer(capsys, tmp_path):
     # (s - 1) C passes the float maximum, (s - 1) (C x^s) does not: the
     # minimizer sits near 1.77e-103 instead of underflowing to 0
@@ -351,6 +365,29 @@ def test_color_lists_file_names_its_bad_line(capsys, tmp_path, text):
     assert f"lists line {line}" in err, err
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("1: 2 2 3\n2: 1 1 4\n3: 2 2 3\n4: 5 5 6\n", 1, "a color is listed twice"),
+    ("1: 2 4 3\n2: 1 1 4\n", 2, "a color is listed twice"),
+    ("1: 2 4 3\n2: 1 3 4\n3: 0 2 3\n", 3, "color 0 is not positive"),
+    ("1: 2 4 3\n2: -1 3 4\n", 2, "color -1 is not positive"),
+])
+@pytest.mark.parametrize("command", ["color", "roundtrip"])
+def test_lists_file_refuses_a_repeated_or_nonpositive_color(
+        capsys, tmp_path, command, text, line, message):
+    # decode reads a drawn index back from its color, so a repeated color
+    # would make roundtrip report a divergence on a consistent run
+    graph = tmp_path / "c4.txt"
+    graph.write_text(C4_GRAPH)
+    lists = tmp_path / "lists.txt"
+    lists.write_text(text)
+    code, out, err = run_cli(
+        capsys, command, "--graph", str(graph), "--family", "acyclic-gamma",
+        "--kappa", "3", "--seed", "1", "--budget", "40",
+        "--lists", str(lists))
+    assert (code, out) == (2, "")
+    assert f"lists line {line}: {message}" in err, err
+
+
 @pytest.mark.parametrize("family, line, obj", [
     ("acyclic-gamma", "9: 4 5 6", 9),
     ("acyclic-gamma", "0: 4 5 6", 0),
@@ -406,6 +443,23 @@ def test_roundtrip_exhausted_run_still_passes(capsys, tmp_path):
         "--seed", "3", "--budget", "6")
     assert code == 0
     assert out == "PASS\t6\n"
+
+
+def test_roundtrip_reads_only_the_drawn_steps(capsys, tmp_path, monkeypatch):
+    # the budget is never materialized: the check reads the used prefix
+    def whole_stream(self):
+        raise AssertionError("roundtrip materialized the whole stream")
+
+    monkeypatch.setattr(recolor.engine.EngineInput, "make_vector", whole_stream)
+    graph = tmp_path / "k3.txt"
+    graph.write_text(K3_GRAPH)
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "roundtrip", "--graph", str(graph),
+        "--family", "acyclic-gamma", "--kappa", "5",
+        "--seed", "1", "--budget", str(10 ** 12))
+    assert (code, out) == (0, "PASS\t3\n")
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("target, error, code, message", [

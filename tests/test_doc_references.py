@@ -1,15 +1,23 @@
-"""Every private name the docs cite in backticks is defined under `src/`.
+"""The docs point at code that exists.
 
 README.md and the docstrings under `src/` name private helpers
 (`` `_classes` ``, `` `_FacialFamily._windows` ``); a helper renamed or
 deleted without its citation leaves the docs pointing at nothing.  A name
 counts as defined when `src/` has a def or class of that name, assigns it
 (as a variable or as an attribute) or imports something as it.
+
+Every `recolor ...` command in README's `sh` blocks parses with the CLI's
+own parser, so a renamed or dropped flag fails here too.
 """
 
 import ast
 import pathlib
 import re
+import shlex
+
+import pytest
+
+from recolor.cli import _parser
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -52,3 +60,27 @@ def test_cited_private_names_are_defined():
              if not set(private_parts(name)) <= defined}
     assert not stale, stale
 
+
+SH_BLOCK = re.compile(r"^```sh\n(.*?)^```", re.M | re.S)
+
+
+def readme_commands():
+    """argv of every `recolor` line in README's sh blocks, backslash
+    continuations joined and comments dropped."""
+    commands = []
+    for block in SH_BLOCK.findall((ROOT / "README.md").read_text()):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["recolor"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 9, commands
+    for argv in commands:
+        try:
+            _parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: recolor {shlex.join(argv)}")

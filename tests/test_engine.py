@@ -339,6 +339,20 @@ class TestListMode:
         with pytest.raises(ValueError, match="no color list"):
             run(K3, fam, EngineInput(kappa=3, vector=(1, 1), lists={1: (1, 2, 3)}))
 
+    def test_lists_checked_at_construction(self):
+        # object 3 is never drawn here, yet its list is refused up front
+        with pytest.raises(ValueError, match="object 3 has 2 colors, needs >= 3"):
+            EngineInput(kappa=3, vector=(1,), lists={1: (1, 2, 3), 3: (1, 2)})
+        with pytest.raises(ValueError, match="object 1 holds color 0, needs >= 1"):
+            EngineInput(kappa=2, vector=(1,), lists={1: (0, 1)})
+
+    def test_decode_refuses_a_color_outside_the_list(self):
+        g = Graph(1, [])
+        fam = MonoEdgeFamily(g)
+        res = run(g, fam, EngineInput(kappa=2, vector=(1,), lists={1: (5, 6)}))
+        with pytest.raises(DecodeError, match="color 5 not in the list of object 1"):
+            decode(g, fam, res.coloring, res.record, lists={1: (6, 7)})
+
 
 class TestEngineInput:
     def test_exactly_one_source(self):
@@ -372,6 +386,19 @@ class TestEngineInput:
         rng = random.Random(99)
         assert inp.make_vector() == tuple(rng.randint(1, 4) for _ in range(6))
         assert inp.make_vector() == inp.make_vector()
+
+    def test_draws_restart_and_stay_lazy(self):
+        # a budget of 10**12 is never materialized; each call starts over
+        inp = EngineInput(kappa=4, seed=99, budget=10 ** 12)
+        assert next(inp.draws()) == next(inp.draws()) == random.Random(99).randint(1, 4)
+        assert list(EngineInput(kappa=2, vector=(2, 1)).draws()) == [2, 1]
+
+    def test_run_reads_the_stream_from_draws(self, monkeypatch):
+        fam = MonoEdgeFamily(K3)
+        monkeypatch.setattr(EngineInput, "draws", lambda self: iter((2, 2, 1, 3)))
+        res = run(K3, fam, EngineInput(kappa=3, vector=(1, 1, 1, 1)))
+        assert res.record.steps == (None, (1, 1), None, None)
+        assert res.coloring.as_dict() == {1: 2, 2: 1, 3: 3}
 
 
 class TestFamilyContract:
