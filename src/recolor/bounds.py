@@ -16,7 +16,14 @@ Q from it, so a family's Q is its preset's.
 Presets whose type list grows with the host graph come in two modes: the
 exact finite sum (pass n) or a closed-form tail bounding the series from
 above, valid for x below the tail's radius.  The tail mode never undershoots
-the exact mode, so its bounds stay safe.
+the exact mode, so its bounds stay safe.  An exact-mode preset refuses the
+first ceiling past the float range before computing the later ones.
+
+The minimizer `optimize_ratio` returns is always the result of the 1e-12
+bisection of p(x) = x Q'(x) - Q(x).  A preset passes its pinned point as a
+starting guess, which only decides which midpoints get evaluated; terms with
+no pinned point (`recolor bound --family-file`, `characteristic_system`)
+evaluate every step.
 """
 
 from __future__ import annotations
@@ -126,11 +133,16 @@ def _p_safe(q: QPolynomial, x: float) -> float:
         return math.inf
 
 
-def _bisect_root(q: QPolynomial, lo: float, hi: float, rel_tol: float) -> float:
-    # invariant: p(lo) < 0 <= p(hi)
+def _bisect_root(q: QPolynomial, lo: float, hi: float, rel_tol: float,
+                 known: tuple[float, float] | None = None) -> float:
+    # invariant: p(lo) < 0 <= p(hi).  ``known`` is a pair (a, b) where
+    # p(a) < 0 <= p(b) was evaluated; p increases, so a midpoint strictly
+    # outside [a, b] takes its side unevaluated.  The default (lo, hi)
+    # evaluates every midpoint.
+    a, b = known or (lo, hi)
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
-        if _p_safe(q, mid) < 0:
+        if mid < a or (mid <= b and _p_safe(q, mid) < 0):
             lo = mid
         else:
             hi = mid
@@ -142,18 +154,55 @@ def _bisect_root(q: QPolynomial, lo: float, hi: float, rel_tol: float) -> float:
     return x
 
 
-def optimize_ratio(q: QPolynomial) -> RatioResult:
+def _secant_bracket(q: QPolynomial, x: float,
+                    hi: float) -> tuple[float, float] | None:
+    """(a, b) 1e-12 relative either side of the root of p, with
+    p(a) < 0 <= p(b) evaluated, found by secant steps in log x from ``x``;
+    None when ``x`` is outside (0, hi), a step leaves it, p is not finite,
+    the steps stall or the signs do not verify."""
+    if not 0 < x < hi:
+        return None
+    log_hi = math.log(hi)
+    t0 = math.log(x)
+    t1 = t0 - 1e-3
+    f0, f1 = _p_safe(q, x), _p_safe(q, math.exp(t1))
+    for _ in range(40):
+        if not (math.isfinite(f0) and math.isfinite(f1)) or f0 == f1:
+            return None
+        t0, t1, f0 = t1, t1 - f1 * (t1 - t0) / (f1 - f0), f1
+        if not t1 < log_hi:
+            return None
+        if abs(t1 - t0) < 1e-13:
+            a, b = math.exp(t1) * (1 - 1e-12), math.exp(t1) * (1 + 1e-12)
+            if b < hi and _p_safe(q, a) < 0 <= _p_safe(q, b):
+                return a, b
+            return None
+        f1 = _p_safe(q, math.exp(t1))
+    return None
+
+
+def optimize_ratio(q: QPolynomial, start: float | None = None) -> RatioResult:
     """Minimize Q(x)/x over (0, min(1, radius)).
 
     The minimizer is the root of p(x) = x Q'(x) - Q(x), which increases from
     -1; when p stays negative up to the domain edge the ratio is still
     falling there and the edge is returned with the boundary flag set.
+
+    The root is the midpoint of a bisection of (0, hi) down to a 1e-12
+    relative width.  ``start``, a guess at the root, only saves work: secant
+    steps from it look for a verified bracket 1e-12 relative either side of
+    the root, and the bisection then skips evaluating midpoints outside it,
+    whose side is known.  The bracket's ends lie about 1e-12 relative from
+    the root, some 10^4 times p's rounding band, so a skipped midpoint would
+    have evaluated to the side it takes: the result is bit for bit the one
+    without ``start``, and a poor guess only costs evaluations.
     """
     hi = 1.0 if q.radius > 1 else q.radius * (1 - 1e-12)
     if _p_safe(q, hi) < 0:
         return RatioResult(hi, q.q(hi) / hi, math.ceil(q.q(hi) / hi),
                            abs(q.p(hi)), True)
-    x = _bisect_root(q, 0.0, hi, 1e-12)
+    known = None if start is None else _secant_bracket(q, start, hi)
+    x = _bisect_root(q, 0.0, hi, 1e-12, known)
     ratio = q.q(x) / x
     return RatioResult(x, ratio, math.ceil(ratio), abs(q.p(x)), False)
 
@@ -278,9 +327,15 @@ class PresetBound(_PresetFields):
                                kappa_total)
 
 
-def _pinned(q: QPolynomial, x: float, display: float) -> RatioResult:
-    return RatioResult(x, display, math.ceil(display), abs(q.p(x)),
-                       boundary=False)
+def _bound(problem: str, q: QPolynomial, x: float, display: float,
+           literature: dict[str, int] | None = None,
+           kappa_total: int | None = None) -> PresetBound:
+    """The preset's bound quoted as ``display`` at its pinned point ``x``,
+    and Q's minimum, searched for from ``x``."""
+    pinned = RatioResult(x, display, math.ceil(display), abs(q.p(x)),
+                         boundary=False)
+    return PresetBound(problem, pinned, optimize_ratio(q, x), q, literature,
+                       kappa_total)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -306,40 +361,57 @@ def ceilings(problem: str, delta, n: int | None, *, gamma: int = 1,
     past the float range reads as inf.  With n None the list stops where
     the preset's closed-form tail takes over.  Powers are exact integers
     for acyclic-gamma and floats for the repetition types."""
+    return list(_ceilings(problem, delta, n, gamma=gamma, alpha=alpha))
+
+
+def _ceilings(problem: str, d, n: int | None, *, gamma: int = 1,
+              alpha: float = 0.5):
+    """`ceilings`, computed one type at a time as they are read."""
     def upto(first, tail):
         # type indices from ``first``: the path-length index runs to n // 2
         return range(first, tail if n is None else n // 2 + 1)
 
-    d = delta
     if problem == "acyclic-gamma":
-        return [(float(d), 1)] + [(0.5 * gamma * _power(d, 2 * k - 2), 2 * k - 2)
-                                  for k in upto(2, 2)]
-    if problem in ("acyclic-v1", "acyclic-v2"):
-        head = [(float(d), 1), (alpha * d ** (4 / 3), 1)]
+        yield float(d), 1
+        for k in upto(2, 2):
+            yield 0.5 * gamma * _power(d, 2 * k - 2), 2 * k - 2
+    elif problem in ("acyclic-v1", "acyclic-v2"):
+        yield float(d), 1
+        yield alpha * d ** (4 / 3), 1
         if problem == "acyclic-v1":
-            return head + [(d ** (8 / 3) / (8 * alpha), 2),
-                           (0.5 * d * (d - 1) ** 4, 4)]
-        return head + [(d ** (8 / 3) / (8 * alpha) if k == 2
-                        else _power(d, 2 * k - 4 / 3) / (2 * alpha), 2 * k - 2)
-                       for k in upto(2, 3)]
-    if problem in ("nonrepetitive-vertex", "nonrepetitive-edge"):
+            yield d ** (8 / 3) / (8 * alpha), 2
+            yield 0.5 * d * (d - 1) ** 4, 4
+        else:
+            for k in upto(2, 3):
+                yield (d ** (8 / 3) / (8 * alpha) if k == 2
+                       else _power(d, 2 * k - 4 / 3) / (2 * alpha), 2 * k - 2)
+    elif problem in ("nonrepetitive-vertex", "nonrepetitive-edge"):
         mult = 2 if problem == "nonrepetitive-edge" else 1
-        return [(mult * j * _power(float(d), 2 * j - 1), j) for j in upto(1, 1)]
-    if problem == "facial-thue-vertex":
-        return [(float(d), 1)] + [(2 * j * float(d), j) for j in upto(2, 2)]
-    if problem == "facial-thue-edge":
-        return [(1.0 + 2 * j, j) for j in upto(1, 1)]
-    raise ValueError(f"{problem!r} declares no family")
+        for j in upto(1, 1):
+            yield mult * j * _power(float(d), 2 * j - 1), j
+    elif problem == "facial-thue-vertex":
+        yield float(d), 1
+        for j in upto(2, 2):
+            yield 2 * j * float(d), j
+    elif problem == "facial-thue-edge":
+        for j in upto(1, 1):
+            yield 1.0 + 2 * j, j
+    else:
+        raise ValueError(f"{problem!r} declares no family")
 
 
 def _q(terms, n: int | None, fn, dfn, radius: float) -> QPolynomial:
-    """Q over a preset's ceilings: with n, the exact list, refusing a
-    ceiling past the float range; without, the leading terms plus the
+    """Q over a preset's ceilings: with n, the exact list, refusing the
+    first ceiling past the float range before any later one is computed
+    (``terms`` may be lazy); without, the leading terms plus the
     closed-form tail ``fn`` (derivative ``dfn``, valid below ``radius``)."""
-    if math.inf in (c for c, _ in terms):
-        raise OverflowError("a class ceiling is past the float range")
+    finite = []
+    for c, s in terms:
+        if c == math.inf:
+            raise OverflowError("a class ceiling is past the float range")
+        finite.append((c, s))
     tail = None if n is not None else ClosedTail(fn, dfn, radius)
-    return QPolynomial(tuple(terms), tail)
+    return QPolynomial(finite, tail)
 
 
 def _acyclic_gamma(delta: int, gamma: int, n: int | None) -> PresetBound:
@@ -355,12 +427,12 @@ def _acyclic_gamma(delta: int, gamma: int, n: int | None) -> PresetBound:
         u = (delta * x) ** 2
         return 0.5 * g * 2 * delta ** 2 * x / (1 - u) ** 2
 
-    q = _q(ceilings("acyclic-gamma", delta, n, gamma=gamma), n, fn, dfn,
+    q = _q(_ceilings("acyclic-gamma", delta, n, gamma=gamma), n, fn, dfn,
            1 / delta)
     x = math.sqrt(2 / (gamma + 2)) / delta
     display = delta * (1 + math.sqrt(2 * gamma + 4))
-    return PresetBound(
-        "acyclic-gamma", _pinned(q, x, display), optimize_ratio(q), q,
+    return _bound(
+        "acyclic-gamma", q, x, display,
         {"alon-mcdiarmid-reed": math.ceil(32 * math.sqrt(gamma) * delta)})
 
 
@@ -392,8 +464,7 @@ def _acyclic_v1(delta: int, alpha: float) -> PresetBound:
         display = 1.5 * delta ** (4 / 3) + 5 * delta - 15
     else:
         display = eval_at(q, x)
-    return PresetBound("acyclic-v1", _pinned(q, x, display),
-                       optimize_ratio(q), q, _acyclic_literature(delta))
+    return _bound("acyclic-v1", q, x, display, _acyclic_literature(delta))
 
 
 def _acyclic_v2(delta: int, alpha: float, n: int | None) -> PresetBound:
@@ -409,12 +480,12 @@ def _acyclic_v2(delta: int, alpha: float, n: int | None) -> PresetBound:
         return delta ** (14 / 3) * (4 * x ** 3 - 2 * delta ** 2 * x ** 5) \
             / (1 - u) ** 2
 
-    q = _q(ceilings("acyclic-v2", delta, n, alpha=alpha), n, fn, dfn, 1 / delta)
+    q = _q(_ceilings("acyclic-v2", delta, n, alpha=alpha), n, fn, dfn,
+           1 / delta)
     x = 2 / delta ** (4 / 3)
     display = (1.5 * delta ** (4 / 3) + delta
                + 8 * delta ** (4 / 3) / (delta ** (2 / 3) - 4))
-    return PresetBound("acyclic-v2", _pinned(q, x, display),
-                       optimize_ratio(q), q, _acyclic_literature(delta))
+    return _bound("acyclic-v2", q, x, display, _acyclic_literature(delta))
 
 
 def _nonrepetitive(delta: int, n: int | None, *, edge: bool) -> PresetBound:
@@ -428,7 +499,7 @@ def _nonrepetitive(delta: int, n: int | None, *, edge: bool) -> PresetBound:
     def dfn(x: float) -> float:
         return mult * delta * (1 + delta ** 2 * x) / (1 - delta ** 2 * x) ** 3
 
-    q = _q(ceilings(name, delta, n), n, fn, dfn, 1 / delta ** 2)
+    q = _q(_ceilings(name, delta, n), n, fn, dfn, 1 / delta ** 2)
     x = 1 / delta ** 2 - (2 / delta ** 7) ** (1 / 3)
     u = 1 - (2 / delta) ** (1 / 3)
     display = delta ** 2 / u + mult * delta / (1 - u) ** 2
@@ -439,7 +510,7 @@ def _nonrepetitive(delta: int, n: int | None, *, edge: bool) -> PresetBound:
         lit = {"dujmovic-et-al": math.ceil(
             (1 + 1 / (delta ** (1 / 3) - 1) + delta ** (-1 / 3))
             * delta ** 2)}
-    return PresetBound(name, _pinned(q, x, display), optimize_ratio(q), q, lit)
+    return _bound(name, q, x, display, lit)
 
 
 def _facial_vertex(delta: int, n: int | None) -> PresetBound:
@@ -452,12 +523,11 @@ def _facial_vertex(delta: int, n: int | None) -> PresetBound:
     def dfn(x: float) -> float:
         return 2 * delta * ((1 + x) / (1 - x) ** 3 - 1)
 
-    q = _q(ceilings("facial-thue-vertex", delta, n), n, fn, dfn, 1.0)
+    q = _q(_ceilings("facial-thue-vertex", delta, n), n, fn, dfn, 1.0)
     x = 1 / (2 * math.sqrt(delta))
     display = delta + 4 * math.sqrt(delta) + 3
-    return PresetBound("facial-thue-vertex", _pinned(q, x, display),
-                       optimize_ratio(q), q,
-                       {"przybylo-et-al": 5 * delta, "barat-czap": 24})
+    return _bound("facial-thue-vertex", q, x, display,
+                  {"przybylo-et-al": 5 * delta, "barat-czap": 24})
 
 
 def _facial_edge(n: int | None) -> PresetBound:
@@ -467,13 +537,12 @@ def _facial_edge(n: int | None) -> PresetBound:
     def dfn(x: float) -> float:
         return 1 / (1 - x) ** 2 + 2 * (1 + x) / (1 - x) ** 3
 
-    q = _q(ceilings("facial-thue-edge", None, n), n, fn, dfn, 1.0)
+    q = _q(_ceilings("facial-thue-edge", None, n), n, fn, dfn, 1.0)
     x = (math.sqrt(17) - 3) / 4
     display = eval_at(q, x)
-    return PresetBound("facial-thue-edge", _pinned(q, x, display),
-                       optimize_ratio(q), q,
-                       {"schreyer-skrabulakova": 291, "przybylo": 12},
-                       kappa_total=math.ceil(display) + 1)
+    return _bound("facial-thue-edge", q, x, display,
+                  {"schreyer-skrabulakova": 291, "przybylo": 12},
+                  kappa_total=math.ceil(display) + 1)
 
 
 def _r_acyclic(delta: int, r: int) -> PresetBound:
@@ -493,9 +562,8 @@ def _r_acyclic(delta: int, r: int) -> PresetBound:
             + delta ** ((r + 1) / 3) * (2 + ell + 0.5 * (r + 2) ** 6)
     q = QPolynomial(tuple(terms))
     gp = 2 ** ((r + 2) / 3) * r * (r + 2) * delta ** (r // 2)
-    return PresetBound("r-acyclic", _pinned(q, x, display),
-                       optimize_ratio(q), q,
-                       {"greenhill-pikhurko": math.ceil(gp)})
+    return _bound("r-acyclic", q, x, display,
+                  {"greenhill-pikhurko": math.ceil(gp)})
 
 
 # unlabeled trees by vertex count (offset 1), used by the edge-partition form
@@ -508,7 +576,7 @@ def _star(delta: int) -> PresetBound:
     x = 1 / (math.sqrt(2 * delta) * (delta - 1))
     display = (2 * math.sqrt(2) * delta ** 1.5 + delta
                - math.sqrt(8 * delta) + 1)
-    return PresetBound("star", _pinned(q, x, display), optimize_ratio(q), q)
+    return _bound("star", q, x, display)
 
 
 def _set_ceiling(delta: int, gamma: float, i: int) -> float:
@@ -578,12 +646,13 @@ def _pair_forbidden(delta: int, descriptors, n: int | None,
         return delta ** gamma * math.exp(delta ** gamma * x_)
 
     if n is not None:
-        terms += [(c, i) for i in range(1, n - 1)
-                  if (c := _set_ceiling(delta, gamma, i))]
+        # lazy, so `_q` computes no set ceiling past the first infinite one
+        sets = ((c, i) for i in range(1, n - 1)
+                if (c := _set_ceiling(delta, gamma, i)))
+        terms = (t for part in (terms, sets) for t in part)
     q = _q(terms, n, fn, dfn, math.inf)
     display = eval_at(q, x)
-    return PresetBound("pair-forbidden", _pinned(q, x, display),
-                       optimize_ratio(q), q, lit)
+    return _bound("pair-forbidden", q, x, display, lit)
 
 
 class Problem(NamedTuple):

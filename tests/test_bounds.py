@@ -479,6 +479,35 @@ def test_ceilings_refuse_a_problem_without_a_family():
         ceilings("star", 3, None)
 
 
+@pytest.mark.parametrize("problem,kwargs,helper,most", [
+    # first infinite ceiling near type 323 of n // 2 = 500,000
+    ("nonrepetitive-vertex", {"delta": 3}, "_power", 400),
+    ("nonrepetitive-edge", {"delta": 3}, "_power", 400),
+    ("acyclic-gamma", {"delta": 3}, "_power", 400),
+    ("acyclic-v2", {"delta": 9}, "_power", 400),
+    # delta^(4i/3) / i! passes the float maximum near i = 120
+    ("pair-forbidden", {"delta": 300, "descriptors": [(4, 4)]},
+     "_set_ceiling", 400),
+])
+def test_exact_presets_refuse_the_first_infinite_ceiling(
+        problem, kwargs, helper, most, monkeypatch):
+    """An exact-n preset stops computing ceilings at the first one past the
+    float range instead of building all n // 2 (or n - 2) of them."""
+    import recolor.bounds as bounds
+
+    calls = []
+    original = getattr(bounds, helper)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bounds, helper, counted)
+    with pytest.raises(OverflowError, match="class ceiling is past the float"):
+        kappa_preset(problem, n=1_000_000, **kwargs)
+    assert 0 < len(calls) < most
+
+
 def test_root_search_reads_an_overflowing_q_as_inf():
     # Q of this preset overflows at x = 1, right of its root; the bisection
     # takes that as the sign it needs
