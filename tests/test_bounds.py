@@ -6,6 +6,7 @@ roots against sign changes of p(x) = x q'(x) - q(x), and golden-section
 minima against dense grid scans.
 """
 
+import functools
 import hashlib
 import math
 import random
@@ -534,6 +535,26 @@ def _preset_sweep():
             yield "acyclic-gamma", delta, {"gamma": 3, "n": n}
 
 
+@functools.cache
+def _swept_presets():
+    """`kappa_preset` over `_preset_sweep()`: each bound, or the class name
+    of the exception where the preset refuses."""
+    swept = []
+    for problem, delta, kw in _preset_sweep():
+        try:
+            swept.append(kappa_preset(problem, delta, **kw))
+        except (ValueError, OverflowError) as exc:
+            swept.append(type(exc).__name__)
+    return swept
+
+
+def _digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
 def test_presets_match_their_pinned_digest():
     """Every preset's pinned and optimized results and its terms, bit for
     bit (the exception's class where the preset refuses), hashed together.
@@ -542,16 +563,52 @@ def test_presets_match_their_pinned_digest():
     integer-minimum noise in `optimize_ratio` (ROADMAP item 1) changes
     some optimized kappas and re-pins this digest, together with the
     benchmark's series pin."""
-    h = hashlib.sha256()
-    for problem, delta, kw in _preset_sweep():
-        try:
-            b = kappa_preset(problem, delta, **kw)
-            line = repr((b.pinned, b.optimized, b.q.terms))
-        except (ValueError, OverflowError) as exc:
-            line = type(exc).__name__
-        h.update(line.encode() + b"\n")
-    assert h.hexdigest() == \
+    assert _digest(
+        b if isinstance(b, str) else repr((b.pinned, b.optimized, b.q.terms))
+        for b in _swept_presets()) == \
         "984b645b710e69d08981b57f600b35b0bc30362af4735068d5b11950d278e78f"
+
+
+def test_preset_minimizers_match_their_pinned_digest():
+    """Every preset's pinned and optimized point, kappa and boundary flag
+    and its terms, bit for bit, without the ratios and root residuals
+    (which carry the closed-form tail's last bits); pinned before the
+    ceilings and tails came from one declaration."""
+    assert _digest(
+        b if isinstance(b, str) else repr((
+            b.pinned.x, b.pinned.kappa, b.optimized.x, b.optimized.kappa,
+            b.optimized.boundary, b.q.terms))
+        for b in _swept_presets()) == \
+        "4a484b48db5587418401ce3fbc92ceb16e90a5752cb23a3bf97f9d50e6caf66e"
+
+
+def _ceilings_sweep():
+    """(problem, delta, n, keywords) over the seven family problems, delta
+    2..399, the tail and three exact sizes, gamma 1 and 3 for acyclic-gamma
+    and five alphas for acyclic-v1 and acyclic-v2."""
+    alphas = [{"alpha": a} for a in (0.01, 0.25, 0.5, 0.75, 1.0)]
+    keywords = {"acyclic-gamma": [{"gamma": 1}, {"gamma": 3}],
+                "acyclic-v1": alphas, "acyclic-v2": alphas}
+    for problem in PROBLEMS:
+        if PROBLEM_TABLE[problem].factory is None:
+            continue
+        for delta in range(2, 400):
+            for n in (None, 6, 20, 101):
+                for kw in keywords.get(problem, [{}]):
+                    yield problem, delta, n, kw
+
+
+def test_ceilings_match_their_pinned_digest():
+    """`ceilings` bit for bit (the exception's class where it refuses),
+    pinned before the ceilings and tails came from one declaration."""
+    def line(problem, delta, n, kw):
+        try:
+            return repr(ceilings(problem, delta, n, **kw))
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            return type(exc).__name__
+
+    assert _digest(line(*args) for args in _ceilings_sweep()) == \
+        "99d6803bc31e669bd480bb17d4a300ada4ad3b7274acbf5a1f2fb8f4a955ebe3"
 
 
 def test_problem_roster():
