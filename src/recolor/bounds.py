@@ -9,15 +9,15 @@ characteristic system governing the record-counting generating function.
 
 Each named problem is declared once, as a row of `PROBLEM_TABLE`: its
 preset, the arguments the preset reads, and what the CLI needs to run and
-check it.  Each event type's class ceiling is declared once, in `ceilings`:
-the families build their event types from that list and the presets build
-Q from it, so a family's Q is its preset's.
+check it.  Each family problem declares its class ceilings once, as head
+terms plus one series (`_FAMILY_CEILINGS`): the families' event types
+(`ceilings`) and the presets' Q, exact or with a closed-form tail, read it.
 
 Presets whose type list grows with the host graph come in two modes: the
-exact finite sum (pass n) or a closed-form tail bounding the series from
-above, valid for x below the tail's radius.  The tail mode never undershoots
-the exact mode, so its bounds stay safe.  An exact-mode preset refuses the
-first ceiling past the float range before computing the later ones.
+exact finite sum (pass n) or the closed-form tail, valid for x below its
+radius, which sums every type the exact mode lists and more, so its bounds
+stay safe.  An exact-mode preset refuses the first ceiling past the float
+range before computing the later ones.
 
 The minimizer `optimize_ratio` returns is always the result of the 1e-12
 bisection of p(x) = x Q'(x) - Q(x).  A preset passes its pinned point as a
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from functools import partial, reduce
+from itertools import chain
 from typing import Callable, NamedTuple
 
 __all__ = [
@@ -354,81 +355,137 @@ def _power(d, e) -> float:
         return math.inf
 
 
+class _Series(NamedTuple):
+    """``terms(n)`` yields a series' (ceiling, size) pairs on n objects,
+    lazily (with n None, those ``tail()``'s closed form leaves out)."""
+
+    terms: Callable
+    tail: Callable[[], ClosedTail]
+
+
+def _geometric(first, base, p, s, a=1, b=0, p0=0, s0=0, over=1,
+               lead=()) -> _Series:
+    """Type i >= first costs (a + b i) base^(p i + p0) / over and uncolors
+    s i + s0 objects, except the ``lead`` types, whose ceilings are listed.
+    From type i on the types sum to k x^e w (c + b w), where
+    w = 1 / (1 - base^p x^s), e = s i + s0, k = base^(p i + p0) / over and
+    c = a + b (i - 1), below the radius 1 / base^(p/s).  The type index
+    counts half the objects of a witness, so it runs to n // 2."""
+    def terms(n):
+        for i in range(first, first + len(lead) if n is None else n // 2 + 1):
+            c = lead[i - first] if i - first < len(lead) else (
+                (a + b * i) * _power(base, p * i + p0) / over)
+            yield c, s * i + s0
+
+    def tail():
+        i = first + len(lead)
+        k, e, c = _power(base, p * i + p0) / over, s * i + s0, a + b * (i - 1)
+        b2, e1, r = 2 * b, e - 1, float(base ** p)
+
+        def value(x: float) -> float:
+            w = 1 / (1 - r * x ** s)
+            return k * x ** e * w * (c + b * w)
+
+        def slope(x: float) -> float:
+            w = 1 / (1 - r * x ** s)
+            return k * x ** e1 * w * (e * (c + b * w)
+                                      + s * (w - 1) * (c + b2 * w))
+
+        return ClosedTail(value, slope, 1 / base ** (p / s))
+
+    return _Series(terms, tail)
+
+
+def _set_ceiling(delta: int, gamma: float, i: int) -> float:
+    """delta^(gamma i) / i!, the ceiling of the size-i monochromatic-set
+    type.  Where that expression raises, because i! (i > 170) or the power
+    is past the float range, it is computed in log space instead, reading
+    math.inf past the float maximum.  There it may underflow to 0.0."""
+    try:
+        return delta ** (gamma * i) / math.factorial(i)
+    except OverflowError:  # the power or i! is past the float maximum
+        pass
+    try:
+        return math.exp(gamma * i * math.log(delta) - math.lgamma(i + 1))
+    except OverflowError:
+        return math.inf
+
+
+def _exponential(base, p) -> _Series:
+    """Type i >= 1 costs base^(p i) / i! and uncolors i objects, i up to
+    n - 2; the types sum to expm1(base^p x)."""
+    def terms(n):
+        # the ceilings rise from base^p > 1 to a peak near i = base^p and
+        # only fall past it: the list ends at the first that underflows
+        for i in range(1, 0 if n is None else n - 1):
+            c = _set_ceiling(base, p, i)
+            if c == 0.0:
+                return
+            yield c, i
+
+    def tail():
+        t = base ** p
+        return ClosedTail(lambda x: math.expm1(t * x),
+                          lambda x: t * math.exp(t * x), math.inf)
+
+    return _Series(terms, tail)
+
+
+# each family problem's head terms and series (first type, base, p, s, ...)
+# at maximum degree d; an int base keeps acyclic-gamma's powers exact
+_FAMILY_CEILINGS = {
+    "acyclic-gamma": lambda d, gamma, alpha: (
+        [(float(d), 1)], _geometric(2, d, 2, 2, a=0.5 * gamma, p0=-2, s0=-2)),
+    "acyclic-v1": lambda d, gamma, alpha: (
+        [(float(d), 1), (alpha * d ** (4 / 3), 1),
+         (d ** (8 / 3) / (8 * alpha), 2), (0.5 * d * (d - 1) ** 4, 4)], None),
+    "acyclic-v2": lambda d, gamma, alpha: (
+        [(float(d), 1), (alpha * d ** (4 / 3), 1)],
+        _geometric(2, d, 2, 2, p0=-4 / 3, s0=-2, over=2 * alpha,
+                   lead=(d ** (8 / 3) / (8 * alpha),))),
+    "nonrepetitive-vertex": lambda d, gamma, alpha: (
+        [], _geometric(1, float(d), 2, 1, a=0, b=1, p0=-1)),
+    "nonrepetitive-edge": lambda d, gamma, alpha: (
+        [], _geometric(1, float(d), 2, 1, a=0, b=2, p0=-1)),
+    "facial-thue-vertex": lambda d, gamma, alpha: (
+        [(float(d), 1)], _geometric(2, float(d), 0, 1, a=0, b=2, p0=1)),
+    "facial-thue-edge": lambda d, gamma, alpha: (
+        [], _geometric(1, 1.0, 0, 1, b=2)),
+}
+
+
 def ceilings(problem: str, delta, n: int | None, *, gamma: int = 1,
              alpha: float = 0.5) -> list[tuple[float, int]]:
     """(class ceiling C_j, uncolor size s_j) of each event type of a family
-    problem, type 1 first, on n vertices of maximum degree delta; a ceiling
-    past the float range reads as inf.  With n None the list stops where
-    the preset's closed-form tail takes over.  Powers are exact integers
-    for acyclic-gamma and floats for the repetition types."""
-    return list(_ceilings(problem, delta, n, gamma=gamma, alpha=alpha))
-
-
-def _ceilings(problem: str, d, n: int | None, *, gamma: int = 1,
-              alpha: float = 0.5):
-    """`ceilings`, computed one type at a time as they are read."""
-    def upto(first, tail):
-        # type indices from ``first``: the path-length index runs to n // 2
-        return range(first, tail if n is None else n // 2 + 1)
-
-    if problem == "acyclic-gamma":
-        yield float(d), 1
-        for k in upto(2, 2):
-            yield 0.5 * gamma * _power(d, 2 * k - 2), 2 * k - 2
-    elif problem in ("acyclic-v1", "acyclic-v2"):
-        yield float(d), 1
-        yield alpha * d ** (4 / 3), 1
-        if problem == "acyclic-v1":
-            yield d ** (8 / 3) / (8 * alpha), 2
-            yield 0.5 * d * (d - 1) ** 4, 4
-        else:
-            for k in upto(2, 3):
-                yield (d ** (8 / 3) / (8 * alpha) if k == 2
-                       else _power(d, 2 * k - 4 / 3) / (2 * alpha), 2 * k - 2)
-    elif problem in ("nonrepetitive-vertex", "nonrepetitive-edge"):
-        mult = 2 if problem == "nonrepetitive-edge" else 1
-        for j in upto(1, 1):
-            yield mult * j * _power(float(d), 2 * j - 1), j
-    elif problem == "facial-thue-vertex":
-        yield float(d), 1
-        for j in upto(2, 2):
-            yield 2 * j * float(d), j
-    elif problem == "facial-thue-edge":
-        for j in upto(1, 1):
-            yield 1.0 + 2 * j, j
-    else:
+    problem, type 1 first, on n vertices of maximum degree delta (with n
+    None, up to where the preset's closed form takes over); a ceiling past
+    the float range reads as inf."""
+    if problem not in _FAMILY_CEILINGS:
         raise ValueError(f"{problem!r} declares no family")
+    head, series = _FAMILY_CEILINGS[problem](delta, gamma, alpha)
+    return head + list(series.terms(n)) if series else head
 
 
-def _q(terms, n: int | None, fn, dfn, radius: float) -> QPolynomial:
-    """Q over a preset's ceilings: with n, the exact list, refusing the
-    first ceiling past the float range before any later one is computed
-    (``terms`` may be lazy); without, the leading terms plus the
-    closed-form tail ``fn`` (derivative ``dfn``, valid below ``radius``)."""
+def _q(head, series, n: int | None) -> QPolynomial:
+    """Q over head terms and a series' types on n objects, refusing the
+    first ceiling past the float range before computing any later one;
+    with n None, over the head, the lead types and the closed form."""
     finite = []
-    for c, s in terms:
+    for c, s in chain(head, series.terms(n)):
         if c == math.inf:
             raise OverflowError("a class ceiling is past the float range")
         finite.append((c, s))
-    tail = None if n is not None else ClosedTail(fn, dfn, radius)
-    return QPolynomial(finite, tail)
+    return QPolynomial(finite, None if n is not None else series.tail())
+
+
+def _family_q(problem, delta, n, gamma=1, alpha=0.5) -> QPolynomial:
+    return _q(*_FAMILY_CEILINGS[problem](delta, gamma, alpha), n)
 
 
 def _acyclic_gamma(delta: int, gamma: int, n: int | None) -> PresetBound:
     _require(delta >= 1, f"acyclic-gamma requires delta >= 1, got {delta}")
     _require(gamma >= 1, f"acyclic-gamma requires gamma >= 1, got {gamma}")
-    g = float(gamma)
-
-    def fn(x: float) -> float:
-        u = (delta * x) ** 2
-        return 0.5 * g * u / (1 - u)
-
-    def dfn(x: float) -> float:
-        u = (delta * x) ** 2
-        return 0.5 * g * 2 * delta ** 2 * x / (1 - u) ** 2
-
-    q = _q(_ceilings("acyclic-gamma", delta, n, gamma=gamma), n, fn, dfn,
-           1 / delta)
+    q = _family_q("acyclic-gamma", delta, n, gamma=gamma)
     x = math.sqrt(2 / (gamma + 2)) / delta
     display = delta * (1 + math.sqrt(2 * gamma + 4))
     return _bound(
@@ -471,17 +528,7 @@ def _acyclic_v2(delta: int, alpha: float, n: int | None) -> PresetBound:
     _require(delta >= 9, f"acyclic-v2 requires delta >= 9, got {delta}")
     _require(alpha == 0.5,
              "the acyclic-v2 closed form is pinned at alpha = 0.5")
-
-    def fn(x: float) -> float:
-        return delta ** (14 / 3) * x ** 4 / (1 - delta ** 2 * x ** 2)
-
-    def dfn(x: float) -> float:
-        u = delta ** 2 * x ** 2
-        return delta ** (14 / 3) * (4 * x ** 3 - 2 * delta ** 2 * x ** 5) \
-            / (1 - u) ** 2
-
-    q = _q(_ceilings("acyclic-v2", delta, n, alpha=alpha), n, fn, dfn,
-           1 / delta)
+    q = _family_q("acyclic-v2", delta, n, alpha=alpha)
     x = 2 / delta ** (4 / 3)
     display = (1.5 * delta ** (4 / 3) + delta
                + 8 * delta ** (4 / 3) / (delta ** (2 / 3) - 4))
@@ -492,14 +539,7 @@ def _nonrepetitive(delta: int, n: int | None, *, edge: bool) -> PresetBound:
     name = "nonrepetitive-edge" if edge else "nonrepetitive-vertex"
     _require(delta >= 3, f"{name} requires delta >= 3, got {delta}")
     mult = 2 if edge else 1
-
-    def fn(x: float) -> float:
-        return mult * delta * x / (1 - delta ** 2 * x) ** 2
-
-    def dfn(x: float) -> float:
-        return mult * delta * (1 + delta ** 2 * x) / (1 - delta ** 2 * x) ** 3
-
-    q = _q(_ceilings(name, delta, n), n, fn, dfn, 1 / delta ** 2)
+    q = _family_q(name, delta, n)
     x = 1 / delta ** 2 - (2 / delta ** 7) ** (1 / 3)
     u = 1 - (2 / delta) ** (1 / 3)
     display = delta ** 2 / u + mult * delta / (1 - u) ** 2
@@ -516,14 +556,7 @@ def _nonrepetitive(delta: int, n: int | None, *, edge: bool) -> PresetBound:
 def _facial_vertex(delta: int, n: int | None) -> PresetBound:
     _require(delta >= 2,
              f"facial-thue-vertex requires delta >= 2, got {delta}")
-
-    def fn(x: float) -> float:
-        return 2 * delta * (x / (1 - x) ** 2 - x)
-
-    def dfn(x: float) -> float:
-        return 2 * delta * ((1 + x) / (1 - x) ** 3 - 1)
-
-    q = _q(_ceilings("facial-thue-vertex", delta, n), n, fn, dfn, 1.0)
+    q = _family_q("facial-thue-vertex", delta, n)
     x = 1 / (2 * math.sqrt(delta))
     display = delta + 4 * math.sqrt(delta) + 3
     return _bound("facial-thue-vertex", q, x, display,
@@ -531,13 +564,7 @@ def _facial_vertex(delta: int, n: int | None) -> PresetBound:
 
 
 def _facial_edge(n: int | None) -> PresetBound:
-    def fn(x: float) -> float:
-        return x / (1 - x) + 2 * x / (1 - x) ** 2
-
-    def dfn(x: float) -> float:
-        return 1 / (1 - x) ** 2 + 2 * (1 + x) / (1 - x) ** 3
-
-    q = _q(_ceilings("facial-thue-edge", None, n), n, fn, dfn, 1.0)
+    q = _family_q("facial-thue-edge", None, n)
     x = (math.sqrt(17) - 3) / 4
     display = eval_at(q, x)
     return _bound("facial-thue-edge", q, x, display,
@@ -577,22 +604,6 @@ def _star(delta: int) -> PresetBound:
     display = (2 * math.sqrt(2) * delta ** 1.5 + delta
                - math.sqrt(8 * delta) + 1)
     return _bound("star", q, x, display)
-
-
-def _set_ceiling(delta: int, gamma: float, i: int) -> float:
-    """delta^(gamma i) / i!, the ceiling of the size-i monochromatic-set
-    type.  Where that expression raises, because i! (i > 170) or the power
-    is past the float range, it is computed in log space instead, reading
-    math.inf past the float maximum.  There it may underflow to 0.0, which
-    cannot change Q(x) in floats, and `_pair_forbidden` leaves it out."""
-    try:
-        return delta ** (gamma * i) / math.factorial(i)
-    except OverflowError:  # the power or i! is past the float maximum
-        pass
-    try:
-        return math.exp(gamma * i * math.log(delta) - math.lgamma(i + 1))
-    except OverflowError:
-        return math.inf
 
 
 def _pair_forbidden(delta: int, descriptors, n: int | None,
@@ -638,19 +649,7 @@ def _pair_forbidden(delta: int, descriptors, n: int | None,
             64 * (m + 1) ** 3 * max(1, k_edge) * delta ** gamma)}
     else:
         raise ValueError(f"form must be 'vertex' or 'edge', got {form!r}")
-
-    def fn(x_: float) -> float:
-        return math.expm1(delta ** gamma * x_)
-
-    def dfn(x_: float) -> float:
-        return delta ** gamma * math.exp(delta ** gamma * x_)
-
-    if n is not None:
-        # lazy, so `_q` computes no set ceiling past the first infinite one
-        sets = ((c, i) for i in range(1, n - 1)
-                if (c := _set_ceiling(delta, gamma, i)))
-        terms = (t for part in (terms, sets) for t in part)
-    q = _q(terms, n, fn, dfn, math.inf)
+    q = _q(terms, _exponential(delta, gamma), n)
     display = eval_at(q, x)
     return _bound("pair-forbidden", q, x, display, lit)
 

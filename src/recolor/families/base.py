@@ -6,9 +6,10 @@ on a graph ``g`` and names its problem, a key of `bounds.PROBLEM_TABLE`,
 whose row fixes its objects: the vertices in ``g.rank`` order, or with
 ``on_edges`` the edge ids in index order.  That order drives traversal and
 sorts witness lists.  Each type's class ceiling and uncolor size are
-declared once, in `bounds.ceilings`, which the presets read too; `Family`
-reads that list for its problem, raises a ceiling below 1 to 1 and builds
-the event-type metadata.  Types are probed in ascending order, each one
+declared once, as head terms plus one series in `bounds._FAMILY_CEILINGS`,
+which the presets read too; `Family` reads the list `bounds.ceilings`
+derives for its problem, raises a ceiling below 1 to 1 and builds the
+event-type metadata.  Types are probed in ascending order, each one
 way:
 
 - candidate ``tables`` for the first types, one tuple of objects per
