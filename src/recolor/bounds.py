@@ -475,6 +475,7 @@ def _q(head, series, n: int | None) -> QPolynomial:
         if c == math.inf:
             raise OverflowError("a class ceiling is past the float range")
         finite.append((c, s))
+    _require(finite or n is None, f"n = {n} leaves no event type")
     return QPolynomial(finite, None if n is not None else series.tail())
 
 
@@ -702,12 +703,13 @@ def kappa_preset(problem: str, delta: int | None = None, *,
                  form: str = "vertex") -> PresetBound:
     """Named bound presets at their quoted evaluation points.
 
-    Pass n for the exact finite type list; omit it for the closed-form tail.
-    Parameters outside a preset's validity range raise ValueError quoting
-    the threshold.
+    Pass n >= 1 for the exact finite type list; omit it for the
+    closed-form tail.  Parameters outside a preset's validity range raise
+    ValueError quoting the threshold.
     """
     row = PROBLEM_TABLE.get(problem)
     _require(row is not None, f"unknown problem {problem!r}; known: {PROBLEMS}")
+    _require(n is None or n >= 1, f"n must be at least 1, got {n}")
     names = row.options.split()
     _require(delta is not None or "delta" not in names,
              f"{problem} requires delta")

@@ -10,13 +10,14 @@ colors still readable at the row's tail (`Bicolored`).
 Each family names its problem, whose `bounds.PROBLEM_TABLE` row fixes its
 object kind and class ceilings, and declares its bicolored witnesses once:
 the start paths through the anchor (`_paths`) and the rule accepting a
-row's last vertex (`_closes`).  The family's `fired` yields exactly the bicolored types with a
-bad row through the anchor, so `detect` enumerates and scans only the first
-of them, to rank the hit.  The search grows only the start paths already
-alternating two colors (`_starts`), inside the two-colored subgraph at the
-anchor; the enumeration grows every start path by simple arms.  The
-special-pair square closes a start path over a common neighbor of its two
-ends (`_squares`), for the search and the enumeration alike.
+row's last vertex (`_closes`).  `fired` yields exactly the bicolored types
+with a bad row through the anchor, so `detect` enumerates and scans only
+the first of them, to rank the hit.  The search grows only the start paths
+already alternating two colors (`_starts`), inside the two-colored
+subgraph at the anchor; the enumeration grows every start path by simple
+arms.  The special-pair square is no separate mechanism: it is the
+width-4 case of the special-pair closing rule, a start path closed over a
+common neighbor of its two ends.
 """
 
 from __future__ import annotations
@@ -76,24 +77,20 @@ class Bicolored:
 class _AcyclicFamily(Family):
     """Candidate tables for the first types, bicolored rows for the rest:
     start paths (`_paths`) grown into rows whose last vertex w passes
-    ``_closes(path, w)``, every row when ``_closes`` is None.  Row types
-    other than the special-pair square are searched by `alternating_widths`."""
+    ``_closes(path, w)``.  Every row type is searched by
+    `alternating_widths`."""
 
     shape = Bicolored
-    _closes = None
 
     def __init__(self, g: Graph, tables, **params):
         super().__init__(g, tables, **params)
         self._type_of = {w: j for j, w in self._width.items()}
 
     def fired(self, coloring, v):
-        """Every type with a bad row through v, ascending."""
-        return self._alternating(coloring, self._starts(coloring, v))
-
-    def _alternating(self, coloring, starts):
-        """Every alternating type with a bad row, ascending: one
+        """Every type with a bad row through v, ascending: one
         `alternating_widths` search per start path, grown no wider than the
         colored set or ``widest``."""
+        starts = self._starts(coloring, v)
         if not starts:
             return ()
         limit = min(len(coloring.colored), self.widest)
@@ -117,7 +114,7 @@ class _AcyclicFamily(Family):
             for ext in arms(adj, adj, path[-1], width - len(path) - 1, used):
                 row = path + ext
                 for w in adj[row[-1]]:
-                    if w not in used and (close is None or close(row, w)):
+                    if w not in used and close(row, w):
                         yield row + (w,)
 
 
@@ -158,28 +155,14 @@ def acyclic_gamma_family(g: Graph, gamma: int) -> _GammaFamily:
 class _SpecialPairFamily(_AcyclicFamily):
     """Common core of the two special-pair variants: neighbor event, then a
     same-color event against the anchor's special set, then bicolored rows
-    through a start path (u1, v, u3) over two neighbors of the anchor v.
-    Type 3, the special-pair square, closes a start over a common neighbor
-    of u1 and u3 (`_squares`); from type 4 on, rows grow from u3."""
+    grown from a start path (u1, v, u3) over two neighbors of the anchor v.
+    Type 3, the special-pair square, is the rows closed at width 4; from
+    type 4 on, rows grow from u3."""
 
     def __init__(self, g: Graph, alpha: float):
         # built first: it refuses a bad alpha before the ceilings divide by it
         self.special = SpecialStructure(g, alpha)
         super().__init__(g, (g.adj, self.special._special), alpha=alpha)
-        # the square is searched by `_squares`: a width-4 alternating hit is
-        # an open P4 (v1) or a 4-cycle closed at u1 (v2), never a square
-        self._type_of.pop(4, None)
-
-    def fired(self, coloring, v):
-        """The square type first when a bicolored square sits at v, then
-        the alternating types, searched only once the caller reads past the
-        square."""
-        starts = self._starts(coloring, v)
-        colors = coloring.colors
-        if starts and any(colors[c] == colors[v]
-                          for _, c, _ in self._squares(v, starts)):
-            yield 3
-        yield from self._alternating(coloring, starts)
 
     def _paths(self, v):
         """(u1, v, u3) for each pair of neighbors of v, u1 order-below u3."""
@@ -205,29 +188,27 @@ class _SpecialPairFamily(_AcyclicFamily):
                         starts.append([x, v, y] if rank[x] < rank[y] else [y, v, x])
         return starts
 
-    def _squares(self, v, paths):
-        """(a, c, b) for each path (a, v, b) over a pair not adjacent and
-        each common neighbor c of a and b that is neither v nor in N(v) nor
-        in S(v): the induced 4-cycles v a c b with antipode c outside S(v)."""
+    def _closes(self, path, w):
+        """A start (a, v, b) closes over w, a neighbor of b outside it, when
+        v a w b is an induced 4-cycle with antipode w outside S(v): a is
+        not adjacent to b, w is adjacent to a but neither to v nor in S(v).
+        A longer path closes at every w, as v1's open paths do."""
+        if len(path) > 3:
+            return True
+        a, v, b = path
         nbr = self.g.nbr
-        n_v, s_v = nbr[v], self.special._special[v]
-        for a, _, b in paths:
-            n_b = nbr[b]
-            if a in n_b:
-                continue
-            for c in self.g.adj[a]:
-                if c in n_b and c != v and c not in n_v and c not in s_v:
-                    yield a, c, b
+        return (a not in nbr[b] and w in nbr[a] and w not in nbr[v]
+                and w not in self.special._special[v])
 
 
 class _V1Family(_SpecialPairFamily):
     problem = "acyclic-v1"
 
     def _enumerate(self, v, j):
-        """Squares as (v, a, c, b); type-4 rows are open 6-vertex paths."""
-        if j == 3:
-            return [(v, a, c, b) for a, c, b in self._squares(v, self._paths(v))]
-        return super()._enumerate(v, j)
+        """Squares reordered to (v, a, c, b), which fixes their class
+        ranks; type-4 rows are open 6-vertex paths."""
+        rows = super()._enumerate(v, j)
+        return ((v, a, c, b) for a, _, b, c in rows) if j == 3 else rows
 
 
 def acyclic_v1_family(g: Graph, alpha: float) -> _V1Family:
@@ -241,16 +222,13 @@ def acyclic_v1_family(g: Graph, alpha: float) -> _V1Family:
 class _V2Family(_SpecialPairFamily):
     problem = "acyclic-v2"
 
-    def _enumerate(self, v, j):
-        """Squares as (a, v, b, c); then 2k-cycles with the anchor second."""
-        if j == 3:
-            return [(a, v, b, c) for a, c, b in self._squares(v, self._paths(v))]
-        return super()._enumerate(v, j)
-
     def _closes(self, path, w):
-        """w closes the cycle back at u1, and u1 and the vertex before w,
-        matched in color, are not special both ways: such a cycle cannot
-        survive the special event and is left out of the class count."""
+        """Squares as (a, v, b, c); past them, w closes the cycle back at
+        u1, and u1 and the vertex before w, matched in color, are not
+        special both ways: such a cycle cannot survive the special event
+        and is left out of the class count."""
+        if len(path) == 3:
+            return super()._closes(path, w)
         u1, x = path[0], path[-1]
         sp = self.special.is_special
         return w in self.g.nbr[u1] and not (sp(u1, x) and sp(x, u1))

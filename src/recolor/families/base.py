@@ -24,10 +24,9 @@ way:
   search by color and yield exactly the types with a bad witness, so their
   first scan hits: the searches walk colored objects only and cut a partial
   witness at the first color that breaks its pattern
-  (`PathRepetitionFamily`, `alternating_widths`, the acyclic special-pair
-  square).  The facial families yield every window type whose width fits
-  both the colored set and the longest face, and `detect` scans them in
-  turn.
+  (`PathRepetitionFamily`, `alternating_widths`).  The facial families
+  yield every window type whose width fits both the colored set and the
+  longest face, and `detect` scans them in turn.
 
 Row types share the family's ``shape``: the row width for an uncolor size,
 the kernel finding the first bad row, the objects a hit erases and how they
@@ -48,8 +47,8 @@ the decoder relies on.  The repetition families declare their paths once,
 as one step table that the search and the enumeration both walk
 (`PathRepetitionFamily`); the acyclic families declare start paths and one
 rule ``close(path, w)`` on a row's last vertex w, which `alternating_widths`
-and the enumeration both apply.  `arms` is the one arm recursion every
-enumerator grows paths with.
+and the enumeration both apply, for every row type.  `arms` is the one arm
+recursion every enumerator grows paths with.
 """
 
 from __future__ import annotations
@@ -210,7 +209,7 @@ def arms(adj, objs, start: int, steps: int, used: set[int]):
             used.discard(w)
 
 
-def alternating_widths(adj, colors, path, limit, close=None) -> set[int]:
+def alternating_widths(adj, colors, path, limit, close) -> set[int]:
     """Every width up to ``limit`` at which the colored ``path``, whose last
     two vertices carry two different colors, extends by fresh vertices that
     keep alternating those colors, the last vertex w also satisfying
@@ -226,7 +225,7 @@ def alternating_widths(adj, colors, path, limit, close=None) -> set[int]:
         for w in stack[-1]:
             if w in used or colors[w] != want:
                 continue
-            if close is None or close(path, w):
+            if close(path, w):
                 widths.add(len(path) + 1)
             if len(path) + 1 < limit:
                 path.append(w)

@@ -106,7 +106,9 @@ def _forest_cycle(vertices: set[int], g: Graph) -> tuple[int, ...] | None:
 
 
 def check_acyclic(g: Graph, phi: dict) -> CheckResult:
-    """Proper, and every two color classes induce a forest."""
+    """Proper, and every two color classes induce a forest.  A bicolored
+    cycle runs over edges joining its two classes, so only the color pairs
+    some edge joins are checked, in ascending order."""
     proper = check_proper(g, phi)
     if not proper:
         return proper
@@ -115,14 +117,16 @@ def check_acyclic(g: Graph, phi: dict) -> CheckResult:
         c = _color(phi, v)
         if c:
             classes.setdefault(c, set()).add(v)
-    colors = sorted(classes)
-    for i, a in enumerate(colors):
-        for b in colors[i + 1:]:
-            cyc = _forest_cycle(classes[a] | classes[b], g)
-            if cyc is not None:
-                return CheckResult(
-                    False, cyc,
-                    f"colors {a},{b} induce the cycle {cyc}")
+    pairs = set()
+    for u, v in g.edges:
+        cu, cv = _color(phi, u), _color(phi, v)
+        if cu and cv:
+            pairs.add((min(cu, cv), max(cu, cv)))
+    for a, b in sorted(pairs):
+        cyc = _forest_cycle(classes[a] | classes[b], g)
+        if cyc is not None:
+            return CheckResult(
+                False, cyc, f"colors {a},{b} induce the cycle {cyc}")
     return _OK
 
 

@@ -129,6 +129,39 @@ def test_exact_preset_past_float_range(capsys, problem, command):
     assert "float range" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["acyclic-gamma", "--delta", "4", "--exact-n", "-5"],
+     "n must be at least 1, got -5"),
+    (["facial-thue-vertex", "--delta", "4", "--exact-n", "-3"],
+     "n must be at least 1, got -3"),
+    (["pair-forbidden", "--delta", "4", "--pattern-shape", "4:4",
+      "--exact-n", "-2"], "n must be at least 1, got -2"),
+    (["acyclic-v2", "--delta", "9", "--exact-n", "0"],
+     "n must be at least 1, got 0"),
+    (["nonrepetitive-vertex", "--delta", "3", "--exact-n", "1"],
+     "n = 1 leaves no event type"),
+    (["nonrepetitive-edge", "--delta", "3", "--exact-n", "1"],
+     "n = 1 leaves no event type"),
+    (["facial-thue-edge", "--exact-n", "1"], "n = 1 leaves no event type"),
+], ids=["gamma-negative", "facial-vertex-negative", "pair-forbidden-negative",
+        "v2-zero", "nonrep-vertex-one", "nonrep-edge-one", "facial-edge-one"])
+@pytest.mark.parametrize("command", [["bound"],
+                                     ["count-records", "--n", "5", "--tmax", "5"]],
+                         ids=["bound", "count-records"])
+def test_exact_preset_refuses_n_without_event_types(capsys, argv, message,
+                                                    command):
+    code, out, err = run_cli(capsys, *command, "--problem", *argv)
+    assert (code, out) == (2, "")
+    assert message in err, err
+
+
+def test_exact_preset_keeps_the_neighbor_type_alone_at_n_1(capsys):
+    code, out, _ = run_cli(capsys, "bound", "--problem", "acyclic-gamma",
+                           "--delta", "4", "--exact-n", "1")
+    assert code == 0
+    assert kv(out)[0]["optimized_kappa"] == "5"
+
+
 @pytest.mark.parametrize("delta, n, kappas", [
     ("4", "200", ("2075", "219")),  # as at --exact-n 150 and the tail
     ("1000", "100", ("3262362", "338803")),  # as the tail

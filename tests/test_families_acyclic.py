@@ -259,6 +259,52 @@ class TestV1Family:
         assert [m.uncolor_size for m in fam.metas] == [1, 1, 2, 4]
 
 
+def square_coloring(g):
+    """The 4-cycle 1 2 3 4 colored alternately: the anchor 1 and its
+    antipode 3 in color 1, the start ends 2 and 4 in color 2."""
+    pc = PartialColoring(g.n)
+    for x, c in ((1, 1), (2, 2), (3, 1), (4, 2)):
+        pc.assign(x, c)
+    return pc
+
+
+@pytest.mark.parametrize("make", [acyclic_v1_family, acyclic_v2_family],
+                         ids=["v1", "v2"])
+class TestSquareRule:
+    """The square closing rule on the alternately colored 4-cycle v a w b
+    (v = 1, a = 2, w = 3, b = 4): the start (a, v, b) closes over w only
+    when a and b are not adjacent, w is not adjacent to v and w is not in
+    S(v).  At alpha 0.1 the cap floor(alpha * Delta^(4/3)) is 0 for
+    Delta <= 3, so S(v) is empty; at alpha 0.5 on the bare 4-cycle it is 1,
+    and the antipode is v's only distance-2 vertex."""
+
+    CYCLE = [(1, 2), (2, 3), (3, 4), (1, 4)]
+
+    def fired(self, make, edges, alpha):
+        g = Graph(4, edges)
+        fam = make(g, alpha)
+        return list(fam.fired(square_coloring(g), 1)), fam
+
+    def test_induced_square_outside_special_set_fires(self, make):
+        fired, fam = self.fired(make, self.CYCLE, 0.1)
+        assert not fam.special.special(1)
+        assert fired == [3]
+        assert fam.detect(square_coloring(fam.g), 1) == (3, 1)
+
+    def test_chord_between_the_start_ends_drops_it(self, make):
+        fired, _ = self.fired(make, self.CYCLE + [(2, 4)], 0.1)
+        assert 3 not in fired
+
+    def test_chord_from_the_anchor_to_the_antipode_drops_it(self, make):
+        fired, _ = self.fired(make, self.CYCLE + [(1, 3)], 0.1)
+        assert 3 not in fired
+
+    def test_antipode_in_the_special_set_drops_it(self, make):
+        fired, fam = self.fired(make, self.CYCLE, 0.5)
+        assert fam.special.special(1) == (3,)
+        assert 3 not in fired
+
+
 class TestV2Family:
     def test_two_colored_hexagon_fires_the_six_cycle_event(self):
         g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)])
