@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from _util import (
     common_degree,
     graphs,
     neighbors2,
+    random_graph,
     reference_special,
 )
 import recolor.graphs
@@ -204,6 +206,26 @@ class TestSpecialStructure:
                 assert min(common_degree(g, v, u) for u in inside) >= max(
                     common_degree(g, v, u) for u in outside
                 )
+
+
+def test_special_sets_match_their_pinned_digest():
+    """S(v) for every v, in order, over 48 seeded random graphs (1 to 56
+    vertices, shuffled vertex orders, so the order tie-break matters) at
+    four alphas, hashed together.  Every alpha cuts some S(v) short of
+    its distance-2 set; pinned before S(v) became a plain table."""
+    rng = random.Random(20261020)
+    h = hashlib.sha256()
+    for _ in range(48):
+        g = random_graph(rng.randint(1, 56), rng.uniform(0.02, 0.9), rng)
+        order = list(range(1, g.n + 1))
+        rng.shuffle(order)
+        g = Graph(g.n, g.edges, order=order)
+        for alpha in (0.01, 0.25, 0.5, 1.0):
+            ss = SpecialStructure(g, alpha)
+            rows = tuple(ss.special(v) for v in range(1, g.n + 1))
+            h.update(repr(rows).encode() + b"\n")
+    assert h.hexdigest() == \
+        "598d7a5609bdd7072a1a12ab35c6d6288dcd21ebba16ce01a7a02656f2970069"
 
 
 class TestEdgeIndexing:
