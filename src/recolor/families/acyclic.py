@@ -22,7 +22,7 @@ common neighbor of its two ends.
 
 from __future__ import annotations
 
-from ..graphs import Graph, SpecialStructure
+from ..graphs import Graph, special_sets
 from .base import Family, alternating_widths, arms
 
 
@@ -160,9 +160,10 @@ class _SpecialPairFamily(_AcyclicFamily):
     type 4 on, rows grow from u3."""
 
     def __init__(self, g: Graph, alpha: float):
-        # built first: it refuses a bad alpha before the ceilings divide by it
-        self.special = SpecialStructure(g, alpha)
-        super().__init__(g, (g.adj, self.special._special), alpha=alpha)
+        # S(v) for each v, built first: it refuses a bad alpha before the
+        # ceilings divide by it
+        self.special = special_sets(g, alpha)
+        super().__init__(g, (g.adj, self.special), alpha=alpha)
 
     def _paths(self, v):
         """(u1, v, u3) for each pair of neighbors of v, u1 order-below u3."""
@@ -198,7 +199,7 @@ class _SpecialPairFamily(_AcyclicFamily):
         a, v, b = path
         nbr = self.g.nbr
         return (a not in nbr[b] and w in nbr[a] and w not in nbr[v]
-                and w not in self.special._special[v])
+                and w not in self.special[v])
 
 
 class _V1Family(_SpecialPairFamily):
@@ -230,8 +231,8 @@ class _V2Family(_SpecialPairFamily):
         if len(path) == 3:
             return super()._closes(path, w)
         u1, x = path[0], path[-1]
-        sp = self.special.is_special
-        return w in self.g.nbr[u1] and not (sp(u1, x) and sp(x, u1))
+        sp = self.special
+        return w in self.g.nbr[u1] and not (x in sp[u1] and u1 in sp[x])
 
 
 def acyclic_v2_family(g: Graph, alpha: float) -> _V2Family:

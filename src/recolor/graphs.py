@@ -3,10 +3,10 @@
 Vertices are the integers ``1..n``.  The total order defaults to the index
 order but can be overridden by a permutation, which matters because the
 coloring engine picks "the smallest uncolored vertex" and several event
-families orient their witnesses by this order.  The module also builds the
-per-vertex special set ``S(v)``, the distance-2 vertices sharing the most
-neighbors with v, that the acyclic event families use to cap their class
-counts.
+families orient their witnesses by this order.  `special_sets` builds the
+special sets ``S(v)``, the distance-2 vertices sharing the most neighbors
+with v, as one table laid out like ``adj``; the special-pair event
+families index it as a candidate table and in their closing rules.
 """
 
 from __future__ import annotations
@@ -188,42 +188,28 @@ def load_graph(text: str) -> Graph:
     return Graph(n, edges, order=order)
 
 
-class SpecialStructure:
-    """Distance-2 structure for a graph at a given alpha.
+def special_sets(g: Graph, alpha: float) -> tuple[tuple[int, ...], ...]:
+    """S(v) for every vertex v, laid out as ``g.adj`` (index 0 empty).
 
-    For each vertex v the distance-2 vertices are ordered by their
-    common-neighbor count with v (ties by vertex order), and ``special(v)``
-    returns the top ``min(floor(alpha * max_degree^(4/3)), |N2(v)|)`` of them,
-    best first.  Event families use membership and rank in this list, so the
-    ordering is part of the contract.
+    S(v) holds the top ``floor(alpha * max_degree^(4/3))`` distance-2
+    vertices of v by common-neighbor count with v (ties by vertex order),
+    best first.  Event families use membership and rank in S(v), so the
+    ordering is part of the contract; the relation is not symmetric.
     """
-
-    __slots__ = ("cap", "_special")
-
-    def __init__(self, g: Graph, alpha: float):
-        if not 0 < alpha <= 1:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.cap = floor(alpha * g.max_degree ** (4 / 3))
-        adj, rank = g.adj, g.rank
-        special = [()] * (g.n + 1)
-        for v in range(1, g.n + 1):
-            # 2-walks from v to each w: its common neighbors with v
-            common: dict[int, int] = {}
-            for u in adj[v]:
-                for w in adj[u]:
-                    common[w] = common.get(w, 0) + 1
-            common.pop(v, None)
-            for u in adj[v]:
-                common.pop(u, None)
-            size = min(self.cap, len(common))
-            if size > 0:
-                ranked = sorted(common, key=lambda w: (common[w], rank[w]))
-                special[v] = tuple(reversed(ranked[-size:]))
-        self._special = tuple(special)
-
-    def special(self, v: int) -> tuple[int, ...]:
-        return self._special[v]
-
-    def is_special(self, v: int, u: int) -> bool:
-        """True when u sits in S(v); note this relation is not symmetric."""
-        return u in self._special[v]
+    if not 0 < alpha <= 1:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    cap = floor(alpha * g.max_degree ** (4 / 3))
+    adj, rank = g.adj, g.rank
+    special = [()] * (g.n + 1)
+    for v in range(1, g.n + 1):
+        # 2-walks from v to each w: its common neighbors with v
+        common: dict[int, int] = {}
+        for u in adj[v]:
+            for w in adj[u]:
+                common[w] = common.get(w, 0) + 1
+        common.pop(v, None)
+        for u in adj[v]:
+            common.pop(u, None)
+        special[v] = tuple(sorted(common, key=lambda w: (common[w], rank[w]),
+                                  reverse=True)[:cap])
+    return tuple(special)

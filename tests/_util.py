@@ -67,7 +67,7 @@ def common_degree(g: Graph, u: int, v: int) -> int:
 def reference_special(g: Graph, cap: int, v: int) -> tuple[int, ...]:
     """S(v) by set intersections: the top ``cap`` distance-2 vertices by
     (common-neighbor count, vertex order), best first; kept as the
-    reference for `SpecialStructure`'s one-pass count."""
+    reference for the one-pass count of `special_sets`."""
     n2 = neighbors2(g, v)
     size = min(cap, len(n2))
     if size <= 0:

@@ -363,10 +363,10 @@ def test_special_pair_and_cycle_ceilings_hold():
             v1 = acyclic_v1_family(g, alpha)
             v2 = acyclic_v2_family(g, alpha)
             for v in range(1, g.n + 1):
-                assert len(v1.special.special(v)) <= v1.metas[1].cost
+                assert len(v1.special[v]) <= v1.metas[1].cost
                 assert len(v1.witness_rows(v, 3)[0]) <= v1.metas[2].cost
                 assert len(v1.witness_rows(v, 4)[0]) <= v1.metas[3].cost
-                assert len(v2.special.special(v)) <= v2.metas[1].cost
+                assert len(v2.special[v]) <= v2.metas[1].cost
                 for meta in v2.metas[2:]:
                     rows = v2.witness_rows(v, meta.type_id)[0]
                     assert len(rows) <= meta.cost

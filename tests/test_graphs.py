@@ -1,5 +1,6 @@
 import hashlib
 import random
+from math import floor
 
 import pytest
 from hypothesis import given
@@ -22,8 +23,8 @@ from recolor.graphs import (
     MAX_FILE_VERTICES,
     Graph,
     GraphFormatError,
-    SpecialStructure,
     load_graph,
+    special_sets,
 )
 from recolor.planar import load_rotation
 
@@ -148,40 +149,42 @@ class TestNeighbors2:
 class TestSpecialStructure:
     def test_star_center_has_empty_set(self):
         g = load_graph(STAR5_TEXT)
-        ss = SpecialStructure(g, 0.5)
-        assert ss.special(1) == ()
+        S = special_sets(g, 0.5)
+        assert S[1] == ()
 
     def test_c4_half_alpha(self):
         g = load_graph(C4_TEXT)
-        ss = SpecialStructure(g, 0.5)
+        S = special_sets(g, 0.5)
         # floor(0.5 * 2^(4/3)) = floor(1.2599) = 1
-        assert ss.cap == 1
-        assert ss.special(1) == (3,)
+        assert floor(0.5 * g.max_degree ** (4 / 3)) == 1
+        assert S[1] == (3,)
 
     def test_k23_degree_three_vertex(self):
         g = Graph(5, [(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)])
-        ss = SpecialStructure(g, 0.5)
-        assert ss.cap == 2
-        assert ss.special(1) == (2,)
+        S = special_sets(g, 0.5)
+        assert floor(0.5 * g.max_degree ** (4 / 3)) == 2
+        assert S[1] == (2,)
         assert common_degree(g, 1, 2) == 3
 
     def test_asymmetric_pair_witness(self):
         g = Graph(7, ASYMMETRY_EDGES)
-        ss = SpecialStructure(g, 0.5)
-        assert ss.is_special(1, 3)
-        assert not ss.is_special(3, 1)
-        assert ss.special(3) == (7, 6)
+        S = special_sets(g, 0.5)
+        assert 3 in S[1]
+        assert 1 not in S[3]
+        assert S[3] == (7, 6)
 
     def test_alpha_range(self):
         g = load_graph(K3_TEXT)
-        with pytest.raises(ValueError):
-            SpecialStructure(g, 0.0)
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\], got 0.0"):
+            special_sets(g, 0.0)
 
     @given(graphs(max_n=10))
     def test_size_law(self, g):
-        ss = SpecialStructure(g, 0.5)
+        S, cap = special_sets(g, 0.5), floor(0.5 * g.max_degree ** (4 / 3))
+        # laid out as g.adj: one entry per vertex, index 0 empty
+        assert len(S) == len(g.adj) and S[0] == ()
         for v in range(1, g.n + 1):
-            assert len(ss.special(v)) == min(ss.cap, len(neighbors2(g, v)))
+            assert len(S[v]) == min(cap, len(neighbors2(g, v)))
 
     @given(graphs(min_n=4, max_n=16, max_p=0.7), st.sampled_from((0.1, 0.5, 1.0)),
            st.integers(0, 2 ** 32 - 1))
@@ -190,17 +193,17 @@ class TestSpecialStructure:
         order = list(range(1, g.n + 1))
         random.Random(seed).shuffle(order)
         g = Graph(g.n, g.edges, order=order)
-        ss = SpecialStructure(g, alpha)
+        S, cap = special_sets(g, alpha), floor(alpha * g.max_degree ** (4 / 3))
         for v in range(1, g.n + 1):
-            assert ss.special(v) == reference_special(g, ss.cap, v), (v, alpha)
+            assert S[v] == reference_special(g, cap, v), (v, alpha)
 
     @given(graphs(max_n=10))
     def test_members_dominate_outsiders(self, g):
         # every member of S(v) has a common-neighbor count at least as large
         # as every distance-2 vertex left out
-        ss = SpecialStructure(g, 0.5)
+        S = special_sets(g, 0.5)
         for v in range(1, g.n + 1):
-            inside = ss.special(v)
+            inside = S[v]
             outside = [u for u in neighbors2(g, v) if u not in inside]
             if inside and outside:
                 assert min(common_degree(g, v, u) for u in inside) >= max(
@@ -221,9 +224,7 @@ def test_special_sets_match_their_pinned_digest():
         rng.shuffle(order)
         g = Graph(g.n, g.edges, order=order)
         for alpha in (0.01, 0.25, 0.5, 1.0):
-            ss = SpecialStructure(g, alpha)
-            rows = tuple(ss.special(v) for v in range(1, g.n + 1))
-            h.update(repr(rows).encode() + b"\n")
+            h.update(repr(special_sets(g, alpha)[1:]).encode() + b"\n")
     assert h.hexdigest() == \
         "598d7a5609bdd7072a1a12ab35c6d6288dcd21ebba16ce01a7a02656f2970069"
 
