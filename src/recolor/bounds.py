@@ -703,14 +703,15 @@ def kappa_preset(problem: str, delta: int | None = None, *,
                  form: str = "vertex") -> PresetBound:
     """Named bound presets at their quoted evaluation points.
 
-    Pass n >= 1 for the exact finite type list; omit it for the
-    closed-form tail.  Parameters outside a preset's validity range raise
-    ValueError quoting the threshold.
+    Pass n >= 1 for the exact finite type list of a preset whose row lists
+    ``n``; omit it for the closed-form tail.  Parameters outside a preset's
+    validity range raise ValueError quoting the threshold.
     """
     row = PROBLEM_TABLE.get(problem)
     _require(row is not None, f"unknown problem {problem!r}; known: {PROBLEMS}")
     _require(n is None or n >= 1, f"n must be at least 1, got {n}")
     names = row.options.split()
+    _require(n is None or "n" in names, f"{problem} has no exact mode")
     _require(delta is not None or "delta" not in names,
              f"{problem} requires delta")
     given = {"delta": delta, "gamma": gamma, "alpha": alpha, "r": r, "n": n,

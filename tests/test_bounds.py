@@ -591,9 +591,10 @@ def _preset_sweep():
     tail and three exact sizes, plus acyclic-v1 at more alphas and
     acyclic-gamma at gamma 3."""
     for problem in PROBLEMS:
+        exact = "n" in PROBLEM_TABLE[problem].options.split()
         for delta in range(2, 400):
             for n in (None, 6, 20, 101):
-                yield problem, delta, {"n": n}
+                yield problem, delta, {"n": n if exact else None}
     for delta in range(2, 400):
         for alpha in (0.01, 0.25, 0.75, 1.0):
             yield "acyclic-v1", delta, {"alpha": alpha}

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import recolor.bounds as bounds
 from recolor.bounds import (
+    PROBLEM_TABLE,
     PROBLEMS,
     ClosedTail,
     QPolynomial,
@@ -43,9 +44,11 @@ def _preset_grid():
     """(problem, delta, keywords): every problem at delta 2..2000 in tail
     mode and at exact sizes, plus other acyclic-v1 alphas and gammas."""
     for problem in PROBLEMS:
+        exact = "n" in PROBLEM_TABLE[problem].options.split()
         for delta in range(2, 2001):
             for n in (None, 20) if delta % 7 else (None, 6, 20, 101):
-                yield problem, delta, {"n": n, "descriptors": [(4, 4)]}
+                yield problem, delta, {"n": n if exact else None,
+                                       "descriptors": [(4, 4)]}
     for delta in range(24, 2001, 13):
         for alpha in (0.01, 0.25, 1.0):
             yield "acyclic-v1", delta, {"alpha": alpha}
