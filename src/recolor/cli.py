@@ -188,11 +188,17 @@ def _engine_input(args, count: int) -> EngineInput:
 
 def _preset(args, alpha: float):
     """`kappa_preset` of `--problem` with the preset options `bound` and
-    `count-records` share, at ``alpha``."""
+    `count-records` share, at ``alpha``.  The pattern flags are refused
+    for a problem that does not read them."""
     descriptors = None
     if args.pattern_shape:
         descriptors = [(n, m) for _, n, m in _pairs(
             args.pattern_shape, int, "pattern shape", "N:M")]
+    if "descriptors" not in PROBLEM_TABLE[args.problem].options.split():
+        if args.pattern_shape is not None:
+            raise ValueError(f"{args.problem} does not read --pattern-shape")
+        if args.form != "vertex":
+            raise ValueError(f"{args.problem} does not read --form")
     return kappa_preset(args.problem, args.delta, gamma=args.gamma,
                         alpha=alpha, r=args.r, n=args.exact_n,
                         descriptors=descriptors, form=args.form)

@@ -155,6 +155,39 @@ def test_exact_preset_refuses_n_without_event_types(capsys, argv, message,
     assert message in err, err
 
 
+@pytest.mark.parametrize("argv", [
+    ["star", "--delta", "4", "--exact-n", "3"],
+    ["r-acyclic", "--delta", "4", "--exact-n", "2"],
+    ["acyclic-v1", "--delta", "24", "--exact-n", "3"],
+], ids=["star", "r-acyclic", "v1"])
+@pytest.mark.parametrize("command", [["bound"],
+                                     ["count-records", "--n", "4", "--tmax", "4"]],
+                         ids=["bound", "count-records"])
+def test_preset_without_an_exact_mode_refuses_n(capsys, argv, command):
+    # these presets have no finite type list for n; they used to ignore it
+    code, out, err = run_cli(capsys, *command, "--problem", *argv)
+    assert (code, out) == (2, "")
+    assert f"{argv[0]} has no exact mode" in err, err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["star", "--pattern-shape", "4:4"], "--pattern-shape"),
+    (["acyclic-gamma", "--pattern-shape", "4:4", "--form", "edge"],
+     "--pattern-shape"),
+    (["acyclic-v1", "--form", "edge"], "--form"),
+    (["r-acyclic", "--pattern-shape", ""], "--pattern-shape"),
+], ids=["star-shape", "gamma-shape-and-form", "v1-form", "r-acyclic-empty-shape"])
+@pytest.mark.parametrize("command", [["bound"],
+                                     ["count-records", "--n", "4", "--tmax", "4"]],
+                         ids=["bound", "count-records"])
+def test_problem_without_patterns_refuses_the_pattern_flags(capsys, argv, flag,
+                                                            command):
+    code, out, err = run_cli(capsys, *command, "--problem", argv[0],
+                             "--delta", "4", *argv[1:])
+    assert (code, out) == (2, "")
+    assert f"{argv[0]} does not read {flag}" in err, err
+
+
 def test_exact_preset_keeps_the_neighbor_type_alone_at_n_1(capsys):
     code, out, _ = run_cli(capsys, "bound", "--problem", "acyclic-gamma",
                            "--delta", "4", "--exact-n", "1")
