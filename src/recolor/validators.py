@@ -97,7 +97,8 @@ def _forest_cycle(vertices: set[int], g: Graph) -> tuple[int, ...] | None:
                         pw.append(seen[pw[-1]])
                     au = [x for x in pu if x is not None]
                     aw = [x for x in pw if x is not None]
-                    common = next(x for x in au if x in set(aw))
+                    on_aw = set(aw)
+                    common = next(x for x in au if x in on_aw)
                     cyc = (au[:au.index(common) + 1]
                            + list(reversed(aw[:aw.index(common)])))
                     if len(cyc) >= 3:

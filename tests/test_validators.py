@@ -148,6 +148,20 @@ def test_acyclic_on_a_long_rainbow_path_skips_unjoined_pairs():
     assert time.perf_counter() - start < 0.5
 
 
+def test_acyclic_on_a_long_lollipop_meets_the_parent_chains_once():
+    """A path 1..n/2 ending in an even cycle on n/2+1..n, two-colored: the
+    two parent chains climbed from the closing edge hold about n and n/2
+    vertices, and finding where they meet takes linear work."""
+    n = 16000
+    h = n // 2
+    g = Graph(n, [(i, i + 1) for i in range(1, n)] + [(h + 1, n)])
+    start = time.perf_counter()
+    res = check_acyclic(g, {v: v % 2 + 1 for v in range(1, n + 1)})
+    elapsed = time.perf_counter() - start
+    assert not res and sorted(res.witness) == list(range(h + 1, n + 1))
+    assert elapsed < 0.5, elapsed
+
+
 # --- nonrepetitive ---------------------------------------------------------
 
 def test_nonrepetitive_rejects_abab_path():
