@@ -2,8 +2,8 @@
 
 All three share the neighbor event (the fresh color equals a neighbor's) and
 differ in how they cover bicolored cycles: a global cycle-count budget, an
-induced-4-cycle/6-path pair over a special-pair structure, or a cycle ladder
-over the same structure.  Cycle witnesses are stored in traversal order, so
+induced-4-cycle/6-path pair over the special sets S(v), or a cycle ladder
+over the same sets.  Cycle witnesses are stored in traversal order, so
 uncoloring is always a prefix of the row and rebuilding alternates the two
 colors still readable at the row's tail (`Bicolored`).
 
