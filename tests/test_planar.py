@@ -1,5 +1,6 @@
 """Face tracing, facial windows, medial graphs, random triangulations."""
 
+import hashlib
 import random
 
 import pytest
@@ -343,3 +344,125 @@ class TestRandomTriangulation:
         a = random_triangulation(9, random.Random(7))
         b = random_triangulation(9, random.Random(7))
         assert a.rotation == b.rotation
+
+
+def _relabeled_rotation(n, rotation, rng):
+    """Rotation text for ``rotation`` (vertex -> neighbor list) on 1..n
+    under a random relabeling, so edge ids and face starts vary."""
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    new = {perm[v - 1]: [perm[w - 1] for w in rot] for v, rot in rotation.items()}
+    m = sum(map(len, new.values())) // 2
+    return f"{n} {m}\n" + "".join(
+        f"{v}: " + " ".join(map(str, new.get(v, ()))) + "\n"
+        for v in range(1, n + 1))
+
+
+def _small_embeddings(rng):
+    """Rotation texts of paths, stars (shuffled rotation at the center),
+    cycles, K4 and edgeless graphs, randomly relabeled."""
+    for n in range(1, 9):
+        path = {v: [w for w in (v - 1, v + 1) if 1 <= w <= n]
+                for v in range(1, n + 1)}
+        yield _relabeled_rotation(n, path, rng)
+        yield _relabeled_rotation(n, {v: [] for v in range(1, n + 1)}, rng)
+        if n >= 2:
+            leaves = list(range(2, n + 1))
+            rng.shuffle(leaves)
+            star = {1: leaves, **{w: [1] for w in leaves}}
+            yield _relabeled_rotation(n, star, rng)
+        if n >= 3:
+            cycle = {v: [v % n + 1, (v - 2) % n + 1] for v in range(1, n + 1)}
+            yield _relabeled_rotation(n, cycle, rng)
+    yield K4_ROT
+    yield _relabeled_rotation(4, {1: [2, 3, 4], 2: [3, 1, 4], 3: [1, 2, 4],
+                                  4: [3, 2, 1]}, rng)
+
+
+def _seeded_embeddings():
+    rng = random.Random(20261021)
+    for text in _small_embeddings(rng):
+        yield load_rotation(text)
+    for _ in range(40):
+        yield random_triangulation(rng.randint(3, 40), rng)
+    for _ in range(40):
+        n = rng.randint(4, 30)
+        yield plane_with_long_faces(n, rng.randint(1, 2 * n), rng)
+
+
+def test_embeddings_match_their_pinned_digest():
+    """Faces, ``graph.adj`` and the medial adjacency of seeded
+    triangulations, plane graphs with long faces, paths, stars, cycles, K4
+    and edgeless graphs, hashed together; pinned before the medial graph
+    became a table built from rotation corners."""
+    h = hashlib.sha256()
+    for pg in _seeded_embeddings():
+        for part in (pg.faces, pg.graph.adj, medial_graph(pg).adj):
+            h.update(repr(part).encode() + b"\n")
+    assert h.hexdigest() == \
+        "918c2bd37a32164c541a2eaca5f2fdb9ea7160ae9ee3a8824393e8efc9a239d3"
+
+
+def _mutated_rotation(rotation, n, m, rng):
+    """Rotation text with one or two seeded faults: a neighbor dropped,
+    repeated, out of range, not an integer or the vertex itself, a line
+    duplicated, a vertex line out of range, an edge dropped from both
+    sides, two neighbors swapped, or a header m off by one."""
+    rot = {v: list(r) for v, r in rotation.items()}
+    extra = []
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.randrange(10)
+        v = rng.randint(1, n)
+        r = rot[v]
+        at = rng.randint(0, len(r))
+        if kind == 0 and r:
+            del r[rng.randrange(len(r))]
+        elif kind == 1 and r:
+            r.insert(at, rng.choice(r))
+        elif kind == 2:
+            r.insert(at, rng.choice((0, -1, n + 1, n + 7)))
+        elif kind == 3:
+            r.insert(at, v)
+        elif kind == 4:
+            extra.append(f"{v}: " + " ".join(map(str, r)))
+        elif kind == 5:
+            m += rng.choice((-1, 1))
+        elif kind == 6:
+            extra.append(f"{rng.choice((0, n + 1))}: 1")
+        elif kind == 7:
+            r.insert(at, "x")
+        elif kind == 8:
+            both = [w for w in r if w != v and v in rot.get(w, ())]
+            if both:
+                w = rng.choice(both)
+                r.remove(w)
+                rot[w].remove(v)
+                m -= 1
+        elif kind == 9 and len(r) >= 3:
+            i = rng.randrange(len(r) - 1)
+            r[i], r[i + 1] = r[i + 1], r[i]
+    lines = [f"{v}: " + " ".join(map(str, rot[v])) for v in range(1, n + 1)]
+    for line in extra:
+        lines.insert(rng.randint(0, len(lines)), line)
+    return "\n".join([f"{n} {m}", *lines]) + "\n"
+
+
+def test_rotation_refusals_match_their_pinned_digest():
+    """The exception type and message of `load_rotation`, or the faces it
+    traced, over a seeded corpus of mutated rotation texts, read alone and
+    against the unmutated graph, hashed together; pinned before the
+    rotation lines were checked in bulk."""
+    rng = random.Random(20261022)
+    h = hashlib.sha256()
+    for pg in _seeded_embeddings():
+        g = pg.graph
+        for _ in range(6):
+            text = _mutated_rotation(pg.rotation, g.n, g.m, rng)
+            for graph in (None, g):
+                try:
+                    outcome = repr(load_rotation(text, graph=graph).faces)
+                except ValueError as exc:
+                    outcome = f"{type(exc).__name__}: {exc}"
+                h.update(outcome.encode() + b"\n")
+    assert h.hexdigest() == \
+        "7613a217964d439e67b84b4c6d6cf46a79feb8cd68766c7f9e46bec99a8dda86"
