@@ -8,11 +8,12 @@ vertex variant's type 1 is the neighbor table, since a facial 2-window is an
 edge and every edge lies on a face.  The edge variant trades generality for
 sharper ceilings: the coloring order is constrained so every anchor has an
 uncolored facially adjacent edge e' (one consecutive with it on a face walk,
-an edge of `planar.medial_graph`), and its class list (`_classes`, which
-ranks hits and reads classes back) keeps only the witness paths avoiding e'
-(at most one on the face shared with e', 2j on the anchor's other face).
+a neighbor in the `planar.medial_graph` table the family holds as
+``medial``), and its class list (`_classes`, which ranks hits and reads
+classes back) keeps only the witness paths avoiding e' (at most one on the
+face shared with e', 2j on the anchor's other face).
 That requires one distinguished edge to stay uncolored forever and the
-uncolored edge set to stay connected in the medial graph; the traversal
+uncolored edge set to stay connected in the medial adjacency; the traversal
 maintains both by coloring leaves of a medial spanning tree rooted at the
 reserved edge.
 
@@ -122,7 +123,7 @@ class _FacialEdgeFamily(_FacialFamily):
         self.medial = medial_graph(pg)
 
     def _uncolored_neighbor(self, e: int, colored) -> int:
-        for u in self.medial.adj[e]:
+        for u in self.medial[e]:
             if u not in colored:
                 return u
         raise MedialConnectivityError(
@@ -143,7 +144,7 @@ class _FacialEdgeFamily(_FacialFamily):
         queue = deque([self.e_star])
         while queue:
             x = queue.popleft()
-            for y in self.medial.adj[x]:
+            for y in self.medial[x]:
                 if y in uncolored and y not in reached:
                     reached.add(y)
                     interior.add(x)
@@ -193,7 +194,7 @@ class _LeafFrontier:
 
     def _rebuild(self) -> None:
         root = self.fam.e_star
-        uncolored, parent, adj = self.uncolored, self.parent, self.fam.medial.adj
+        uncolored, parent, medial = self.uncolored, self.parent, self.fam.medial
         if not uncolored[root]:
             raise MedialConnectivityError("the reserved edge must stay uncolored")
         children = [0] * len(parent)
@@ -202,7 +203,7 @@ class _LeafFrontier:
         queue = deque([root])
         while queue:
             x = queue.popleft()
-            for y in adj[x]:
+            for y in medial[x]:
                 if uncolored[y] and not reached[y]:
                     reached[y] = 1
                     parent[y] = x

@@ -95,12 +95,14 @@ class Graph:
         self.n = n
         self.edges = tuple(sorted(seen))
         self.m = len(self.edges)
-        self.edge_index = {e: i for i, e in enumerate(self.edges, start=1)}
+        self.edge_index = dict(zip(self.edges, range(1, self.m + 1)))
+        # the edges are sorted, so each list comes out ascending: v's smaller
+        # neighbors (edges (u, v)) precede its larger ones (edges (v, w))
         adj = [[] for _ in range(n + 1)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
+        self.adj = tuple(map(tuple, adj))
         self.nbr = tuple(frozenset(a) for a in self.adj)
         self.max_degree = max((len(a) for a in self.adj[1:]), default=0)
         if order is None:

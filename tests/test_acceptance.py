@@ -304,7 +304,7 @@ def _medial_component(medial, keep):
     seen = {start}
     stack = [start]
     while stack:
-        for w in medial.adj[stack.pop()]:
+        for w in medial[stack.pop()]:
             if w in keep and w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -410,6 +410,6 @@ def test_facial_ceilings_hold():
                 rows = fam_e.witness_rows(e, meta.type_id)[0]
                 # the class rank only counts witnesses avoiding the anchor's
                 # uncolored facial neighbor e'; quantify over every e'
-                for ep in medial.adj[e]:
+                for ep in medial[e]:
                     avoiding = sum(1 for row in rows if ep not in row)
                     assert avoiding <= meta.cost

@@ -181,7 +181,7 @@ class TestEdgeFamilyRows:
         for e in range(1, pg.graph.m + 1):
             for j in (1, 2, 3):
                 rows = fam.witness_rows(e, j)[0]
-                for ep in fam.medial.adj[e]:
+                for ep in fam.medial[e]:
                     assert sum(1 for r in rows if ep not in r) <= 2 * j + 1
 
 

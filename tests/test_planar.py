@@ -161,6 +161,13 @@ class TestLoadRotation:
         with pytest.raises(EmbeddingError, match="permutation"):
             PlaneGraph(g, {1: (2, 3), 2: (3, 1), 3: (1,)})
 
+    @pytest.mark.parametrize("stray", [7, 4, 0, -1])
+    def test_rotation_outside_the_vertices_refused(self, stray):
+        g = Graph(3, [(1, 2), (2, 3), (1, 3)])
+        with pytest.raises(EmbeddingError,
+                           match=rf"rotation given at vertex {stray}, outside 1..3"):
+            PlaneGraph(g, {1: (2, 3), 2: (3, 1), 3: (1, 2), stray: (1,)})
+
 
 def window_walk(pg):
     """The facial families' window walk on ``pg`` as one function of
@@ -266,52 +273,66 @@ class TestFaceIndex:
                     windows_over_all_faces(pg, v, length)
 
 
+def medial_pairs(M):
+    """The medial edges read off the table: the pairs a < b, sorted."""
+    return [(a, b) for a in range(1, len(M)) for b in M[a] if a < b]
+
+
 class TestMedialGraph:
     def test_medial_of_triangle_is_triangle(self):
-        m = medial_graph(load_rotation(K3_ROT))
-        assert m.n == 3 and m.m == 3
-        assert all(m.degree(v) == 2 for v in range(1, 4))
+        M = medial_graph(load_rotation(K3_ROT))
+        assert len(M) - 1 == 3 and sum(map(len, M)) // 2 == 3
+        assert all(len(M[v]) == 2 for v in range(1, 4))
 
     def test_medial_of_cycle_is_cycle(self):
-        m = medial_graph(load_rotation(C4_ROT))
-        assert m.n == 4 and m.m == 4
-        assert all(m.degree(v) == 2 for v in range(1, 5))
+        M = medial_graph(load_rotation(C4_ROT))
+        assert len(M) - 1 == 4 and sum(map(len, M)) // 2 == 4
+        assert all(len(M[v]) == 2 for v in range(1, 5))
 
     def test_medial_of_single_edge(self):
-        m = medial_graph(load_rotation("2 1\n1: 2\n2: 1\n"))
-        assert m.n == 1 and m.m == 0
+        M = medial_graph(load_rotation("2 1\n1: 2\n2: 1\n"))
+        assert len(M) - 1 == 1 and sum(map(len, M)) // 2 == 0
 
     def test_medial_of_path_is_path(self):
-        m = medial_graph(load_rotation("3 2\n1: 2\n2: 1 3\n3: 2\n"))
-        assert m.n == 2 and m.m == 1
+        M = medial_graph(load_rotation("3 2\n1: 2\n2: 1 3\n3: 2\n"))
+        assert len(M) - 1 == 2 and sum(map(len, M)) // 2 == 1
 
     def test_medial_respects_faces_not_just_endpoints(self):
         # edge ids of K4: (1,2)=1 (1,3)=2 (1,4)=3 (2,3)=4 (2,4)=5 (3,4)=6.
         # 1 and 6 share no endpoint, so they never meet in the medial graph
-        m = medial_graph(load_rotation(K4_ROT))
-        assert not m.has_edge(1, 6)
-        assert not m.has_edge(2, 5)
-        assert not m.has_edge(3, 4)
-        assert all(m.degree(v) == 4 for v in range(1, 7))
+        M = medial_graph(load_rotation(K4_ROT))
+        assert 6 not in M[1]
+        assert 5 not in M[2]
+        assert 4 not in M[3]
+        assert all(len(M[v]) == 4 for v in range(1, 7))
 
     def test_medial_is_the_validators_facial_adjacency(self):
         # the medial edges are exactly the 2-edge facial windows; on faces
-        # that revisit a vertex, sharing an endpoint and a face is not enough
+        # that revisit a vertex, sharing an endpoint and a face is not
+        # enough, and at a degree-2 vertex both corners join the same pair
         rng = random.Random("medial adjacency")
+        embeddings = [load_rotation(text) for text in _small_embeddings(rng)]
         for _ in range(300):
             n = rng.randint(4, 12)
             if rng.random() < 0.5:
-                pg = random_triangulation(n, rng)
+                embeddings.append(random_triangulation(n, rng))
             else:
-                pg = plane_with_long_faces(n, rng.randint(n, 2 * n), rng)
+                embeddings.append(
+                    plane_with_long_faces(n, rng.randint(n, 2 * n), rng))
+        for pg in embeddings:
+            M = medial_graph(pg)
             windows = sorted(w for w in facial_windows(pg, edges=True)
                              if len(w) == 2)
-            assert list(medial_graph(pg).edges) == windows, pg.to_text()
+            assert medial_pairs(M) == windows, pg.to_text()
+            # laid out as g.adj: index 0 empty, entries ascending, symmetric
+            assert len(M) == pg.graph.m + 1 and M[0] == ()
+            assert all(list(M[a]) == sorted(set(M[a])) for a in range(len(M)))
+            assert all(a in M[b] for a in range(len(M)) for b in M[a])
 
     def test_medial_skips_an_edge_walked_both_ways(self):
         # star K_{1,3}: one face 1 2 1 3 1 4; each leaf turns the walk back
-        m = medial_graph(load_rotation("4 3\n1: 2 3 4\n2: 1\n3: 1\n4: 1\n"))
-        assert m.edges == ((1, 2), (1, 3), (2, 3))
+        M = medial_graph(load_rotation("4 3\n1: 2 3 4\n2: 1\n3: 1\n4: 1\n"))
+        assert medial_pairs(M) == [(1, 2), (1, 3), (2, 3)]
 
 
 class TestRandomTriangulation:
@@ -333,8 +354,8 @@ class TestRandomTriangulation:
     @settings(max_examples=40, deadline=None)
     def test_medial_is_four_regular(self, n, seed):
         pg = random_triangulation(n, random.Random(seed))
-        m = medial_graph(pg)
-        assert all(m.degree(v) == 4 for v in range(1, m.n + 1))
+        M = medial_graph(pg)
+        assert all(len(M[v]) == 4 for v in range(1, len(M)))
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -397,7 +418,7 @@ def test_embeddings_match_their_pinned_digest():
     became a table built from rotation corners."""
     h = hashlib.sha256()
     for pg in _seeded_embeddings():
-        for part in (pg.faces, pg.graph.adj, medial_graph(pg).adj):
+        for part in (pg.faces, pg.graph.adj, medial_graph(pg)):
             h.update(repr(part).encode() + b"\n")
     assert h.hexdigest() == \
         "918c2bd37a32164c541a2eaca5f2fdb9ea7160ae9ee3a8824393e8efc9a239d3"

@@ -100,7 +100,7 @@ def reference_detect(fam, coloring, v):
         if rows:
             idx = kernel(colors, flat, width)
             if idx >= 0 and fam.name == "facial-thue-edge":
-                ep = min(u for u in medial_graph(fam.pg).adj[v]
+                ep = min(u for u in medial_graph(fam.pg)[v]
                          if u not in coloring.colored)
                 classes = [row for row in rows if ep not in row]
                 return j, classes.index(rows[idx]) + 1
@@ -148,7 +148,7 @@ def fuzzed_colorings(name: str, rng: random.Random):
         adjacent = [[f for f in range(1, g.m + 1) if f != e
                      and set(ends[e]) & set(ends[f])] for e in range(g.m + 1)]
     elif name == "facial-thue-edge":
-        adjacent = fam.medial.adj
+        adjacent = fam.medial
     else:
         adjacent = g.adj
     kappa = rng.choice((2, 3))
