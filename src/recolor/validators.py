@@ -107,27 +107,37 @@ def _forest_cycle(vertices: set[int], g: Graph) -> tuple[int, ...] | None:
 
 
 def check_acyclic(g: Graph, phi: dict) -> CheckResult:
-    """Proper, and every two color classes induce a forest.  A bicolored
-    cycle runs over edges joining its two classes, so only the color pairs
-    some edge joins are checked, in ascending order."""
+    """Proper, and every two color classes induce a forest.  On a proper
+    coloring the subgraph two classes induce is the bucket of edges joining
+    them, so each color pair some edge joins gets one union-find pass over
+    its bucket, in ascending order; only the first pair that closes a cycle
+    is searched for its witness."""
     proper = check_proper(g, phi)
     if not proper:
         return proper
-    classes: dict[int, set[int]] = {}
-    for v in range(1, g.n + 1):
-        c = _color(phi, v)
-        if c:
-            classes.setdefault(c, set()).add(v)
-    pairs = set()
+    buckets: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for u, v in g.edges:
         cu, cv = _color(phi, u), _color(phi, v)
         if cu and cv:
-            pairs.add((min(cu, cv), max(cu, cv)))
-    for a, b in sorted(pairs):
-        cyc = _forest_cycle(classes[a] | classes[b], g)
-        if cyc is not None:
-            return CheckResult(
-                False, cyc, f"colors {a},{b} induce the cycle {cyc}")
+            buckets.setdefault((cu, cv) if cu < cv else (cv, cu), []).append((u, v))
+    root = list(range(g.n + 1))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        return x
+
+    for (a, b), bucket in sorted(buckets.items()):
+        for u, v in bucket:
+            ru, rv = find(u), find(v)
+            if ru == rv:
+                cyc = _forest_cycle(
+                    {x for x in range(1, g.n + 1) if _color(phi, x) in (a, b)}, g)
+                return CheckResult(
+                    False, cyc, f"colors {a},{b} induce the cycle {cyc}")
+            root[ru] = rv
+        for u, v in bucket:
+            root[u], root[v] = u, v
     return _OK
 
 

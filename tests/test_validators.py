@@ -162,6 +162,22 @@ def test_acyclic_on_a_long_lollipop_meets_the_parent_chains_once():
     assert elapsed < 0.5, elapsed
 
 
+def test_acyclic_on_a_matching_into_one_class_buckets_the_pairs():
+    """A perfect matching from 1..h, all color 1, to h+1..2h, colored
+    2..h+1: h joined color pairs, each holding one edge, and checking them
+    takes near-linear work, not a forest search over the large class per
+    pair."""
+    n = 8000
+    h = n // 2
+    g = Graph(n, [(i, i + h) for i in range(1, h + 1)])
+    phi = {v: 1 if v <= h else v - h + 1 for v in range(1, n + 1)}
+    start = time.perf_counter()
+    res = check_acyclic(g, phi)
+    elapsed = time.perf_counter() - start
+    assert res
+    assert elapsed < 0.5, elapsed
+
+
 # --- nonrepetitive ---------------------------------------------------------
 
 def test_nonrepetitive_rejects_abab_path():
