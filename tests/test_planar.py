@@ -424,6 +424,22 @@ def test_embeddings_match_their_pinned_digest():
         "918c2bd37a32164c541a2eaca5f2fdb9ea7160ae9ee3a8824393e8efc9a239d3"
 
 
+def test_edge_type_one_rows_are_the_medial_table():
+    """The partners of e on its type-1 facial edge windows, in row order,
+    are e's entries in the medial table, so the table can stand for the
+    rows; pinned before the table became type 1's candidate table."""
+    for pg in _seeded_embeddings():
+        if not pg.graph.m:
+            continue
+        fam = facial_thue_edge_family(pg, 1)
+        M = medial_graph(pg)
+        for e in range(1, pg.graph.m + 1):
+            rows = fam.witness_rows(e, 1)[0]
+            partners = tuple(f for row in rows for f in row if f != e)
+            assert len(partners) == len(rows)
+            assert partners == M[e], (pg.to_text(), e, rows)
+
+
 def _mutated_rotation(rotation, n, m, rng):
     """Rotation text with one or two seeded faults: a neighbor dropped,
     repeated, out of range, not an integer or the vertex itself, a line
