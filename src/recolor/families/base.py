@@ -14,7 +14,7 @@ way:
 
 - candidate ``tables`` for the first types, one tuple of objects per
   anchor: type i fires when the anchor's color recurs on
-  ``tables[i - 1][v]``, the class is the first such position, and the
+  ``tables[i - 1][v]``, the first such candidate is the hit, and the
   anchor alone is uncolored and regains that candidate's color;
 - every later type is a row type, with its row width in ``_width``.  The
   family's ``fired(coloring, v)`` yields, ascending, every row type that
@@ -33,10 +33,11 @@ the kernel finding the first bad row, the objects a hit erases and how they
 are rebuilt (`Repetition`, `acyclic.Bicolored`).  ``widest`` caps the width
 that ``fired`` probes.  Each (anchor, type) has one class list,
 `Family._classes`: the candidate tuple of a table type, the witness list of
-a row type, and in the facial edge family the witness rows avoiding the
-anchor's uncolored facial neighbor.  `detect` ranks a hit in it (class =
-position + 1) and `uncolor_set` and `rebuild_event` read the class back
-from it, so a class past its end is a ValueError, never another event.
+a row type, and in the facial edge family either one with the anchor's
+uncolored facial neighbor skipped.  `detect` ranks every hit, a table's or
+a row's, in it (class = position + 1) and `uncolor_set` and
+`rebuild_event` read the class back from it, so a class past its end is a
+ValueError, never another event.
 
 Witness lists (`witness_rows`) are enumerated lazily per (anchor, type) and
 memoized: they are pure functions of the immutable graph, so concurrent runs
@@ -98,7 +99,8 @@ class Family:
             j += 1
             idx = _acyclic.first_equal(colors, color, table[v])
             if idx >= 0:
-                return j, idx + 1
+                classes = self._classes(v, j, coloring.colored)
+                return j, classes.index(table[v][idx]) + 1
         for j in self.fired(coloring, v):
             rows, flat = self.witness_rows(v, j)
             if rows:

@@ -3,25 +3,28 @@
 Both families are repetition families whose type-j witnesses are the simple
 windows of 2j consecutive objects on a face walk through the anchor, read
 by one window walk (`_FacialFamily._windows`); each names its problem, whose
-`bounds.PROBLEM_TABLE` row fixes its object kind and class ceilings.  The
-vertex variant's type 1 is the neighbor table, since a facial 2-window is an
-edge and every edge lies on a face.  The edge variant trades generality for
-sharper ceilings: the coloring order is constrained so every anchor has an
-uncolored facially adjacent edge e' (one consecutive with it on a face walk,
-a neighbor in the `planar.medial_graph` table the family holds as
-``medial``), and its class list (`_classes`, which ranks hits and reads
-classes back) keeps only the witness paths avoiding e' (at most one on the
-face shared with e', 2j on the anchor's other face).
+`bounds.PROBLEM_TABLE` row fixes its object kind and class ceilings.  Type 1
+of each is a candidate table, since a facial 2-window is a pair of
+neighbors: the vertex variant's is the neighbor table (every edge lies on a
+face), the edge variant's the `planar.medial_graph` table of facially
+adjacent edges (consecutive on a face walk), which it holds as ``medial``.
+The edge variant trades generality for sharper ceilings: the coloring order
+is constrained so every anchor has an uncolored facially adjacent edge e',
+and its class lists (`_classes`, which ranks hits and reads classes back)
+skip e': type 1 is the anchor's medial entry without e', and type j > 1
+keeps only the witness paths avoiding e' (at most one on the face shared
+with e', 2j on the anchor's other face).
 That requires one distinguished edge to stay uncolored forever and the
 uncolored edge set to stay connected in the medial adjacency; the traversal
 maintains both by coloring leaves of a medial spanning tree rooted at the
 reserved edge.
 
-Windows are not searched by color: a family's `fired` yields every window
-type whose 2j objects fit both the colored set and the longest face (a
-window fits only on a face of length at least 2j), capped at the declared
-types, and `detect` scans the anchor's memoized windows of each type in
-turn.
+Windows of the row types are not searched by color: a family's `fired`
+yields every window type past the table whose 2j objects fit both the
+colored set and the longest face (a window fits only on a face of length at
+least 2j), capped at the declared types, and `detect` scans the anchor's
+memoized windows of each type in turn.  On a triangulation no row type fits
+a face, so no witness list is ever filled.
 """
 
 from __future__ import annotations
@@ -118,9 +121,9 @@ class _FacialEdgeFamily(_FacialFamily):
     def __init__(self, pg: PlaneGraph, e_star: int):
         if not 1 <= e_star <= pg.graph.m:
             raise ValueError(f"reserved edge id {e_star} out of range")
-        super().__init__(pg)
-        self.e_star = e_star
         self.medial = medial_graph(pg)
+        super().__init__(pg, (self.medial,))
+        self.e_star = e_star
 
     def _uncolored_neighbor(self, e: int, colored) -> int:
         for u in self.medial[e]:
@@ -159,9 +162,12 @@ class _FacialEdgeFamily(_FacialFamily):
         return _LeafFrontier(self)
 
     def _classes(self, e, j, colored):
-        """The type-j witness rows at e that avoid its uncolored facial
-        neighbor e', in order; a hit is fully colored, so it avoids e'."""
+        """Type j's classes at e with its uncolored facial neighbor e'
+        skipped, in order: the medial table entry for type 1, the witness
+        rows for the rest.  A hit is fully colored, so it avoids e'."""
         ep = self._uncolored_neighbor(e, colored)
+        if j == 1:
+            return [f for f in self.medial[e] if f != ep]
         return [row for row in self.witness_rows(e, j)[0] if ep not in row]
 
 
@@ -261,7 +267,7 @@ class _LeafFrontier:
 def facial_thue_edge_family(pg: PlaneGraph, e_star: int) -> _FacialEdgeFamily:
     """Facial edge repetitions with the reserved edge e_star never colored:
     a completed run colors every other edge.  Classes are ranked among the
-    witness paths that avoid the anchor's smallest-index uncolored facial
-    neighbor (an edge next to it on a face walk), giving the 1+2j ceiling
-    independent of Delta."""
+    medial neighbors (type 1) or witness paths that avoid the anchor's
+    smallest-index uncolored facial neighbor (an edge next to it on a face
+    walk), giving the 1+2j ceiling independent of Delta."""
     return _FacialEdgeFamily(pg, e_star)

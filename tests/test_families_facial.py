@@ -129,11 +129,11 @@ class TestEdgeFamilyRows:
             facial_thue_edge_family(load_rotation(K3_ROT), 4)
 
     def test_class_outside_the_list_is_rejected(self):
-        # with edge 1 uncolored, the class list of edge 3 is the one row
-        # avoiding it, (2, 3): class 1 erases 3, and classes 0 and 2 name
-        # no row (0 must not wrap around to the last one)
+        # with edge 1 uncolored, the class list of edge 3 is its one medial
+        # neighbor other than 1, edge 2: class 1 erases 3, and classes 0
+        # and 2 name no event (0 must not wrap around to the last one)
         fam = facial_thue_edge_family(load_rotation(K3_ROT), 1)
-        assert fam._classes(3, 1, {2, 3}) == [(2, 3)]
+        assert fam._classes(3, 1, {2, 3}) == [2]
         assert fam.uncolor_set(1, 3, {2, 3}, 1) == (3,)
         for k in (0, 2):
             with pytest.raises(ValueError, match="names no event"):
@@ -250,6 +250,19 @@ class TestEdgeFamilyRuns:
         assert_roundtrip(pg.graph, fam, EngineInput(
             kappa=rng.randint(1, 6), seed=seed, budget=rng.randint(0, 150)))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_triangulation_runs_read_no_witness_rows(self, seed):
+        """Type 1 is the medial table, and on a triangulation no wider window
+        fits a face, so runs and decodes with type-1 events never fill the
+        witness memo."""
+        rng = random.Random(f"medial table {seed}")
+        pg = random_triangulation(200, rng)
+        fam = facial_thue_edge_family(pg, rng.randint(1, pg.graph.m))
+        res = assert_roundtrip(pg.graph, fam, EngineInput(
+            9, seed=seed, budget=20 * pg.graph.m))
+        assert any(step for step in res.record.steps)
+        assert fam._rows == {}
+
     def test_face_revisiting_a_vertex_keeps_classes_under_the_ceiling(self):
         # the face walk 1 2 3 5 3 8 3 2 4 6 passes vertices 2 and 3 twice;
         # (1,2) shares vertex 2 and that face with (2,4) without being next
@@ -305,7 +318,7 @@ class TestTypeCap:
                 assert len(res.coloring.colored) == 8
                 # 8 colored edges fit a type-4 window, but no type 4 exists
                 for e in res.coloring.colored:
-                    assert list(fam.fired(res.coloring, e)) == [1, 2, 3]
+                    assert list(fam.fired(res.coloring, e)) == [2, 3]
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=15, deadline=None)

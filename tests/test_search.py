@@ -53,7 +53,7 @@ SEARCHED = {
 # must see fire); the deletions merge faces, so long windows exist
 FACIAL = {
     "facial-thue-vertex": ((6, 14), (1, 2), 2, 3),
-    "facial-thue-edge": ((6, 12), (1, 2), 1, 2),
+    "facial-thue-edge": ((6, 12), (1, 2), 2, 3),
 }
 
 CASES = {**SEARCHED, **FACIAL}
@@ -85,13 +85,15 @@ def reference_detect(fam, coloring, v):
     """`detect` before the searches: the candidate tables, then every row
     type's witnesses enumerated and scanned in type order.  A facial edge
     hit is ranked among the rows avoiding the anchor's smallest-index
-    uncolored neighbor in the medial graph."""
+    uncolored neighbor in the medial graph; that family's type 1 is read
+    as rows too, so its medial candidate table is checked, never used."""
     colors = coloring.colors
-    for j, table in enumerate(fam.tables, start=1):
+    tables = () if fam.name == "facial-thue-edge" else fam.tables
+    for j, table in enumerate(tables, start=1):
         idx = first_equal(colors, colors[v], table[v])
         if idx >= 0:
             return j, idx + 1
-    for meta in fam.metas[len(fam.tables):]:
+    for meta in fam.metas[len(tables):]:
         j = meta.type_id
         width, kernel = row_scan(fam, j)
         if width > len(coloring.colored):
