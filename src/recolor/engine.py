@@ -304,12 +304,25 @@ class EngineInput(_EngineInputFields):
         seeded with ``seed``."""
         if self.vector is not None:
             return iter(self.vector)
-        rng, kappa = random.Random(self.seed), self.kappa
-        return (rng.randint(1, kappa) for _ in range(self.budget))
+        return _randints(random.Random(self.seed).getrandbits, self.kappa,
+                         self.budget)
 
     def make_vector(self) -> tuple[int, ...]:
         """Materialize the full color stream this input draws from."""
         return tuple(self.draws())
+
+
+def _randints(getrandbits, kappa: int, budget: int) -> Iterator[int]:
+    """``budget`` values of ``randint(1, kappa)``, drawn as CPython's
+    ``randint`` draws them: kappa's bit length of random bits, redrawn
+    while they reach kappa, plus one.  Inlined, because the four calls
+    ``randint`` makes per value cost more than the draw itself."""
+    k = kappa.bit_length()
+    for _ in range(budget):
+        r = getrandbits(k)
+        while r >= kappa:
+            r = getrandbits(k)
+        yield r + 1
 
 
 class RunResult(NamedTuple):

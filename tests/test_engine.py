@@ -387,6 +387,17 @@ class TestEngineInput:
         assert inp.make_vector() == tuple(rng.randint(1, 4) for _ in range(6))
         assert inp.make_vector() == inp.make_vector()
 
+    @pytest.mark.parametrize("kappa", list(range(1, 71)) + [
+        2 ** i + d for i in range(7, 21) for d in (-1, 0, 1)])
+    def test_draws_are_randint_draws(self, kappa):
+        """The seeded stream equals ``randint(1, kappa)`` draw for draw, also
+        at kappa just below, at and above a power of two, where the share of
+        redrawn bits is smallest and largest."""
+        for seed in (0, 1, 7, 2 ** 40 + 3, "stream"):
+            inp = EngineInput(kappa=kappa, seed=seed, budget=200)
+            rng = random.Random(seed)
+            assert list(inp.draws()) == [rng.randint(1, kappa) for _ in range(200)]
+
     def test_draws_restart_and_stay_lazy(self):
         # a budget of 10**12 is never materialized; each call starts over
         inp = EngineInput(kappa=4, seed=99, budget=10 ** 12)
