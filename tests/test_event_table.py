@@ -86,7 +86,8 @@ def test_row_widths_follow_the_shape_and_the_cap(name):
     (lambda: acyclic_gamma_family(Graph(4, [(1, 2), (2, 3), (2, 4)]), 1), 4, (1, 2)),
     # P4 has one type-2 path through vertex 1, and the ceiling is 16
     (lambda: nonrepetitive_vertex_family(Graph(4, [(1, 2), (2, 3), (3, 4)])), 4, (2, 5)),
-    # edge 2 is colored first; one of its two rows holds the uncolored edge 1
+    # edge 2 is colored first; its medial neighbors are 1 and 3, and the
+    # uncolored edge 1 is skipped, so its type-1 class list has one entry
     (lambda: facial_thue_edge_family(load_rotation(K3_ROT), 1), 3, (1, 2)),
 ], ids=["gamma-table", "nonrepetitive-row", "facial-edge-row"])
 def test_a_class_past_the_class_list_fails_as_decode_error(make, n, step):
