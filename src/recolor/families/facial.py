@@ -41,14 +41,15 @@ class _FacialFamily(Family):
     """Repetition families whose witnesses are windows along face walks of
     ``pg``: a type-j row is a window of 2j consecutive objects (vertices, or
     with ``on_edges`` set edge ids) on some face walk whose vertices are
-    distinct, in its order-smaller orientation.  ``widest`` is the longest
-    face.
+    distinct, in its order-smaller orientation.  Type 1 is the candidate
+    ``table`` of facially adjacent objects instead, and ``widest`` is the
+    longest face.
     """
 
     shape = Repetition
 
-    def __init__(self, pg: PlaneGraph, tables=()):
-        super().__init__(pg.graph, tables)
+    def __init__(self, pg: PlaneGraph, table):
+        super().__init__(pg.graph, (table,))
         self.widest = max(map(len, pg.faces), default=0)
         self.pg = pg
         self._occurrences = None
@@ -106,7 +107,7 @@ class _FacialVertexFamily(_FacialFamily):
     problem = "facial-thue-vertex"
 
     def __init__(self, pg: PlaneGraph):
-        super().__init__(pg, (pg.graph.adj,))
+        super().__init__(pg, pg.graph.adj)
 
 
 def facial_thue_vertex_family(pg: PlaneGraph) -> _FacialVertexFamily:
@@ -122,7 +123,7 @@ class _FacialEdgeFamily(_FacialFamily):
         if not 1 <= e_star <= pg.graph.m:
             raise ValueError(f"reserved edge id {e_star} out of range")
         self.medial = medial_graph(pg)
-        super().__init__(pg, (self.medial,))
+        super().__init__(pg, self.medial)
         self.e_star = e_star
 
     def _uncolored_neighbor(self, e: int, colored) -> int:
