@@ -496,7 +496,10 @@ def decode(g, fam: BadEventFamily, final: PartialColoring, record: Record,
                     f"rebuilt event at step {i + 1} gives objects "
                     f"{sorted(rebuilt)}, not its uncolored set {sorted(target)}")
             for u, c in rebuilt.items():
-                pc.assign(u, c)
+                try:
+                    pc.assign(u, c)
+                except ValueError as exc:
+                    raise DecodeError(f"rebuilt event at step {i + 1}: {exc}") from None
         values[i] = value_of(v, pc.color_of(v))
         pc.unassign(v)
         live.discard(v)

@@ -17,16 +17,13 @@ way:
   ``tables[i - 1][v]``, the first such candidate is the hit, and the
   anchor alone is uncolored and regains that candidate's color;
 - every later type is a row type, with its row width in ``_width``.  The
-  family's ``fired(coloring, v)`` yields, ascending, every row type that
-  may hold a bad witness through the anchor, and must include every type
-  that does; `detect` scans the anchor's memoized witness list of each type
-  yielded and ranks the first hit.  The acyclic and repetition families
-  search by color and yield exactly the types with a bad witness, so their
-  first scan hits: the searches walk colored objects only and cut a partial
-  witness at the first color that breaks its pattern
-  (`PathRepetitionFamily`, `alternating_widths`).  The facial families
-  yield every window type whose width fits both the colored set and the
-  longest face, and `detect` scans them in turn.
+  family's ``fired(coloring, v)`` searches by color and yields, ascending,
+  exactly the row types with a bad witness through the anchor: the acyclic
+  and repetition families walk colored objects only and cut a partial
+  witness at the first color breaking its pattern (`PathRepetitionFamily`,
+  `alternating_widths`); the facial families test each window in place.
+  `detect` ranks the hit of the first type yielded in its memoized witness
+  list; a scan that misses is a `FamilyContractError`.
 
 Row types share the family's ``shape``: the row width for an uncolor size,
 the kernel finding the first bad row, the objects a hit erases and how they
@@ -59,6 +56,7 @@ from array import array
 
 from ..bounds import PROBLEM_TABLE, ceilings
 from ..engine import EventTypeMeta
+from ..errors import FamilyContractError
 
 
 class Family:
@@ -103,16 +101,14 @@ class Family:
                 return j, classes.index(table[v][idx]) + 1
         for j in self.fired(coloring, v):
             rows, flat = self.witness_rows(v, j)
-            if rows:
-                idx = self.shape.scan(colors, flat, self._width[j])
-                if idx >= 0:
-                    classes = self._classes(v, j, coloring.colored)
-                    return j, classes.index(rows[idx]) + 1
+            idx = self.shape.scan(colors, flat, self._width[j])
+            if idx < 0:
+                raise FamilyContractError(f"{self.name}: type {j} fired at {v}, no bad row")
+            return j, self._classes(v, j, coloring.colored).index(rows[idx]) + 1
         return None
 
     def fired(self, coloring, v):
-        """Yield, ascending, every row type that may hold a bad witness
-        through v; every type that does hold one must be among them."""
+        """Yield, ascending, exactly the row types with a bad witness through v."""
         raise NotImplementedError
 
     def uncolor_set(self, j, v, colored, k):

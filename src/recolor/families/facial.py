@@ -19,12 +19,8 @@ uncolored edge set to stay connected in the medial adjacency; the traversal
 maintains both by coloring leaves of a medial spanning tree rooted at the
 reserved edge.
 
-Windows of the row types are not searched by color: a family's `fired`
-yields every window type past the table whose 2j objects fit both the
-colored set and the longest face (a window fits only on a face of length at
-least 2j), capped at the declared types, and `detect` scans the anchor's
-memoized windows of each type in turn.  On a triangulation no row type fits
-a face, so no witness list is ever filled.
+Row types are searched by color (`fired` reads the windows in place), so a
+witness list is filled only to rank or rebuild a row-type event.
 """
 
 from __future__ import annotations
@@ -55,10 +51,14 @@ class _FacialFamily(Family):
         self._occurrences = None
 
     def fired(self, coloring, x):
-        """Every window type whose width fits both the colored set and the
-        longest face; windows are not searched by color."""
+        """Yield, ascending, each window type with a bad simple window through
+        x, leaving types wider than the colored set or longest face unread."""
         fits = min(len(coloring.colored), self.widest) // 2
-        return range(len(self.tables) + 1, min(len(self.metas), fits) + 1)
+        for j in range(len(self.tables) + 1, min(len(self.metas), fits) + 1):
+            for w in self._windows(x, 2 * j):
+                if self.shape.scan(coloring.colors, w, 2 * j) == 0:
+                    yield j
+                    break
 
     def _enumerate(self, x, j):
         key = self._row_key

@@ -141,6 +141,22 @@ def plane_with_long_faces(n: int, drop: int, rng: random.Random):
     return PlaneGraph(Graph(n, kept), {v: tuple(r) for v, r in rotation.items()})
 
 
+def grid_embedding(a: int) -> PlaneGraph:
+    """The a x a grid, vertex r * a + c + 1 at row r and column c, each
+    rotation listing the neighbors east, north, west, south: its inner faces
+    are 4-cycles and its outer face has length 4(a - 1)."""
+    def vertex(r, c):
+        return r * a + c + 1
+
+    rotation = {
+        vertex(r, c): tuple(vertex(r + dr, c + dc)
+                            for dr, dc in ((0, 1), (-1, 0), (0, -1), (1, 0))
+                            if 0 <= r + dr < a and 0 <= c + dc < a)
+        for r in range(a) for c in range(a)}
+    edges = [(u, w) for u, rot in rotation.items() for w in rot if u < w]
+    return PlaneGraph(Graph(a * a, edges), rotation)
+
+
 def facial_windows(pg: PlaneGraph, *, edges: bool):
     """Canonical simple windows along face boundaries, each once: faces in
     order, then sizes ascending, then offsets.  The reference for the

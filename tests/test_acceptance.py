@@ -11,6 +11,7 @@ tight.
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -37,7 +38,7 @@ from recolor.planar import medial_graph, random_triangulation
 from recolor.records import count_b, count_r, enumerate_records, growth_check
 from recolor.validators import check_acyclic, check_nonrepetitive
 
-from _util import random_graph
+from _util import grid_embedding, plane_with_long_faces, random_graph
 
 
 def _connected_graph(rng, lo=4, hi=9, p=0.45):
@@ -214,9 +215,12 @@ def test_growth_bound_on_five_presets():
 # --- 7. completed runs pass the independent validators -------------------------
 
 def _closure_sweep(instances, validate, want=100, budget=4000):
+    """Validate ``want`` completed runs, cycling through the instances;
+    returns how often each event type occurred in them."""
     rng = random.Random(5150)
     done = 0
     attempts = 0
+    events = Counter()
     while done < want:
         attempts += 1
         assert attempts <= want * 5, "too few completed runs"
@@ -228,8 +232,10 @@ def _closure_sweep(instances, validate, want=100, budget=4000):
             continue
         verdict = validate(g, res.coloring.as_dict(), ctx)
         assert verdict.ok, verdict.message
+        events.update(step[0] for step in res.record.steps if step)
         done += 1
     assert done == want
+    return events
 
 
 def _plain_instances(rng, build, count=8):
@@ -273,28 +279,39 @@ def test_closure_nonrepetitive_edge():
         lambda g, phi, ctx: check_nonrepetitive(g, phi, objects="edge"))
 
 
+def _facial_instances(rng, build):
+    """Triangulations, where no window type can fire, then plane graphs
+    with long faces and small grids, where windows of 4 and more objects
+    exist: (graph, family, embedding) each.  Each family is built right
+    after its host, so ``build`` may draw from ``rng`` too."""
+    def hosts():
+        for _ in range(8):
+            yield random_triangulation(rng.randint(4, 10), rng)
+        for _ in range(8):
+            n = rng.randint(6, 12)
+            yield plane_with_long_faces(n, rng.randint(n, 2 * n), rng)
+        for a in range(3, 7):
+            yield grid_embedding(a)
+
+    return [(pg.graph, build(pg), pg) for pg in hosts()]
+
+
 def test_closure_facial_vertex():
     rng = random.Random(16)
-    instances = []
-    for _ in range(8):
-        pg = random_triangulation(rng.randint(4, 10), rng)
-        instances.append((pg.graph, facial_thue_vertex_family(pg), pg))
-    _closure_sweep(instances,
-                   lambda g, phi, pg: check_nonrepetitive(g, phi, facial=pg))
+    events = _closure_sweep(
+        _facial_instances(rng, facial_thue_vertex_family),
+        lambda g, phi, pg: check_nonrepetitive(g, phi, facial=pg), want=300)
+    assert any(events[j] for j in events if j >= 2), events
 
 
 def test_closure_facial_edge():
     rng = random.Random(17)
-    instances = []
-    for _ in range(8):
-        pg = random_triangulation(rng.randint(4, 10), rng)
-        e_star = rng.randint(1, pg.graph.m)
-        instances.append(
-            (pg.graph, facial_thue_edge_family(pg, e_star), pg))
-    _closure_sweep(
-        instances,
+    events = _closure_sweep(
+        _facial_instances(
+            rng, lambda pg: facial_thue_edge_family(pg, rng.randint(1, pg.graph.m))),
         lambda g, phi, pg: check_nonrepetitive(g, phi, objects="edge",
-                                               facial=pg))
+                                               facial=pg), want=300)
+    assert any(events[j] for j in events if j >= 2), events
 
 
 # --- 8. facial-edge structural invariants on triangulations --------------------

@@ -7,7 +7,7 @@ cap; the event loop on `Family` reads the tables, then the row types its
 `fired` yields.  The loop probes types in order, so the declaration must
 cover each meta type exactly once and in ascending order, and every witness
 row must be as wide as its shape says.  A class past the anchor's class
-list is a decode error.
+list is a decode error, and so is a class naming an uncolored candidate.
 """
 
 import random
@@ -98,3 +98,15 @@ def test_a_class_past_the_class_list_fails_as_decode_error(make, n, step):
     assert k <= fam.metas[j - 1].cost
     with pytest.raises(DecodeError, match="names no event"):
         decode(None, fam, PartialColoring(n), Record((step,)))
+
+
+def test_a_class_naming_an_uncolored_candidate_fails_as_decode_error():
+    """On the path 1-2-3 the forged record (color, type 1 class 2) with the
+    final coloring {1: 1} says vertex 2 repeated the color of its class-2
+    candidate, vertex 3, which is uncolored at that step; the rebuild would
+    read color 0."""
+    fam = acyclic_gamma_family(Graph(3, [(1, 2), (2, 3)]), 1)
+    final = PartialColoring(3)
+    final.assign(1, 1)
+    with pytest.raises(DecodeError, match="at step 2: bad assignment 2 <- 0"):
+        decode(None, fam, final, Record((None, (1, 2))))

@@ -1,13 +1,13 @@
-"""Differential tests of the row-type candidates `detect` scans.
+"""Differential tests of the row types `detect` ranks a hit in.
 
-A family's `fired(coloring, v)` must yield, ascending, every row type j
-whose row scan over `witness_rows(v, j)` finds a bad row.  The searched
-families (acyclic, nonrepetitive) yield exactly those types; the facial
-families yield every window type that fits the colored set and the longest
-face.  `detect`, which scans only the types fired, must equal detection as
-it was before the searches: enumerate every type's rows, then scan them.
-Colorings use two or three colors on most objects, so the long types fire
-too.  One search per start neighbor or start pair serves every type.
+A family's `fired(coloring, v)` must yield, ascending, exactly the row
+types j whose row scan over `witness_rows(v, j)` finds a bad row: the
+acyclic and nonrepetitive families search colored paths, the facial
+families test the windows through the anchor in place.  `detect`, which
+ranks only the first type fired, must equal detection as it was before the
+searches: enumerate every type's rows, then scan them.  Colorings use two
+or three colors on most objects, so the long types fire too.  One search
+per start neighbor or start pair serves every type.
 """
 
 import random
@@ -21,7 +21,9 @@ from recolor.families import (
     acyclic_gamma_family,
     acyclic_v1_family,
     acyclic_v2_family,
+    nonrepetitive_vertex_family,
 )
+from recolor.errors import FamilyContractError
 from recolor.graphs import Graph
 from recolor.families.acyclic import first_bicolored, first_equal
 from recolor.families.base import Repetition, first_repetition
@@ -37,10 +39,11 @@ from _util import (
 
 EXAMPLES = 300
 
-# family -> (vertex count range, edge probability range, the first searched
-# type, the lowest type above the first that a fuzz run must see fire);
-# graphs stay small because the oracle enumerates every witness of every type
-SEARCHED = {
+# family on plain graphs -> (vertex count range, edge probability range, the
+# first row type, the lowest type above the first that a fuzz run must see
+# fire); graphs stay small because the oracle enumerates every witness of
+# every type
+PLAIN = {
     "acyclic-gamma": ((6, 10), (0.2, 0.5), 2, 3),
     "acyclic-v1": ((6, 12), (0.2, 0.5), 3, 4),
     "acyclic-v2": ((6, 10), (0.2, 0.5), 3, 4),
@@ -56,7 +59,7 @@ FACIAL = {
     "facial-thue-edge": ((6, 12), (1, 2), 2, 3),
 }
 
-CASES = {**SEARCHED, **FACIAL}
+CASES = {**PLAIN, **FACIAL}
 
 
 def row_types(fam, name):
@@ -171,7 +174,7 @@ def fuzzed_colorings(name: str, rng: random.Random):
     return fam, pc, v
 
 
-@pytest.mark.parametrize("name", sorted(SEARCHED))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_search_fires_exactly_when_the_scan_finds_a_row(name):
     rng = random.Random(f"search {name}")
     fired = Counter()
@@ -184,29 +187,21 @@ def test_search_fires_exactly_when_the_scan_finds_a_row(name):
             want = scan_finds(fam, pc, v, j)
             assert (j in got) == want, (name, pc.as_dict(), v, j)
             fired[j] += want
-    assert any(fired[j] for j in fired if j >= SEARCHED[name][3]), fired
+    assert any(fired[j] for j in fired if j >= CASES[name][3]), fired
 
 
-@pytest.mark.parametrize("name", sorted(FACIAL))
-def test_fired_holds_every_type_whose_scan_hits(name):
-    """The candidate contract `detect` relies on, for the facial families
-    (the searched ones meet it exactly, above): `fired` yields every window
-    type whose width fits both the colored set and the longest face,
-    ascending, so every type whose scan hits is among them."""
-    rng = random.Random(f"candidates {name}")
-    hits = Counter()
-    for _ in range(EXAMPLES):
-        fam, pc, v = fuzzed_colorings(name, rng)
-        got = list(fam.fired(pc, v))
-        types = row_types(fam, name)
-        fits = min(len(pc.colored), fam.widest)
-        assert got == [j for j in types if row_scan(fam, j)[0] <= fits], \
-            (name, v, got)
-        for j in types:
-            if scan_finds(fam, pc, v, j):
-                assert j in got, (name, pc.as_dict(), v, j)
-                hits[j] += 1
-    assert any(hits[j] for j in hits if j >= FACIAL[name][3]), hits
+def test_a_fired_type_whose_scan_misses_is_a_contract_error():
+    """`detect` ranks the first type `fired` yields and never falls through
+    to a later one: on the path 1-2-3-4 colored 1 2 3 1 no type-2 row
+    repeats, so a `fired` that yields type 2 there breaks the contract."""
+    fam = nonrepetitive_vertex_family(Graph(4, [(1, 2), (2, 3), (3, 4)]))
+    pc = PartialColoring(4)
+    for v, c in zip((1, 2, 3, 4), (1, 2, 3, 1)):
+        pc.assign(v, c)
+    assert fam.detect(pc, 4) is None
+    fam.fired = lambda coloring, v: (2,)
+    with pytest.raises(FamilyContractError, match="type 2 fired at 4"):
+        fam.detect(pc, 4)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
