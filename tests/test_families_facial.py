@@ -1,5 +1,6 @@
 """Facial repetition families: window rows, reserve traversal, roundtrips."""
 
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from recolor.engine import (
     PartialColoring,
     RunStatus,
     replay_colored_sets,
+    run,
 )
 from recolor.families import (
     MedialConnectivityError,
@@ -213,6 +215,42 @@ class TestEdgeFamilyTraversal:
         fam = facial_thue_edge_family(load_rotation(P4_ROT), 1)
         assert fam.next_uncolored(frozenset()) == 3
         assert fam.next_uncolored(frozenset({3})) == 2
+
+    def test_leaf_rule_matches_its_pinned_digest(self):
+        """`next_uncolored` on seeded triangulations and plane graphs with
+        long faces, each with a random reserved edge: the edge returned, or
+        the exception type and message, for the colored set after every step
+        of a seeded run (valid sets) and for random edge subsets (which also
+        color the reserve or disconnect the rest), hashed together; pinned
+        before the set-based traversal gave way to the leaf frontier."""
+        rng = random.Random(20261020)
+        h = hashlib.sha256()
+        for i in range(40):
+            n = rng.randint(4, 16)
+            pg = (random_triangulation(n, rng) if i % 2
+                  else plane_with_long_faces(n, rng.randint(n, 2 * n), rng))
+            m = pg.graph.m
+            fam = facial_thue_edge_family(pg, rng.randint(1, m))
+            res = run(pg.graph, fam, EngineInput(
+                rng.randint(2, 4), seed=rng.randrange(2 ** 31), budget=6 * m))
+            colored = set()
+            sets = [frozenset()]
+            for v, target in replay_colored_sets(fam, res.record):
+                colored.add(v)
+                colored.difference_update(target)
+                sets.append(frozenset(colored))
+            for _ in range(8):
+                p = rng.random()
+                sets.append(frozenset(e for e in range(1, m + 1)
+                                      if rng.random() < p))
+            for colored in sets:
+                try:
+                    outcome = repr(fam.next_uncolored(colored))
+                except MedialConnectivityError as exc:
+                    outcome = f"{type(exc).__name__}: {exc}"
+                h.update(outcome.encode() + b"\n")
+        assert h.hexdigest() == \
+            "e421a609c3bf9f3ca20eb835c860abd019761989cc2f8f52a04bfaeb0979d15c"
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)
