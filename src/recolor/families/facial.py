@@ -17,7 +17,8 @@ with e', 2j on the anchor's other face).
 That requires one distinguished edge to stay uncolored forever and the
 uncolored edge set to stay connected in the medial adjacency; the traversal
 maintains both by coloring leaves of a medial spanning tree rooted at the
-reserved edge.
+reserved edge, kept by `_LeafFrontier`, which `next_uncolored` rebuilds
+from the colored set.
 
 Row types are searched by color (`fired` reads the windows in place), so a
 witness list is filled only to rank or rebuild a row-type event.
@@ -137,27 +138,12 @@ class _FacialEdgeFamily(_FacialFamily):
     def next_uncolored(self, colored):
         """Smallest-index leaf of the breadth-first spanning tree of the
         medial subgraph induced by the uncolored edges, rooted at the
-        reserved edge; coloring a leaf keeps the rest connected."""
-        if self.e_star in colored:
-            raise MedialConnectivityError("the reserved edge must stay uncolored")
-        uncolored = set(range(1, self.n_objects + 1)) - set(colored)
-        if uncolored == {self.e_star}:
-            return None
-        reached = {self.e_star}
-        interior = set()
-        queue = deque([self.e_star])
-        while queue:
-            x = queue.popleft()
-            for y in self.medial[x]:
-                if y in uncolored and y not in reached:
-                    reached.add(y)
-                    interior.add(x)
-                    queue.append(y)
-        if reached != uncolored:
-            raise MedialConnectivityError(
-                "uncolored edges induce a disconnected medial subgraph"
-            )
-        return min(reached - interior - {self.e_star})
+        reserved edge; coloring a leaf keeps the rest connected.  This is
+        the leaf frontier rebuilt from the colored set."""
+        frontier = _LeafFrontier(self)
+        for e in colored:
+            frontier.uncolored[e] = 0
+        return frontier.pick()
 
     def frontier(self) -> "_LeafFrontier":
         return _LeafFrontier(self)
@@ -173,7 +159,9 @@ class _FacialEdgeFamily(_FacialFamily):
 
 
 class _LeafFrontier:
-    """`_FacialEdgeFamily.next_uncolored` kept incrementally for one run.
+    """The facial edge leaf rule, kept for one run;
+    `_FacialEdgeFamily.next_uncolored` is this frontier rebuilt from a
+    colored set.
 
     Holds the breadth-first tree of the uncolored medial subgraph rooted at
     the reserved edge, with a min-heap of its leaves (entries whose node has
@@ -182,7 +170,8 @@ class _LeafFrontier:
     discovered nothing, so `took` detaches it and its parent becomes a leaf
     when it was the only child.  Releasing exactly the leaf just taken puts
     it back; any other release marks the tree stale, and the next `pick`
-    rebuilds it from scratch with the same checks as `next_uncolored`.
+    rebuilds it from scratch: `_rebuild` is the one breadth-first search
+    and raises both `MedialConnectivityError` refusals.
     """
 
     __slots__ = ("fam", "uncolored", "parent", "children", "heap", "queued",
@@ -193,9 +182,6 @@ class _LeafFrontier:
         self.fam = fam
         self.uncolored = bytearray(b"\0" + b"\1" * m)
         self.parent = [0] * (m + 1)
-        self.children = [0] * (m + 1)
-        self.heap: list[int] = []
-        self.queued = bytearray(m + 1)
         self.stale = True
         self.last = None  # the leaf `took` detached, until the next release
 

@@ -133,23 +133,30 @@ def test_facial_edge_frontier_rebuilds_on_long_faces(monkeypatch):
         rebuilds["calls"] += 1
         rebuild(self)
 
-    monkeypatch.setattr(_LeafFrontier, "_rebuild", counting)
     rng = random.Random(11)
     events = Counter()
-    runs = 0
+    expected = 0
     while events["wide"] < 20:
         pg = plane_with_long_faces(rng.randint(6, 14), 40, rng)
         fam = facial_thue_edge_family(pg, rng.randint(1, pg.graph.m))
-        res = checked_roundtrip(pg.graph, fam, EngineInput(
-            rng.randint(2, 4), seed=rng.randrange(2 ** 31), budget=20 * pg.graph.m))
-        runs += 1
-        for step in res.record.steps:
-            if step is not None:
-                events["wide" if step[0] >= 2 else "leaf"] += 1
+        inp = EngineInput(
+            rng.randint(2, 4), seed=rng.randrange(2 ** 31), budget=20 * pg.graph.m)
+        checked_roundtrip(pg.graph, fam, inp)
+        # counted on plain calls, since `next_uncolored`, which the checking
+        # proxy asks at every pick, rebuilds a fresh frontier each time
+        with monkeypatch.context() as patch:
+            patch.setattr(_LeafFrontier, "_rebuild", counting)
+            res = run(pg.graph, fam, inp)
+            decode(pg.graph, fam, res.coloring, res.record)
+        wide = [s is not None and s[0] >= 2 for s in res.record.steps]
+        events["wide"] += sum(wide)
+        events["leaf"] += sum(s is not None for s in res.record.steps) - sum(wide)
+        # the run rebuilds at its first pick and at the pick after each wide
+        # event; so does the replay inside decode, which makes no pick
+        # after its last step
+        expected += 2 + 2 * sum(wide) - wide[-1]
     assert events["leaf"] > 0
-    # one rebuild per run at its first pick, and one per wide event in the
-    # run and again in the replay
-    assert rebuilds["calls"] >= runs + 2 * events["wide"]
+    assert rebuilds["calls"] == expected
 
 
 def test_medial_connectivity_errors_surface_through_run():
