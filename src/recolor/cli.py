@@ -489,6 +489,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         _note(f"error: a value is past the float range ({exc})")
         return 2
+    except MemoryError:
+        _note("error: out of memory; try a smaller host, kappa or budget")
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import recolor
+import recolor.cli
 import recolor.engine
 from recolor.bounds import PROBLEMS, kappa_preset
 from recolor.cli import FAMILIES, PROPERTIES, _bound_cell, main
@@ -291,6 +292,17 @@ def test_table_unknown(capsys):
     code, _, err = run_cli(capsys, "table", "--name", "nope")
     assert code == 2
     assert "unknown table" in err
+
+
+def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(recolor.cli, "_cmd_table", exhausted)
+    code, out, err = run_cli(capsys, "table", "--name", "cs")
+    assert code == 2 and out == ""
+    assert err == "error: out of memory; try a smaller host, kappa or budget\n"
+    assert "Traceback" not in err
 
 
 # --- color -------------------------------------------------------------------
