@@ -81,7 +81,7 @@ class PartialColoring:
         return self.colors[v]
 
     def assign(self, v: int, color: int) -> None:
-        if not 1 <= v <= self.n_objects or color < 1:
+        if not 0 < v < len(self.colors) or color < 1:
             raise ValueError(f"bad assignment {v} <- {color}")
         if self.colors[v]:
             raise ValueError(f"object {v} already colored")
@@ -130,7 +130,10 @@ class BadEventFamily(Protocol):
     were uncolored.  ``pick()`` must always equal ``next_uncolored`` of the
     colored set those calls describe, which stays the specification.  The
     engine builds one frontier per run and per decode and never stores it on
-    the family, since one family may serve many runs.  Families without
+    the family, since one family may serve many runs; what a family keeps
+    for its frontiers is family data fixed by its structure, such as the
+    facial edge family's leaf tree of the all-uncolored state
+    (``leaf_tree``), which each frontier copies.  Families without
     ``frontier`` get one that calls ``next_uncolored`` on every pick.
     """
 
@@ -342,11 +345,17 @@ def _checked_event(fam, metas, j: int, k: int, exc) -> EventTypeMeta:
     return meta
 
 
+def _bad_pick(fam, v, exc) -> Exception:
+    return exc(f"family {fam.name!r} picked invalid object {v}")
+
+
 def _checked_pick(fam, frontier, colored, exc) -> Optional[int]:
+    """The frontier's pick, checked as the loops in `run` and
+    `replay_colored_sets` check theirs inline."""
     v = frontier.pick()
     if v is not None and (
             not (isinstance(v, int) and 1 <= v <= fam.n_objects) or v in colored):
-        raise exc(f"family {fam.name!r} picked invalid object {v}")
+        raise _bad_pick(fam, v, exc)
     return v
 
 
@@ -376,17 +385,24 @@ def run(g, fam: BadEventFamily, inp: EngineInput) -> RunResult:
     sound allowedness check (see `allowedness_witness`).
     """
     metas = {m.type_id: m for m in fam.metas}
-    pc = PartialColoring(fam.n_objects)
+    n = fam.n_objects
+    pc = PartialColoring(n)
+    colored, assign, unassign = pc.colored, pc.assign, pc.unassign
     frontier = frontier_of(fam)
+    pick, took, released = frontier.pick, frontier.took, frontier.released
+    detect = fam.detect
     lists = inp.lists
     steps: list[Optional[tuple[int, int]]] = []
+    append = steps.append
     last_step: dict[int, int] = {}
     status = None
     for i, idx in enumerate(inp.draws()):
-        v = _checked_pick(fam, frontier, pc.colored, FamilyContractError)
+        v = pick()
         if v is None:
             status = RunStatus.COMPLETED
             break
+        if not (isinstance(v, int) and 1 <= v <= n) or v in colored:
+            raise _bad_pick(fam, v, FamilyContractError)
         if lists is None:
             color = idx
         else:
@@ -394,20 +410,20 @@ def run(g, fam: BadEventFamily, inp: EngineInput) -> RunResult:
                 color = lists[v][idx - 1]
             except KeyError:
                 raise ValueError(f"no color list for object {v}") from None
-        pc.assign(v, color)
-        frontier.took(v)
+        assign(v, color)
+        took(v)
         last_step[v] = i
-        hit = fam.detect(pc, v)
+        hit = detect(pc, v)
         if hit is None:
-            steps.append(None)
+            append(None)
             continue
         j, k = hit
         meta = _checked_event(fam, metas, j, k, FamilyContractError)
-        target = _checked_uncolor_set(fam, meta, v, pc.colored, k, FamilyContractError)
+        target = _checked_uncolor_set(fam, meta, v, colored, k, FamilyContractError)
         for u in target:
-            pc.unassign(u)
-        frontier.released(target)
-        steps.append((j, k))
+            unassign(u)
+        released(target)
+        append((j, k))
     if status is None:
         status = (
             RunStatus.COMPLETED
@@ -425,26 +441,38 @@ def replay_colored_sets(fam: BadEventFamily,
     Returns one (object colored, objects uncolored) pair per step, the
     second empty for a surviving color.  Colors never enter: the next object
     is a function of the colored set and the uncolor set is a function of
-    (type, anchor, colored set, class).
+    (type, anchor, colored set, class).  An event whose type uncolors more
+    objects than are colored is refused before the family is asked for it.
     """
     metas = {m.type_id: m for m in fam.metas}
+    n = fam.n_objects
     colored: set[int] = set()
+    add, drop = colored.add, colored.difference_update
     frontier = frontier_of(fam)
+    pick, took, released = frontier.pick, frontier.took, frontier.released
     out: list[tuple[int, tuple[int, ...]]] = []
+    append = out.append
     for step in record.steps:
-        v = _checked_pick(fam, frontier, colored, DecodeError)
+        v = pick()
         if v is None:
             raise DecodeError("record is longer than the run it claims to describe")
-        colored.add(v)
-        frontier.took(v)
-        target: tuple[int, ...] = ()
-        if step is not None:
-            j, k = step
-            meta = _checked_event(fam, metas, j, k, DecodeError)
-            target = _checked_uncolor_set(fam, meta, v, colored, k, DecodeError)
-            colored.difference_update(target)
-            frontier.released(target)
-        out.append((v, target))
+        if not (isinstance(v, int) and 1 <= v <= n) or v in colored:
+            raise _bad_pick(fam, v, DecodeError)
+        add(v)
+        took(v)
+        if step is None:
+            append((v, ()))
+            continue
+        j, k = step
+        meta = _checked_event(fam, metas, j, k, DecodeError)
+        if meta.uncolor_size > len(colored):
+            raise DecodeError(
+                f"family {fam.name!r}: a type {j} event at {v} uncolors "
+                f"{meta.uncolor_size} objects, but only {len(colored)} are colored")
+        target = _checked_uncolor_set(fam, meta, v, colored, k, DecodeError)
+        drop(target)
+        released(target)
+        append((v, target))
     return out
 
 

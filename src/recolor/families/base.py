@@ -28,8 +28,9 @@ way:
 Row types share the family's ``shape``: the row width for an uncolor size,
 the kernel finding the first bad row, the objects a hit erases and how they
 are rebuilt (`Repetition`, `acyclic.Bicolored`).  ``widest`` caps the width
-that ``fired`` probes.  Each (anchor, type) has one class list,
-`Family._classes`: the candidate tuple of a table type, the witness list of
+that ``fired`` probes; when no row type is that narrow, `detect` never calls
+``fired``.  Each (anchor, type) has one class list, `Family._classes`: the
+candidate tuple of a table type, the witness list of
 a row type, and in the facial edge family either one with the anchor's
 uncolored facial neighbor skipped.  `detect` ranks every hit, a table's or
 a row's, in it (class = position + 1) and `uncolor_set` and
@@ -84,6 +85,9 @@ class Family:
         self._width = {m.type_id: self.shape.width(m.uncolor_size)
                        for m in self.metas[len(self.tables):]}
         self.widest = max(self._width.values(), default=0)
+        # when no row type fits ``widest`` (the facial families on a
+        # triangulation), `fired` cannot yield and `detect` skips it
+        self._narrowest = min(self._width.values(), default=float("inf"))
         rank = None if self.on_edges else g.rank
         self._rank = None if rank is None else rank.__getitem__
         self._row_key = None if rank is None else (lambda row: [rank[x] for x in row])
@@ -99,6 +103,8 @@ class Family:
             if idx >= 0:
                 classes = self._classes(v, j, coloring.colored)
                 return j, classes.index(table[v][idx]) + 1
+        if self._narrowest > self.widest:
+            return None
         for j in self.fired(coloring, v):
             rows, flat = self.witness_rows(v, j)
             idx = self.shape.scan(colors, flat, self._width[j])

@@ -18,10 +18,15 @@ That requires one distinguished edge to stay uncolored forever and the
 uncolored edge set to stay connected in the medial adjacency; the traversal
 maintains both by coloring leaves of a medial spanning tree rooted at the
 reserved edge, kept by `_LeafFrontier`, which `next_uncolored` rebuilds
-from the colored set.
+from the colored set.  The tree of the all-uncolored state, where every run
+and decode starts, is searched once per family and kept on it as
+``leaf_tree``.
 
 Row types are searched by color (`fired` reads the windows in place), so a
-witness list is filled only to rank or rebuild a row-type event.
+witness list is filled only to rank or rebuild a row-type event; on a
+triangulation no window type fits a face, so `detect` reads the table only.
+A face walk that repeats no vertex has only simple windows, which
+`_windows` then yields without testing them.
 """
 
 from __future__ import annotations
@@ -76,31 +81,34 @@ class _FacialFamily(Family):
         if self._occurrences is None:
             self._occurrences = self._index()
         span = length + self.on_edges
-        for walk, objs, p in self._occurrences[x]:
+        for walk, objs, p, simple in self._occurrences[x]:
             f = len(walk) // 2
             if f < span:
                 continue
             for s in range(p - length + 1, p + 1):
                 s %= f
-                if len(set(walk[s:s + span])) == span:
+                if simple or len(set(walk[s:s + span])) == span:
                     yield objs[s:s + length]
 
     def _index(self):
-        """For each object, its occurrences (walk, objs, position) on the
-        faces: ``walk`` is the face's vertex walk and ``objs`` its objects
-        (the walk itself, or the edge id of each dart), both written twice
-        so that a window wrapping around the face is one slice."""
+        """For each object, its occurrences (walk, objs, position, simple)
+        on the faces: ``walk`` is the face's vertex walk and ``objs`` its
+        objects (the walk itself, or the edge id of each dart), both written
+        twice so that a window wrapping around the face is one slice, and
+        ``simple`` says the walk repeats no vertex, so that every window no
+        longer than the face is simple."""
         occurrences = [[] for _ in range(self.n_objects + 1)]
         index = self.g.edge_index
         for face in self.pg.faces:
             walk = tuple(u for u, _ in face)
+            simple = len(set(walk)) == len(walk)
             walk += walk
             objs = walk
             if self.on_edges:
                 objs = tuple(index[(u, v) if u < v else (v, u)] for u, v in face)
                 objs += objs
             for p in range(len(face)):
-                occurrences[objs[p]].append((walk, objs, p))
+                occurrences[objs[p]].append((walk, objs, p, simple))
         return occurrences
 
 
@@ -126,6 +134,9 @@ class _FacialEdgeFamily(_FacialFamily):
         self.medial = medial_graph(pg)
         super().__init__(pg, self.medial)
         self.e_star = e_star
+        # the leaf tree of every edge uncolored, made by the first
+        # `_LeafFrontier._rebuild` that sees that state
+        self.leaf_tree = None
 
     def _uncolored_neighbor(self, e: int, colored) -> int:
         for u in self.medial[e]:
@@ -171,25 +182,35 @@ class _LeafFrontier:
     when it was the only child.  Releasing exactly the leaf just taken puts
     it back; any other release marks the tree stale, and the next `pick`
     rebuilds it from scratch: `_rebuild` is the one breadth-first search
-    and raises both `MedialConnectivityError` refusals.
+    and raises both `MedialConnectivityError` refusals.  The tree of the
+    all-uncolored state depends on the family alone: the first search that
+    succeeds from it leaves a copy on the family (``leaf_tree``), and later
+    rebuilds from that state copy it back instead of searching again.
     """
 
     __slots__ = ("fam", "uncolored", "parent", "children", "heap", "queued",
                  "stale", "last")
 
     def __init__(self, fam: _FacialEdgeFamily):
-        m = fam.n_objects
         self.fam = fam
-        self.uncolored = bytearray(b"\0" + b"\1" * m)
-        self.parent = [0] * (m + 1)
+        self.uncolored = bytearray(b"\0" + b"\1" * fam.n_objects)
         self.stale = True
         self.last = None  # the leaf `took` detached, until the next release
 
     def _rebuild(self) -> None:
-        root = self.fam.e_star
-        uncolored, parent, medial = self.uncolored, self.parent, self.fam.medial
+        fam = self.fam
+        root, uncolored, medial = fam.e_star, self.uncolored, fam.medial
         if not uncolored[root]:
             raise MedialConnectivityError("the reserved edge must stay uncolored")
+        full = uncolored.count(0) == 1
+        if full and fam.leaf_tree is not None:
+            parent, children, heap, queued = fam.leaf_tree
+            self.parent, self.children = list(parent), list(children)
+            self.heap = list(heap)
+            self.queued = bytearray(queued)
+            self.stale = False
+            return
+        parent = self.parent = [0] * len(uncolored)
         children = [0] * len(parent)
         reached = bytearray(len(parent))
         reached[root] = 1
@@ -213,6 +234,9 @@ class _LeafFrontier:
         for x in self.heap:
             self.queued[x] = 1
         self.stale = False
+        if full:
+            fam.leaf_tree = (tuple(parent), tuple(children), tuple(self.heap),
+                             bytes(self.queued))
 
     def pick(self):
         if self.stale:

@@ -90,24 +90,26 @@ def test_row_widths_follow_the_shape_and_the_cap(name):
                     assert width <= fam.widest or not rows, (name, j, v)
 
 
-@pytest.mark.parametrize("make, n, step", [
+@pytest.mark.parametrize("make, n, steps", [
     # vertex 1 is pendant, so its type-1 candidate tuple holds one neighbor
     # although the ceiling is the max degree 3
-    (lambda: acyclic_gamma_family(Graph(4, [(1, 2), (2, 3), (2, 4)]), 1), 4, (1, 2)),
-    # P4 has one type-2 path through vertex 1, and the ceiling is 16
-    (lambda: nonrepetitive_vertex_family(Graph(4, [(1, 2), (2, 3), (3, 4)])), 4, (2, 5)),
+    (lambda: acyclic_gamma_family(Graph(4, [(1, 2), (2, 3), (2, 4)]), 1), 4, ((1, 2),)),
+    # P4 has one type-2 path, through every vertex, and the ceiling is 16;
+    # the event comes second, so that its two objects can be colored
+    (lambda: nonrepetitive_vertex_family(Graph(4, [(1, 2), (2, 3), (3, 4)])), 4,
+     (None, (2, 5))),
     # edge 2 is colored first; its medial neighbors are 1 and 3, and the
     # uncolored edge 1 is skipped, so its type-1 class list has one entry
-    (lambda: facial_thue_edge_family(load_rotation(K3_ROT), 1), 3, (1, 2)),
+    (lambda: facial_thue_edge_family(load_rotation(K3_ROT), 1), 3, ((1, 2),)),
 ], ids=["gamma-table", "nonrepetitive-row", "facial-edge-row"])
-def test_a_class_past_the_class_list_fails_as_decode_error(make, n, step):
-    """A forged record whose class is within its type's ceiling but past
-    the anchor's class list (`_classes`) names no event."""
+def test_a_class_past_the_class_list_fails_as_decode_error(make, n, steps):
+    """A forged record whose last step's class is within its type's ceiling
+    but past the anchor's class list (`_classes`) names no event."""
     fam = make()
-    j, k = step
+    j, k = steps[-1]
     assert k <= fam.metas[j - 1].cost
     with pytest.raises(DecodeError, match="names no event"):
-        decode(None, fam, PartialColoring(n), Record((step,)))
+        decode(None, fam, PartialColoring(n), Record(steps))
 
 
 def test_a_class_naming_an_uncolored_candidate_fails_as_decode_error():
@@ -166,3 +168,30 @@ def test_a_forged_record_is_refused_or_replays(name):
             run(g, fam, EngineInput(inp.kappa, vector=values))
             outcomes["replayed"] += 1
     assert outcomes["refused"] and outcomes["replayed"]
+
+
+def test_a_forged_event_wider_than_the_colored_set_is_refused_unsearched():
+    """A fuzzed acyclic-gamma instance (n=12, m=47, kappa 3) whose record's
+    fourth step is forged into a type-6 event, which uncolors 10 objects
+    while 3 are colored: replay refuses it from the type's uncolor size,
+    without enumerating a witness list (this one took seconds to fill)."""
+    g, fam, inp = fuzzed_instance("acyclic-gamma", random.Random("forged wide 858"),
+                                  kappas=(2, 3))
+    assert (g.n, g.m, inp.kappa) == (12, 47, 3)
+    res = run(g, fam, inp)
+    steps = list(res.record.steps)
+    assert steps[:4] == [None, None, (1, 1), None]
+    top = fam.metas[-1]
+    assert (top.type_id, top.uncolor_size) == (6, 10)
+    steps[3] = (6, 1)
+    calls = []
+    rows = fam.witness_rows
+
+    def counted(v, j):
+        calls.append((v, j))
+        return rows(v, j)
+
+    fam.witness_rows = counted
+    with pytest.raises(DecodeError, match="type 6 event at 3 uncolors 10 objects, but only 3"):
+        decode(g, fam, res.coloring, Record(tuple(steps)))
+    assert calls == []

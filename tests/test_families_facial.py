@@ -19,6 +19,7 @@ from recolor.families import (
     facial_thue_edge_family,
     facial_thue_vertex_family,
 )
+from recolor.families.facial import _FacialFamily
 from recolor.graphs import Graph
 from recolor.planar import PlaneGraph, load_rotation, random_triangulation
 
@@ -375,6 +376,39 @@ class TestTypeCap:
         pg = plane_with_long_faces(rng.randint(6, 14), rng.randint(3, 30), rng)
         self._assert_empty_past_cap(pg, facial_thue_vertex_family(pg), pg.graph.n)
         self._assert_empty_past_cap(pg, facial_thue_edge_family(pg, 1), pg.graph.m)
+
+
+@pytest.mark.parametrize("make", [
+    facial_thue_vertex_family,
+    lambda pg: facial_thue_edge_family(pg, 1),
+], ids=["vertex", "edge"])
+@pytest.mark.parametrize("long_faces", [False, True],
+                         ids=["triangulation", "long-faces"])
+def test_row_search_runs_only_where_a_window_fits(make, long_faces, monkeypatch):
+    """A triangulation's faces are narrower than any row type, so `detect`
+    reads its candidate table only and never calls `fired`, in runs,
+    decodes or allowedness checks; on longer faces it still searches."""
+    calls = []
+    search = _FacialFamily.fired
+
+    def counted(self, coloring, v):
+        calls.append(v)
+        return search(self, coloring, v)
+
+    monkeypatch.setattr(_FacialFamily, "fired", counted)
+    rng = random.Random(f"row search {long_faces}")
+    events = 0
+    for _ in range(6):
+        n = rng.randint(6, 40)
+        pg = (plane_with_long_faces(n, 2 * n, rng) if long_faces
+              else random_triangulation(n, rng))
+        fam = make(pg)
+        res = assert_roundtrip(pg.graph, fam, EngineInput(
+            rng.randint(2, 5), seed=rng.randrange(2 ** 31),
+            budget=10 * fam.n_objects))
+        events += sum(step is not None for step in res.record.steps)
+    assert events
+    assert bool(calls) == long_faces
 
 
 @pytest.mark.parametrize("make, kappa", [

@@ -21,7 +21,7 @@ from recolor.engine import (
 from recolor.families import MedialConnectivityError, facial_thue_edge_family
 from recolor.families.facial import _LeafFrontier
 from recolor.graphs import Graph
-from recolor.planar import load_rotation
+from recolor.planar import load_rotation, random_triangulation
 
 from _util import FAMILY_CASES, fuzzed_instance, plane_with_long_faces, random_graph
 
@@ -160,11 +160,61 @@ def test_facial_edge_frontier_rebuilds_on_long_faces(monkeypatch):
 
 
 def test_medial_connectivity_errors_surface_through_run():
+    # a failed search leaves no leaf tree behind, so every run raises
     fam = facial_thue_edge_family(load_rotation(TWO_EDGES_ROT), 1)
-    with pytest.raises(MedialConnectivityError, match="disconnected"):
-        run(None, fam, EngineInput(5, seed=1, budget=10))
-    with pytest.raises(MedialConnectivityError, match="disconnected"):
-        run(None, fam, EngineInput(5, seed=1, budget=0))
+    for _ in range(2):
+        with pytest.raises(MedialConnectivityError, match="disconnected"):
+            run(None, fam, EngineInput(5, seed=1, budget=10))
+        with pytest.raises(MedialConnectivityError, match="disconnected"):
+            run(None, fam, EngineInput(5, seed=1, budget=0))
+        assert fam.leaf_tree is None
+
+
+def test_building_a_facial_edge_family_searches_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(_LeafFrontier, "_rebuild", lambda self: calls.append(self))
+    pg = plane_with_long_faces(12, 20, random.Random("no search"))
+    fam = facial_thue_edge_family(pg, 1)
+    fam.frontier()
+    assert calls == [] and fam.leaf_tree is None
+
+
+@pytest.mark.parametrize("long_faces", [False, True],
+                         ids=["triangulation", "long-faces"])
+def test_runs_on_one_family_match_runs_on_fresh_ones(long_faces):
+    """The first search of the all-uncolored state leaves its leaf tree on
+    the family (`leaf_tree`), and every later frontier copies it: runs in a
+    row on one family, with `next_uncolored` asked between them, give the
+    records and final colorings of runs on fresh families."""
+    rng = random.Random(f"one family {long_faces}")
+    events = Counter()
+    for _ in range(10):
+        n = rng.randint(5, 14)
+        pg = (plane_with_long_faces(n, 2 * n, rng) if long_faces
+              else random_triangulation(n, rng))
+        e_star = rng.randint(1, pg.graph.m)
+        shared = facial_thue_edge_family(pg, e_star)
+        for i in range(3):
+            if i == 1:
+                assert shared.leaf_tree is not None
+                assert shared.next_uncolored(set()) == \
+                    facial_thue_edge_family(pg, e_star).next_uncolored(set())
+            inp = EngineInput(rng.randint(2, 5), seed=rng.randrange(2 ** 31),
+                              budget=rng.randint(0, 20 * pg.graph.m))
+            res = run(pg.graph, shared, inp)
+            fresh = facial_thue_edge_family(pg, e_star)
+            want = run(pg.graph, fresh, inp)
+            assert res.record == want.record
+            assert res.coloring.as_dict() == want.coloring.as_dict()
+            assert res.status == want.status
+            assert shared.next_uncolored(res.coloring.colored) == \
+                fresh.next_uncolored(want.coloring.colored)
+            values = decode(pg.graph, shared, res.coloring, res.record)
+            assert tuple(values) == inp.make_vector()[: res.steps_used]
+            events.update("wide" if step[0] > 1 else "leaf"
+                          for step in res.record.steps if step is not None)
+    # wide events rebuild the tree mid-run from a partly colored state
+    assert events["leaf"] and bool(events["wide"]) == long_faces, events
 
 
 def test_leaf_frontier_rebuild_checks_connectivity():

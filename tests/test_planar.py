@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from recolor.planar import (
     medial_graph,
     random_triangulation,
 )
-from _util import facial_windows, plane_with_long_faces
+from _util import facial_windows, grid_embedding, plane_with_long_faces
 
 K3_ROT = "3 3\n1: 2 3\n2: 3 1\n3: 1 2\n"
 C4_ROT = "4 4\n1: 2 4\n2: 3 1\n3: 4 2\n4: 1 3\n"
@@ -239,7 +240,55 @@ def windows_over_all_faces(pg, x, length):
     return sorted(out)
 
 
+def windows_by_object(pg, length, *, edges):
+    """Every window of ``length`` consecutive objects on every face walk
+    whose vertices are distinct, tested window by window, once per (face,
+    offset) and listed under each object it holds: the per-window
+    definition `_FacialFamily._windows` shortcuts on faces that repeat no
+    vertex."""
+    out = defaultdict(list)
+    index = pg.graph.edge_index
+    for face in pg.faces:
+        f = len(face)
+        for off in range(f):
+            darts = [face[(off + i) % f] for i in range(length)]
+            if edges:
+                verts = [darts[0][0]] + [d[1] for d in darts]
+                if len(set(verts)) != length + 1:
+                    continue
+                window = tuple(index[(min(a, b), max(a, b))] for a, b in darts)
+            else:
+                window = tuple(d[0] for d in darts)
+                if len(set(window)) != length:
+                    continue
+            for x in window:
+                out[x].append(window)
+    return out
+
+
 class TestFaceIndex:
+    @pytest.mark.parametrize("host", [
+        *(f"grid {a}" for a in range(3, 13)),
+        *(f"long faces {seed}" for seed in range(4))])
+    def test_windows_match_the_per_window_definition(self, host):
+        """Grids have simple faces only, and the long-face hosts faces that
+        revisit a vertex too; every window length up to the longest face."""
+        kind, _, arg = host.rpartition(" ")
+        if kind == "grid":
+            pg = grid_embedding(int(arg))
+        else:
+            rng = random.Random(f"simple faces {arg}")
+            n = rng.randint(8, 16)
+            pg = plane_with_long_faces(n, 2 * n, rng)
+        families = ((facial_thue_vertex_family(pg), False),
+                    (facial_thue_edge_family(pg, 1), True))
+        for length in range(2, max(map(len, pg.faces)) + 1):
+            for fam, edges in families:
+                want = windows_by_object(pg, length, edges=edges)
+                for x in range(1, fam.n_objects + 1):
+                    assert sorted(fam._windows(x, length)) == sorted(want[x]), \
+                        (host, edges, length, x)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_windows_match_a_scan_of_all_faces(self, seed):
         rng = random.Random(f"face index {seed}")
