@@ -7,7 +7,9 @@ level-capped partials.  The enumeration oracle here is deliberately separate
 from the series code so the two can disagree.
 """
 
+import hashlib
 import math
+import random
 from math import comb, gcd
 
 import pytest
@@ -134,6 +136,48 @@ def test_series_preset_matches_the_power_recurrence(cap, t_max):
     b, r = record_series(terms, cap, t_max)
     assert b == reference_count_b(terms, t_max)
     assert r == reference_count_r(terms, cap, t_max)
+
+
+# every preset with an exact mode, at a small delta
+EXACT_PRESETS = [
+    ("acyclic-gamma", 3, {"gamma": 1}),
+    ("acyclic-v2", 9, {"alpha": 0.5}),
+    ("nonrepetitive-vertex", 3, {}),
+    ("nonrepetitive-edge", 3, {}),
+    ("facial-thue-vertex", 3, {}),
+    ("facial-thue-edge", None, {}),
+    ("pair-forbidden", 5, {"descriptors": [(4, 4)]}),
+    ("pair-forbidden", 5, {"descriptors": [(4, 4)], "form": "edge"}),
+]
+
+
+def _pinned_corpus():
+    """Seeded (terms, n, t_max) cases: random systems with fractional,
+    zero and large ceilings, then every exact-mode preset's term list."""
+    rng = random.Random(34)
+    for _ in range(40):
+        terms = [(rng.choice([rng.randint(0, 9), rng.randint(0, 10 ** 6),
+                              rng.uniform(0, 30)]), rng.randint(1, 9))
+                 for _ in range(rng.randint(1, 4))]
+        t_max = rng.randint(0, 60)
+        for n in (0, 1, rng.randint(2, 6), t_max, t_max + 3):
+            yield terms, n, t_max
+    for problem, delta, kw in EXACT_PRESETS:
+        for exact in (4, 12):
+            terms = kappa_preset(problem, delta, n=exact, **kw).q.terms
+            for n in (0, 3, 40):
+                yield terms, n, 40
+
+
+def test_record_series_match_their_pinned_digest():
+    """b and r over `_pinned_corpus`, hashed together; pinned on the
+    Lagrange-Buermann pass, so the level walk must give them bit for bit."""
+    h = hashlib.sha256()
+    for terms, n, t_max in _pinned_corpus():
+        b, r = record_series(terms, n, t_max)
+        h.update(f"{n} {t_max} {b} {r}\n".encode())
+    assert h.hexdigest() == \
+        "b14f2d63a1e4c2c526f257941434719c54d462dbfc45e1fb4e4a30a1855c0be8"
 
 
 # --- enumeration oracle ----------------------------------------------------
