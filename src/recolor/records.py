@@ -7,23 +7,28 @@ the generating function of excursions (paths returning to level 0) by
 climb count, B(y) = 1 + sum_j C_j y^{s_j} B(y)^{s_j}; paths ending at any
 level ell <= n contribute through R(y) = sum_{0<=ell<=n} y^ell B(y)^{ell+1}.
 
-Both series come from one Lagrange-Buermann pass.  Put u = yB.  Then
-B = phi(u) with phi(u) = 1 + sum_j C_j u^{s_j}, the cost polynomial of
-the bounds, and u = y phi(u).  R = B sum_{ell<=n} u^ell = H(u) with
-H(u) = phi(u) (1 + u + ... + u^n).  Lagrange-Buermann then reads, for
-t >= 1,
+Both series come from one walk over levels.  Merge the terms by size, c_s
+the sum of the C_j with s_j = s, and let f(t, h) count the annotated paths
+of t climbs that end at level h and never go below 0.  Then
 
-    b_t = (1/t) [u^{t-1}] phi'(u) phi(u)^t,
-    r_t = (1/t) [u^{t-1}] H'(u) phi(u)^t,
+    f(t, h) = f(t-1, h-1) + sum_s c_s f(t-1, h+s-1),
 
-with b_0 = r_0 = 1.  The coefficients q_k of phi^t for k < t follow from
-J. C. P. Miller's recurrence for powers of a series with constant term 1,
-q_0 = 1 and k q_k = sum_j ((t+1) s_j - k) C_j q_{k-s_j}, in O(t m) steps
-for m terms, so the whole table takes O(t_max^2 m).  Every division is
-exact: phi has integer coefficients, so each q_k is an integer and the
-recurrence gives k q_k exactly; b_t and r_t count paths, so t divides the
-sums above.  The terms of H beyond degree t_max never reach a coefficient
-below y^{t_max + 1}, so n is cut to min(n, t_max).
+b_t = f(t, 0) and r_t = sum_{h<=n} f(t, h); R counts exactly these paths,
+with their intermediate levels uncapped.  `record_series` packs f(t, .)
+into one integer F, level h in the W-bit slot h, so a step is a few
+whole-integer operations, F <- (F << W) + sum_s c_s (F >> (s-1) W); the
+right shifts drop exactly the descents that would end below level 0.  b_t
+is the lowest slot, and r_t a running total updated from 2 top slots only
+(levels below top - 1 and levels n..n+top-1, top the largest size).
+
+The width is a proved bound.  For z >= 1, G_t(z) = sum_h f(t, h) z^h is at
+most psi(z) G_{t-1}(z) with psi(z) = z + sum_s c_s z^(1-s), so no slot
+exceeds psi(z)^t.  The bound is read at z = 2^e, the e minimizing it, in
+integers: psi(z) z^(top-1) is one.  The walk runs in sixteen epochs and
+repacks F at the start of each, to the bound at the epoch's last step.
+For m distinct sizes it writes about (m + 1) t_max^2 W / 2 bits; a table
+past `_WALK_BITS` (about 10 s on a 2-CPU container) is refused before the
+walk starts.
 
 Counts here are exact arbitrary-precision integers.  A term with a
 fractional C_j admits floor(C_j) annotations, since class indices are
@@ -52,6 +57,7 @@ __all__ = [
 
 _ENUMERATION_CAP = 14
 _RECORD_CAP = 1_000_000
+_WALK_BITS = 1.4e11
 
 
 def _normalize(terms) -> tuple[tuple[int, int], ...]:
@@ -75,27 +81,58 @@ def record_series(terms, n: int, t_max: int) -> tuple[list[int], list[int]]:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     phi: dict[int, int] = {}
     for c, s in _normalize(terms):
-        if c:
+        if c and s <= t_max:  # a longer descent never fits under t_max climbs
             phi[s] = phi.get(s, 0) + c
-    terms_phi = sorted(phi.items())
-    # H(u) = phi(u) (1 + u + ... + u^n) up to degree t_max, then H'(u)
-    h = [0] * (t_max + 1)
-    for s, c in [(0, 1), *terms_phi]:
-        for k in range(s, min(s + n, t_max) + 1):
-            h[k] += c
-    dh = [k * h[k] for k in range(1, t_max + 1)]
+    top = max(phi, default=1)
+
+    def scaled(e: int) -> int:  # psi(2^e) 2^(e (top-1))
+        return (1 << e * top) + sum(c << e * (top - s) for s, c in phi.items())
+
+    e = 0  # psi is convex, so psi(2^e) falls to its least value, then rises
+    while scaled(e + 1) < scaled(e) << top - 1:
+        e += 1
+    a, drop = scaled(e), e * (top - 1)
+    log_psi = math.log2(a) - drop
+    work = (len(phi) + 1) * t_max ** 2 * (t_max * log_psi + 8) / 2
+    if work > _WALK_BITS:
+        raise ValueError(
+            f"refusing to count records up to t_max {t_max}: the level walk "
+            f"would write about {work:.2g} bits, past {_WALK_BITS:.2g}")
+    # w[h]: the classes of the descents longer than h + 1, which fall below
+    # level 0 from level h, and reach level n from level n + h + 1
+    w = [sum(c for s, c in phi.items() if s > h + 1) for h in range(top - 1)]
+    low = [(x, h) for h, x in enumerate(w) if x]
+    high = [(-1, 0), *((x, h + 1) for x, h in low)]
+    grow = 1 + sum(phi.values())
+    packed, tot, width = 1, 1, 1  # f(0, .) in one-byte slots
     b, r = [1], [1]
-    for t in range(1, t_max + 1):
-        q = [1]  # q[k] = [u^k] phi(u)^t by Miller's recurrence
-        for k in range(1, t):
-            acc = 0
-            for s, c in terms_phi:
-                if s > k:
-                    break
-                acc += ((t + 1) * s - k) * c * q[k - s]
-            q.append(acc // k)
-        b.append(sum(s * c * q[t - s] for s, c in terms_phi if s <= t) // t)
-        r.append(sum(dh[i] * q[t - 1 - i] for i in range(t)) // t)
+    span = -(-t_max // 16) or 1
+    for first in range(1, t_max + 1, span):
+        last = min(t_max, first + span - 1)
+        old, width = width, ((a ** last >> drop * last).bit_length() + 7) // 8
+        buf = packed.to_bytes(first * old, "little")  # levels 0..first-1
+        packed = int.from_bytes(bytes(width - old).join(
+            buf[i:i + old] for i in range(0, len(buf), old)), "little")
+        bits = 8 * width
+        slot = (1 << bits) - 1
+        low_mask = (1 << (top - 1) * bits) - 1
+        high_mask = (1 << top * bits) - 1
+        shifts = [((s - 1) * bits, c) for s, c in phi.items()]
+        low_at = [(x, h * width, (h + 1) * width) for x, h in low]
+        high_at = [(x, h * width, (h + 1) * width) for x, h in high]
+        for t in range(first, last + 1):
+            lo = (packed & low_mask).to_bytes((top - 1) * width, "little")
+            tot = grow * tot - sum(
+                x * int.from_bytes(lo[i:j], "little") for x, i, j in low_at)
+            if n < t:  # f(t-1, n) and the levels above it may be nonzero
+                hi = (packed >> n * bits & high_mask).to_bytes(
+                    top * width, "little")
+                tot += sum(x * int.from_bytes(hi[i:j], "little")
+                           for x, i, j in high_at)
+            packed = (packed << bits) + sum(c * (packed >> k)
+                                            for k, c in shifts)
+            b.append(packed & slot)
+            r.append(tot)
     return b, r
 
 

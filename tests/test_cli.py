@@ -707,6 +707,18 @@ def test_count_records_requires_input(capsys):
     assert "--terms or --problem" in err
 
 
+def test_count_records_refuses_a_table_too_long_to_count(capsys):
+    # t_max 10^7 at one bit per step would write about 1e21 bits; the
+    # refusal reads bit lengths only, so it is one line and immediate
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count-records", "--terms", "1:1",
+                             "--level-cap", "1", "--tmax", "10000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: refusing to count records up to t_max")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # --- verify --------------------------------------------------------------------
 
 def test_verify_accept_and_reject(capsys, tmp_path):

@@ -116,7 +116,7 @@ def test_count_r_sub_unit_ceilings_count_plain_climbs():
     assert count_r(terms, 5, 8) == [1] * 6 + [0] * 3
 
 
-# --- Lagrange inversion against the power recurrence ------------------------
+# --- level walk against the power recurrence ------------------------------
 
 @given(terms=st.one_of(term_systems, wide_term_systems),
        n=st.integers(0, 70), t_max=st.integers(0, 60))
@@ -178,6 +178,67 @@ def test_record_series_match_their_pinned_digest():
         h.update(f"{n} {t_max} {b} {r}\n".encode())
     assert h.hexdigest() == \
         "b14f2d63a1e4c2c526f257941434719c54d462dbfc45e1fb4e4a30a1855c0be8"
+
+
+# (terms, n, t_max) at the edges of the level walk.  Its slots are the
+# bound psi^t rounded up to whole bytes.  With one unit size and c = 256,
+# b_t = 256^t has 8t + 1 bits, as many as the bound 257^t, so a width one
+# bit short of the bound ends at 8t bits and loses b_t; with 1 + c a power
+# of two, r_t = (1 + c)^t sits exactly on the bound
+WIDTH_EDGES = [
+    ([(2, 1)], 0, 0),
+    ([(1, 2), (3, 1)], 0, 30),
+    ([(1, 2), (3, 1)], 30, 30),
+    ([(1, 2), (3, 1)], 45, 30),
+    ([(2, 3), (1, 1)], 10 ** 9, 25),
+    ([(1, 1)], 40, 40),
+    ([(3, 1)], 2, 33),
+    ([(255, 1)], 17, 17),
+    ([(256, 1)], 24, 24),
+    ([(256, 1)], 0, 16),
+    ([(1e300, 1)], 12, 12),
+    ([(1e300, 2), (1, 1)], 4, 12),
+    ([(0, 1)], 3, 10),
+    ([(0.5, 2), (0.99, 1)], 2, 10),
+    ([(0, 3), (2, 1)], 5, 20),
+    ([(2, 3), (1, 3), (4, 1), (4, 1)], 7, 30),
+    ([(1, 1), (2, 5), (1, 9)], 3, 30),
+    ([(3, 1), (5, 40)], 20, 20),
+    ([(2, 2), (7, 21)], 1, 20),
+]
+
+
+def _width_fuzz():
+    rng = random.Random(1034)
+    yield from WIDTH_EDGES
+    for _ in range(60):
+        ceilings = [0, 0.5, rng.randint(1, 9), 2 ** rng.randint(1, 40),
+                    rng.uniform(0, 30), 1e30]
+        terms = [(rng.choice(ceilings), rng.randint(1, 12))
+                 for _ in range(rng.randint(1, 5))]
+        t_max = rng.randint(0, 36)
+        n = rng.choice([0, 1, rng.randint(2, 8), t_max, 10 ** 9])
+        yield terms, n, t_max
+
+
+def test_level_walk_width_matches_the_power_recurrence():
+    """The walk's slot width is a proved bound; a slot that overflowed it
+    would carry into the next level and change both counts."""
+    for terms, n, t_max in _width_fuzz():
+        b, r = record_series(terms, n, t_max)
+        assert b == reference_count_b(terms, t_max), (terms, t_max)
+        assert r == reference_count_r(terms, n, t_max), (terms, n, t_max)
+
+
+def test_record_series_refuses_long_tables_before_counting():
+    # the refusal reads bit lengths only, so a huge t_max returns at once;
+    # sub-unit ceilings leave one-byte slots, refused all the same
+    for terms, t_max in [([(1, 1)], 10 ** 7), ([(0.5, 1)], 10 ** 6),
+                         ([(1e300, 2)], 10 ** 18)]:
+        with pytest.raises(ValueError, match="refusing to count records"):
+            record_series(terms, 1, t_max)
+    b, _ = record_series([(1, 1)], 1, 400)
+    assert b == [1] * 401
 
 
 # --- enumeration oracle ----------------------------------------------------
