@@ -332,6 +332,16 @@ def _cmd_count_records(args) -> int:
     else:
         raise ValueError("supply --terms or --problem")
     b, r = record_series(terms, args.level_cap, args.tmax)
+    # Python prints no int past its digit limit (0: no limit, and none
+    # before 3.10.7); refuse the whole table rather than stop mid-table
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        top = 10 ** limit
+        for t, (bt, rt) in enumerate(zip(b, r)):
+            if bt >= top or rt >= top:
+                raise ValueError(
+                    f"the count at t={t} has more than {limit} digits, past "
+                    "Python's limit for printing an int; lower --tmax")
     report = growth_report(terms, b)
     if args.brute:
         for t in range(min(args.tmax, 12) + 1):

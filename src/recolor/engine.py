@@ -73,10 +73,6 @@ class PartialColoring:
         self.colors = array("i", bytes(4 * (n_objects + 1)))
         self.colored: set[int] = set()
 
-    @property
-    def n_objects(self) -> int:
-        return len(self.colors) - 1
-
     def color_of(self, v: int) -> int:
         return self.colors[v]
 
@@ -271,7 +267,8 @@ class EngineInput(_EngineInputFields):
     one definition of that stream.  In list mode each
     drawn value is a 1-based index into the colored object's list; every
     given list is checked here, once: it must hold at least kappa colors,
-    all positive."""
+    all positive and distinct, since `decode` reads an index back from its
+    color."""
 
     __slots__ = ()
 
@@ -299,6 +296,9 @@ class EngineInput(_EngineInputFields):
                     f"list for object {v} has {len(colors)} colors, needs >= {kappa}")
             if (low := min(colors)) < 1:
                 raise ValueError(f"list for object {v} holds color {low}, needs >= 1")
+            if len(set(colors)) < len(colors):
+                twice = next(c for i, c in enumerate(colors) if c in colors[:i])
+                raise ValueError(f"list for object {v} holds color {twice} twice")
         return super().__new__(cls, kappa, vector, seed, budget, lists)
 
     def draws(self) -> Iterator[int]:
@@ -336,38 +336,33 @@ class RunResult(NamedTuple):
     surviving_order: tuple[int, ...] = ()
 
 
-def _checked_event(fam, metas, j: int, k: int, exc) -> EventTypeMeta:
+def _bad_pick(fam, v, exc) -> Exception:
+    return exc(f"family {fam.name!r} picked invalid object {v}")
+
+
+def _checked_target(fam, metas, j, k, v, colored, exc) -> tuple[int, ...]:
+    """The objects that the type-j class-k event at v uncolors, checked
+    against the family's declaration; `run` and `replay_colored_sets` make
+    every event check here, raising ``exc``.  A type wider than the colored
+    set is refused before the family is asked for its set."""
     meta = metas.get(j)
     if meta is None:
         raise exc(f"family {fam.name!r} emitted unknown event type {j}")
     if not (isinstance(k, int) and 1 <= k and k <= meta.cost):
         raise exc(f"family {fam.name!r} emitted class {k} outside 1..{meta.cost} for type {j}")
-    return meta
-
-
-def _bad_pick(fam, v, exc) -> Exception:
-    return exc(f"family {fam.name!r} picked invalid object {v}")
-
-
-def _checked_pick(fam, frontier, colored, exc) -> Optional[int]:
-    """The frontier's pick, checked as the loops in `run` and
-    `replay_colored_sets` check theirs inline."""
-    v = frontier.pick()
-    if v is not None and (
-            not (isinstance(v, int) and 1 <= v <= fam.n_objects) or v in colored):
-        raise _bad_pick(fam, v, exc)
-    return v
-
-
-def _checked_uncolor_set(fam, meta, v, colored, k, exc) -> tuple[int, ...]:
+    size = meta.uncolor_size
+    if size > len(colored):
+        raise exc(
+            f"family {fam.name!r}: a type {j} event at {v} uncolors "
+            f"{size} objects, but only {len(colored)} are colored")
     try:
         target = tuple(fam.uncolor_set(meta.type_id, v, colored, k))
     except ValueError as err:
         raise exc(f"family {fam.name!r}: {err}") from None
     distinct = set(target)
-    if len(distinct) != len(target) or len(target) != meta.uncolor_size:
+    if len(distinct) != len(target) or len(target) != size:
         raise exc(
-            f"family {fam.name!r} uncolor set {target} is not {meta.uncolor_size} distinct objects"
+            f"family {fam.name!r} uncolor set {target} is not {size} distinct objects"
         )
     if v not in distinct or not distinct <= colored:
         raise exc(
@@ -395,7 +390,6 @@ def run(g, fam: BadEventFamily, inp: EngineInput) -> RunResult:
     steps: list[Optional[tuple[int, int]]] = []
     append = steps.append
     last_step: dict[int, int] = {}
-    status = None
     for i, idx in enumerate(inp.draws()):
         v = pick()
         if v is None:
@@ -418,19 +412,20 @@ def run(g, fam: BadEventFamily, inp: EngineInput) -> RunResult:
             append(None)
             continue
         j, k = hit
-        meta = _checked_event(fam, metas, j, k, FamilyContractError)
-        target = _checked_uncolor_set(fam, meta, v, colored, k, FamilyContractError)
+        target = _checked_target(fam, metas, j, k, v, colored, FamilyContractError)
         for u in target:
             unassign(u)
         released(target)
         append((j, k))
-    if status is None:
-        status = (
-            RunStatus.COMPLETED
-            if _checked_pick(fam, frontier, pc.colored, FamilyContractError) is None
-            else RunStatus.BUDGET_EXHAUSTED
-        )
-    order = tuple(sorted(pc.colored, key=last_step.__getitem__))
+    else:
+        v = pick()
+        if v is None:
+            status = RunStatus.COMPLETED
+        elif not (isinstance(v, int) and 1 <= v <= n) or v in colored:
+            raise _bad_pick(fam, v, FamilyContractError)
+        else:
+            status = RunStatus.BUDGET_EXHAUSTED
+    order = tuple(sorted(colored, key=last_step.__getitem__))
     return RunResult(pc, Record(tuple(steps)), status, len(steps), order)
 
 
@@ -464,12 +459,7 @@ def replay_colored_sets(fam: BadEventFamily,
             append((v, ()))
             continue
         j, k = step
-        meta = _checked_event(fam, metas, j, k, DecodeError)
-        if meta.uncolor_size > len(colored):
-            raise DecodeError(
-                f"family {fam.name!r}: a type {j} event at {v} uncolors "
-                f"{meta.uncolor_size} objects, but only {len(colored)} are colored")
-        target = _checked_uncolor_set(fam, meta, v, colored, k, DecodeError)
+        target = _checked_target(fam, metas, j, k, v, colored, DecodeError)
         drop(target)
         released(target)
         append((v, target))

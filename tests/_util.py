@@ -102,8 +102,7 @@ def assert_roundtrip(g, fam, inp):
 
     res = run(g, fam, inp)
     decoded = decode(g, fam, res.coloring, res.record, lists=inp.lists)
-    if inp.lists is None:
-        assert tuple(decoded) == inp.make_vector()[: res.steps_used]
+    assert tuple(decoded) == inp.make_vector()[: res.steps_used]
     if res.coloring.colored:
         assert allowedness_witness(fam, res.coloring, res.surviving_order) is None
     sizes = {m.type_id: m.uncolor_size for m in fam.metas}

@@ -38,7 +38,14 @@ from recolor.planar import medial_graph, random_triangulation
 from recolor.records import count_b, count_r, enumerate_records, growth_check
 from recolor.validators import check_acyclic, check_nonrepetitive
 
-from _util import grid_embedding, plane_with_long_faces, random_graph
+from _util import (
+    FAMILY_CASES,
+    assert_roundtrip,
+    fuzzed_instance,
+    grid_embedding,
+    plane_with_long_faces,
+    random_graph,
+)
 
 
 def _connected_graph(rng, lo=4, hi=9, p=0.45):
@@ -99,6 +106,27 @@ def test_decode_inverts_run_on_1000_fuzzed_triples():
         checked += 1
     assert checked == 1000
     assert time.monotonic() - started < 60.0
+
+
+@pytest.mark.parametrize("name", FAMILY_CASES)
+def test_decode_inverts_run_under_lists_from_a_wider_palette(name):
+    """Each object's list is its own random sample of kappa..kappa+3
+    distinct colors (at most 2 kappa) from a palette of 2 kappa, so lists
+    differ between objects (the sweep above uses permutations of one
+    palette); events still fire."""
+    rng = random.Random(f"wide lists {name}")
+    events = 0
+    for _ in range(12):
+        g, fam, inp = fuzzed_instance(name, rng)
+        kappa = inp.kappa
+        palette = range(1, 2 * kappa + 1)
+        lists = {obj: tuple(rng.sample(
+                     palette, rng.randint(kappa, min(kappa + 3, 2 * kappa))))
+                 for obj in range(1, fam.n_objects + 1)}
+        res = assert_roundtrip(g, fam, EngineInput(
+            kappa, seed=inp.seed, budget=inp.budget, lists=lists))
+        events += sum(step is not None for step in res.record.steps)
+    assert events
 
 
 # --- 2. quoted acyclic color counts through the CLI -------------------------

@@ -623,6 +623,25 @@ def test_count_records_ceiling_sum_past_float_range(capsys):
     assert "ceiling sum" in err
 
 
+def test_count_records_refuses_counts_too_long_to_print(capsys):
+    # r_717 has more than the 4,300 digits Python prints by default; the
+    # table is refused whole instead of stopping after the row for t = 716
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("Python before 3.10.7 prints ints of any length")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, "count-records", "--terms",
+                                 "1000000:1", "--level-cap", "1",
+                                 "--tmax", "800")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: the count at t=717 has more than 4300 digits, past Python's "
+        "limit for printing an int; lower --tmax"]
+
+
 def test_count_records_brute_refuses_huge_counts(capsys):
     code, out, err = run_cli(capsys, "count-records", "--terms", "1e300:1",
                              "--level-cap", "3", "--tmax", "3", "--brute")

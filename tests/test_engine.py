@@ -315,18 +315,13 @@ class TestListMode:
         assert tuple(decoded) == inp.make_vector()[:res.steps_used]
 
     def test_duplicate_colors_in_a_list(self):
-        # V=[2] and V=[1] produce identical runs, so decode returns the
-        # smallest index with the observed color; re-running the decoded
-        # vector reproduces the run exactly
-        g = Graph(1, [])
-        fam = MonoEdgeFamily(g)
-        lists = {1: (1, 1)}
-        res = run(g, fam, EngineInput(kappa=2, vector=(2,), lists=lists))
-        decoded = decode(g, fam, res.coloring, res.record, lists=lists)
-        assert decoded == [1]
-        again = run(g, fam, EngineInput(kappa=2, vector=tuple(decoded), lists=lists))
-        assert again.record == res.record
-        assert again.coloring.as_dict() == res.coloring.as_dict()
+        # decode reads an index back from its color, so a repeated color
+        # would decode two draws alike; the list is refused up front
+        with pytest.raises(ValueError, match="object 1 holds color 5 twice"):
+            EngineInput(kappa=3, seed=0, budget=30, lists={
+                1: (5, 5, 7), 2: (6, 8, 9), 3: (5, 6, 7)})
+        with pytest.raises(ValueError, match="object 2 holds color 1 twice"):
+            EngineInput(kappa=2, vector=(2,), lists={1: (1, 2), 2: (1, 2, 1)})
 
     def test_short_list_rejected(self):
         fam = MonoEdgeFamily(K3)
@@ -454,6 +449,52 @@ class TestFamilyContract:
 
         with pytest.raises(FamilyContractError, match="unknown event type"):
             run(K3, Bad(K3), EngineInput(kappa=1, seed=0, budget=5))
+
+    def test_type_wider_than_the_colored_set(self):
+        # a type that uncolors 3 objects fires with 2 colored: refused
+        # before the family is asked for the set
+        class Bad(MonoEdgeFamily):
+            def __init__(self, g):
+                super().__init__(g)
+                self.metas += (EventTypeMeta(2, 1, 3),)
+
+            def detect(self, coloring, v):
+                return (2, 1) if super().detect(coloring, v) else None
+
+            def uncolor_set(self, j, v, colored, k):
+                raise AssertionError("uncolor_set asked for an over-wide type")
+
+        with pytest.raises(FamilyContractError,
+                           match="a type 2 event at 2 uncolors 3 objects, "
+                                 "but only 2 are colored"):
+            run(K3, Bad(K3), EngineInput(kappa=1, seed=0, budget=5))
+
+    @pytest.mark.parametrize("vector, picked", [((1,), 1), ((1, 2, 3), 4)],
+                             ids=["colored", "out-of-range"])
+    def test_pick_after_the_last_draw_is_checked(self, vector, picked):
+        # the budget ends at the last draw; the pick that settles the status
+        # still has to name an uncolored object in 1..n
+        class Bad(MonoEdgeFamily):
+            def next_uncolored(self, colored):
+                if len(colored) == len(vector):
+                    return picked
+                return super().next_uncolored(colored)
+
+        with pytest.raises(FamilyContractError,
+                           match=f"picked invalid object {picked}$"):
+            run(K3, Bad(K3), EngineInput(kappa=3, vector=vector))
+
+    def test_detect_returning_a_list_records_a_tuple(self):
+        class ListHits(MonoEdgeFamily):
+            def detect(self, coloring, v):
+                hit = super().detect(coloring, v)
+                return list(hit) if hit else None
+
+        fam = ListHits(K3)
+        res = run(K3, fam, EngineInput(kappa=3, vector=(1, 1, 2, 2, 3)))
+        assert res.record.steps == (None, (1, 1), None, (1, 2), None)
+        assert all(type(step) is tuple for step in res.record.steps if step)
+        assert res.record == Record.parse(res.record.to_text())[0]
 
     def test_next_uncolored_must_pick_uncolored(self):
         class Bad(MonoEdgeFamily):
