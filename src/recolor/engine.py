@@ -21,6 +21,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from enum import Enum
 from typing import AbstractSet, NamedTuple, Optional, Protocol
 
+from .bounds import _checked_make
 from .errors import DecodeError, FamilyContractError
 
 
@@ -47,6 +48,7 @@ class EventTypeMeta(_EventTypeFields):
     """
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, type_id: int, cost: float,
                 uncolor_size: int) -> "EventTypeMeta":
@@ -271,6 +273,7 @@ class EngineInput(_EngineInputFields):
     color."""
 
     __slots__ = ()
+    _make = classmethod(_checked_make)
 
     def __new__(cls, kappa: int, vector: Sequence[int] | None = None,
                 seed: int | None = None, budget: int | None = None,

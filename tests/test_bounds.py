@@ -61,6 +61,14 @@ def test_q_and_p_values():
     assert q.p(1 / math.sqrt(3)) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_q_and_p_fold_their_terms_left_to_right():
+    # from Python 3.12 on, sum() of floats compensates its rounding and
+    # gives 1.0000000000000004e16 here; a left fold keeps the pinned bits
+    # the same on every interpreter
+    assert QPolynomial(((1e16, 1), (1.0, 1), (1.0, 1))).q(1.0) == 1e16
+    assert QPolynomial(((1e16, 2),) + ((1.0, 2),) * 3).p(1.0) == 1e16
+
+
 def test_from_metas_collects_costs_and_sizes():
     metas = (EventTypeMeta(1, 4.0, 2), EventTypeMeta(2, 9.0, 3))
     q = QPolynomial.from_metas(metas)

@@ -2,9 +2,10 @@
 
 The minimizer is the midpoint a 1e-12 bisection of (0, hi) ends on.  With
 ``start`` the bisection skips midpoints outside a bracket that secant steps
-from the guess found and verified, so its result must equal the plain
-search's bit for bit, whatever the guess; the presets pass their pinned
-point, which must cut the evaluations of p.
+from the guess found, and checks the bracket where it relied on it, so its
+result must equal the plain search's bit for bit, whatever the guess; the
+presets pass their pinned point, from which every preset's bracket must
+hold and cut the evaluations of p.
 """
 
 import math
@@ -57,13 +58,31 @@ def _preset_grid():
                                         "form": "edge"}
 
 
-def test_presets_optimize_to_the_plain_search_bits():
+def _record_brackets(monkeypatch):
+    """The ``known`` bracket of each `_bisect_root` call, from now on."""
+    brackets, bisect = [], bounds._bisect_root
+
+    def recorded(q, lo, hi, rel_tol, known=None):
+        brackets.append(known)
+        return bisect(q, lo, hi, rel_tol, known)
+
+    monkeypatch.setattr(bounds, "_bisect_root", recorded)
+    return brackets
+
+
+def test_presets_optimize_to_the_plain_search_bits(monkeypatch):
+    brackets = _record_brackets(monkeypatch)
     checked = 0
     for problem, delta, kw in _preset_grid():
+        brackets.clear()
         try:
             b = kappa_preset(problem, delta, **kw)
         except (ValueError, OverflowError):
             continue
+        # the bracket found from the pinned point held, so the bisection
+        # did not fall back to evaluating every midpoint
+        assert len(brackets) == 1 and brackets[0] is not None, \
+            (problem, delta, kw)
         assert _bits(b.optimized) == _bits(optimize_ratio(b.q)), \
             (problem, delta, kw)
         checked += 1
@@ -115,7 +134,9 @@ def test_any_start_gives_the_plain_search_bits(terms, tail, where, rel):
 
 
 @pytest.mark.parametrize("start", [
-    0.0, -0.5, -math.inf, math.inf, math.nan, 1.0, 1.5, 1e300, 1e-300])
+    0.0, -0.5, -math.inf, math.inf, math.nan, 1.0, 1.5, 1e300, 1e-300,
+    1e-200,  # p rounds to -1 there for every Q below: no log1p(p)
+    0.99])
 @pytest.mark.parametrize("terms", [
     ((2.0, 1), (3.0, 2)),   # interior root 1/sqrt 3
     ((1.0, 2),),            # root exactly at hi = 1
@@ -126,6 +147,8 @@ def test_any_start_gives_the_plain_search_bits(terms, tail, where, rel):
     ((math.inf, 1),),       # p nan everywhere: refused
     ((1e-300, 40),),        # root where x^40 underflows
     ((1e300, 2), (1e300, 30)),  # root near 1e-150
+    ((1e-300, 2),),         # p = -1 in floats up to hi: boundary
+    ((1e308, 5),),          # p overflows to inf at 0.99, root near 1e-62
 ])
 def test_seeds_outside_the_domain_and_degenerate_ceilings(terms, start):
     _same_with_and_without(QPolynomial(terms), start)
@@ -141,6 +164,28 @@ def test_a_root_at_the_tail_radius_edge():
         _same_with_and_without(q, start)
 
 
+@pytest.mark.parametrize("shift", [
+    -1e-9, -3e-12, -1.5e-12, -0.99e-12, 0.0, 0.99e-12, 1.5e-12, 3e-12, 1e-9])
+def test_a_pair_that_misses_the_root_is_dropped(monkeypatch, shift):
+    """A secant pair centred ``shift`` relative off the root: the bisection
+    checks it where it relied on it, and one that misses the root gives way
+    to the plain search, so the bits never move."""
+    brackets = _record_brackets(monkeypatch)
+    for problem, delta in [("nonrepetitive-vertex", 31), ("acyclic-v2", 90),
+                           ("pair-forbidden", 300), ("star", 24)]:
+        q = kappa_preset(problem, delta, descriptors=[(4, 4)]).q
+        plain = optimize_ratio(q)
+        centre = plain.x * (1 + shift)
+        pair = (centre * (1 - 1e-12), centre * (1 + 1e-12))
+        monkeypatch.setattr(bounds, "_secant_bracket",
+                            lambda q, x, hi, pair=pair:
+                            pair if pair[1] < hi else None)
+        brackets.clear()
+        assert _bits(optimize_ratio(q, plain.x)) == _bits(plain)
+        if abs(shift) > 1e-12:  # the root lies outside the pair
+            assert brackets in ([pair, None], [None]), (problem, shift)
+
+
 def _sweep():
     """The benchmark's bound sweep: every problem at delta 24..343."""
     for problem in PROBLEMS:
@@ -148,10 +193,12 @@ def _sweep():
             yield problem, delta
 
 
-def test_presets_evaluate_p_a_third_as_often(monkeypatch):
-    """Seeded at its pinned point, a preset's root search evaluates p at
-    most 20 times on average over the sweep; the plain bisection takes
-    47.6 on average there."""
+def test_presets_evaluate_p_a_fifth_as_often(monkeypatch):
+    """Seeded at its pinned point, every preset's root search finds its
+    bracket and evaluates p at most 9 times on average over the sweep
+    (7.88 when this was written: 2 seed points, the secant steps and the
+    midpoints inside the bracket); the plain bisection takes 47.6 on
+    average there."""
     evaluations, searches = [0], []
     p_safe, search = bounds._p_safe, bounds.optimize_ratio
 
@@ -165,13 +212,17 @@ def test_presets_evaluate_p_a_third_as_often(monkeypatch):
 
     monkeypatch.setattr(bounds, "_p_safe", counted_p)
     monkeypatch.setattr(bounds, "optimize_ratio", counted_search)
+    brackets = _record_brackets(monkeypatch)
     presets = 0
     for problem, delta in _sweep():
         before = len(searches)
+        brackets.clear()
         bound = kappa_preset(problem, delta, descriptors=[(4, 4)])
         # one search per preset, through the module attribute, from the
-        # pinned point
+        # pinned point, whose bracket held
         assert searches[before:] == [bound.pinned.x], (problem, delta)
+        assert len(brackets) == 1 and brackets[0] is not None, \
+            (problem, delta)
         presets += 1
     assert presets == 3200
-    assert evaluations[0] / presets <= 20
+    assert evaluations[0] / presets <= 9

@@ -5,7 +5,8 @@ built positionally and by keyword with the same outcome, prints the exact
 `repr` below (the preset digest in `test_bounds.py` hashes `repr` of
 `RatioResult`), compares and hashes by value, survives `copy` and
 `pickle`, and, except `RunResult`, refuses assignment to its fields.  The
-three classes that check their fields raise the same `ValueError`s.
+three classes that check their fields raise the same `ValueError`s, also
+from `_replace` and `_make`, which build through `__new__` as a call does.
 """
 
 import copy
@@ -219,3 +220,41 @@ def test_engine_input_refusals(kwargs, message):
     with pytest.raises(ValueError) as err:
         EngineInput(**kwargs)
     assert str(err.value) == message
+
+
+# `_replace` builds through `_make`; both must go through `__new__`
+@pytest.mark.parametrize("build, change, message", [
+    (lambda: EngineInput(3, seed=0, budget=5),
+     {"lists": {1: (5, 5, 7)}, "kappa": 0}, "kappa must be >= 1"),
+    (lambda: EngineInput(3, seed=0, budget=5),
+     {"lists": {1: (5, 5, 7)}}, "list for object 1 holds color 5 twice"),
+    (poly, {"terms": ((-1.0, 0),)}, "coefficients must be positive, got -1.0"),
+    (lambda: EventTypeMeta(1, 2.0, 1), {"cost": 0.0}, "cost must be >= 1"),
+], ids=["EngineInput-kappa", "EngineInput-lists", "QPolynomial",
+        "EventTypeMeta"])
+def test_replace_and_make_refuse_what_new_refuses(build, change, message):
+    value = build()
+    with pytest.raises(ValueError) as err:
+        value._replace(**change)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        type(value)._make({**value._asdict(), **change}.values())
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("name", [
+    "EngineInput", "EventTypeMeta", "QPolynomial", "PresetBound"])
+def test_replace_and_make_build_through_new(name):
+    build, by_keyword, other, _ = CASES[name]
+    value = build()
+    assert type(value)._make(value) == value == by_keyword()
+    assert type(type(value)._make(value)) is type(value)
+    changed = value._replace(**other()._asdict())
+    assert changed == other() and type(changed) is type(value)
+
+
+def test_replace_gives_a_preset_bound_its_default_literature():
+    bound = CASES["PresetBound"][2]()
+    assert bound._replace(literature=None).literature == {}
+    # `__new__` normalizes what `_make` gets, as it does a direct build
+    assert QPolynomial._make([[(2, 1.0)], None]).terms == ((2.0, 1),)
