@@ -16,8 +16,8 @@ terms plus one series (`_FAMILY_CEILINGS`): the families' event types
 Presets whose type list grows with the host graph come in two modes: the
 exact finite sum (pass n) or the closed-form tail, valid for x below its
 radius, which sums every type the exact mode lists and more, so its bounds
-stay safe.  An exact-mode preset refuses the first ceiling past the float
-range before computing the later ones.
+stay safe.  Every preset's Q is built by `_q`, which refuses the first
+ceiling past the float range, in exact mode before computing the rest.
 
 The minimizer `optimize_ratio` returns is always the result of the 1e-12
 bisection of p(x) = x Q'(x) - Q(x).  A preset passes its pinned point as a
@@ -31,6 +31,7 @@ the domain's edge.  Terms with no pinned point (`recolor bound
 from __future__ import annotations
 
 import math
+import operator
 from functools import partial, reduce
 from itertools import chain
 from typing import Callable, NamedTuple
@@ -266,9 +267,9 @@ def characteristic_system(q: QPolynomial) -> CharacteristicSystem:
     """Solve G(r,s)=s, G_z(r,s)=1 for the record-counting series.
 
     With X the positive root of p, the solution is s = sum C_j X^{s_j} and
-    r = (X/Q(X))^d where d = gcd of the sizes; the residual reports how far
-    the root is from satisfying sum s_j C_j X^{s_j} = s + 1, an identity at
-    the exact root.
+    r = (X/Q(X))^d where d = gcd of the sizes; the residual is |p(X)|, zero
+    at the exact root.  Terms fold left to right, as in `QPolynomial`, so
+    the bits do not depend on the interpreter's sum().
 
     The root is bracketed by hi = 2^k, the first power of two where p is
     nonnegative.  Ceilings far below 1 can put X so high (up to about
@@ -283,15 +284,17 @@ def characteristic_system(q: QPolynomial) -> CharacteristicSystem:
         raise ValueError(
             "characteristic system does not apply: all sizes are 1")
     k = 0
-    while sum(math.ldexp((sz - 1) * c, k * sz) for c, sz in q.terms) < 1.0:
+    while reduce(operator.add, (math.ldexp((sz - 1) * c, k * sz)
+                                for c, sz in q.terms), 0.0) < 1.0:
         k += 1
     # rescale only when some 2^{k s_j} is past the float range, so every
     # other input keeps the bits of the unscaled bisection
     e = k if k * max(sz for _, sz in q.terms) > 1023 else 0
     terms = tuple((math.ldexp(c, e * sz), sz) for c, sz in q.terms)
-    z = _bisect_root(QPolynomial(terms), 0.0, math.ldexp(1.0, k - e), 1e-14)
-    s = sum(c * z ** sz for c, sz in terms)
-    residual = abs(sum(sz * c * z ** sz for c, sz in terms) - (s + 1))
+    qz = QPolynomial(terms)
+    z = _bisect_root(qz, 0.0, math.ldexp(1.0, k - e), 1e-14)
+    s = reduce(operator.add, (c * z ** sz for c, sz in terms), 0.0)
+    residual = abs(qz.p(z))
     d = reduce(math.gcd, (sz for _, sz in q.terms))
     x = math.ldexp(z, e)
     try:
@@ -513,17 +516,18 @@ def ceilings(problem: str, delta, n: int | None, *, gamma: int = 1,
     return head + list(series.terms(n)) if series else head
 
 
-def _q(head, series, n: int | None) -> QPolynomial:
-    """Q over head terms and a series' types on n objects, refusing the
-    first ceiling past the float range before computing any later one;
-    with n None, over the head, the lead types and the closed form."""
+def _q(head, series=None, n: int | None = None) -> QPolynomial:
+    """Q over head terms and a series' types on n objects (without a series,
+    the head alone), refusing the first ceiling past the float range before
+    computing any later one; with n None, over the head, the lead types and
+    the closed form.  Every preset's Q is built here."""
     finite = []
-    for c, s in chain(head, series.terms(n)):
+    for c, s in chain(head, series.terms(n) if series else ()):
         if c == math.inf:
             raise OverflowError("a class ceiling is past the float range")
         finite.append((c, s))
     _require(finite or n is None, f"n = {n} leaves no event type")
-    return QPolynomial(finite, None if n is not None else series.tail())
+    return QPolynomial(finite, series.tail() if series and n is None else None)
 
 
 def _family_q(problem, delta, n, gamma=1, alpha=0.5) -> QPolynomial:
@@ -561,7 +565,7 @@ def _acyclic_v1(delta: int, alpha: float) -> PresetBound:
     terms = [neighbor]
     if special >= 1:
         terms.append((math.floor(special), size))
-    q = QPolynomial(tuple(terms + rest))
+    q = _q(terms + rest)
     x = 2 * math.sqrt(2 * alpha) / delta ** (4 / 3)
     if alpha == 0.5:
         # the quoted constant absorbs the lower-order terms of the closed
@@ -590,6 +594,9 @@ def _nonrepetitive(delta: int, n: int | None, *, edge: bool) -> PresetBound:
     q = _family_q(name, delta, n)
     x = 1 / delta ** 2 - (2 / delta ** 7) ** (1 / 3)
     u = 1 - (2 / delta) ** (1 / 3)
+    # delta^2 x = u < 1 rounds to 1 from delta ~ 10^46, and u from ~ 10^49
+    _require(u < 1 and (n is not None or x * float(delta) ** 2 < 1),
+             f"{name} needs delta below ~10^46 (~10^49 with n), got {delta}")
     display = delta ** 2 / u + mult * delta / (1 - u) ** 2
     if edge:
         lit = {"alon-grytczuk-haluszczak-riordan":
@@ -624,18 +631,19 @@ def _r_acyclic(delta: int, r: int) -> PresetBound:
     _require(delta >= 3, f"r-acyclic requires delta >= 3, got {delta}")
     _require(r >= 4, f"r-acyclic requires r >= 4, got {r}")
     ell = r // 2
-    c_paths = 0.5 * (r + 2) ** 6 * float(delta) ** (r + 1)
-    terms = [(float(delta) ** ell, 1), (c_paths, 3)]
+    c_paths = 0.5 * (r + 2) ** 6 * _power(float(delta), r + 1)
+    terms = [(_power(float(delta), ell), 1), (c_paths, 3)]
+    if r % 2:
+        terms += [(_power(float(delta), (r + 1) / 3), 1),
+                  (ell * _power(float(delta), 2 * (r + 1) / 3), 2)]
+    q = _q(terms)
     if r % 2 == 0:
         x = (1 / (2 * c_paths)) ** (1 / 3)
         display = delta ** ell + 1.5 * (r + 2) ** 2 * delta ** ((r + 1) / 3)
     else:
-        terms += [(float(delta) ** ((r + 1) / 3), 1),
-                  (ell * float(delta) ** (2 * (r + 1) / 3), 2)]
         x = delta ** (-(r + 1) / 3)
         display = delta ** ell \
             + delta ** ((r + 1) / 3) * (2 + ell + 0.5 * (r + 2) ** 6)
-    q = QPolynomial(tuple(terms))
     gp = 2 ** ((r + 2) / 3) * r * (r + 2) * delta ** (r // 2)
     return _bound("r-acyclic", q, x, display,
                   {"greenhill-pikhurko": math.ceil(gp)})
@@ -647,7 +655,8 @@ _TREE_COUNTS = (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159)
 
 def _star(delta: int) -> PresetBound:
     _require(delta >= 2, f"star coloring requires delta >= 2, got {delta}")
-    q = QPolynomial(((float(delta), 1), (2 * delta * (delta - 1) ** 2, 2)))
+    q = _q([(_power(delta, 1), 1),
+            (_power(2 * delta * (delta - 1) ** 2, 1), 2)])
     x = 1 / (math.sqrt(2 * delta) * (delta - 1))
     display = (2 * math.sqrt(2) * delta ** 1.5 + delta
                - math.sqrt(8 * delta) + 1)

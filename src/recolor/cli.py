@@ -496,7 +496,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         _note(f"error: {exc}")
         return 2
-    except OverflowError as exc:
+    except ArithmeticError as exc:
         _note(f"error: a value is past the float range ({exc})")
         return 2
     except MemoryError:

@@ -47,6 +47,7 @@ from recolor.families import (
 )
 from recolor.graphs import Graph
 from recolor.planar import random_triangulation
+from recolor.records import growth_report
 
 from _util import PETERSEN_EDGES, prism_graph
 
@@ -209,6 +210,39 @@ def test_characteristic_system_ceilings_far_below_one(c, size):
 def test_characteristic_gcd_of_sizes():
     assert characteristic_system(QPolynomial(((1.0, 2), (1.0, 3)))).d == 1
     assert characteristic_system(QPolynomial(((1.0, 4), (1.0, 6)))).d == 2
+
+
+def _characteristic_corpus():
+    """Seeded random term systems (one to five terms, ceilings 10^-3..10^3,
+    sizes 1..6, some size above 1), then nonrepetitive-vertex's exact Q at
+    n = 20 for delta 3..59."""
+    rng = random.Random(74)
+    for _ in range(3000):
+        terms = [(10 ** rng.uniform(-3, 3), rng.randint(1, 6))
+                 for _ in range(rng.randint(1, 5))]
+        if any(s > 1 for _, s in terms):
+            yield terms
+    for delta in range(3, 60):
+        yield kappa_preset("nonrepetitive-vertex", delta, n=20).q.terms
+
+
+def _characteristic_lines():
+    """Per corpus entry, `characteristic_system`'s d, r, s and x and
+    `growth_report`'s base and prefactor, bit for bit; each residual is
+    checked, not hashed."""
+    for terms in _characteristic_corpus():
+        cs = characteristic_system(QPolynomial(terms))
+        assert cs.residual < 1e-9, terms
+        report = growth_report(terms, [1])
+        yield repr((cs.d, cs.r, cs.s, cs.x, report.base, report.prefactor))
+
+
+def test_characteristic_system_matches_its_pinned_digest():
+    """Pinned on Python 3.11, where sum() of floats still folds left to
+    right; the terms fold the same way on every interpreter, so the bound
+    column of `count-records` does not move with the Python version."""
+    assert _digest(_characteristic_lines()) == \
+        "c4b3ed083989e71512da36afa7596d851b07e78a77565bade168fec523a074a8"
 
 
 # --- acyclic closed form and its alpha sweep ------------------------------
@@ -581,6 +615,24 @@ def test_exact_presets_refuse_the_first_infinite_ceiling(
     with pytest.raises(OverflowError, match="class ceiling is past the float"):
         kappa_preset(problem, n=1_000_000, **kwargs)
     assert 0 < len(calls) < most
+
+
+@pytest.mark.parametrize("problem,delta,kwargs,error,message", [
+    ("acyclic-v1", 24, {"alpha": 5e-324}, OverflowError, "class ceiling"),
+    ("acyclic-v1", 24, {"alpha": 1e-320}, OverflowError, "class ceiling"),
+    ("r-acyclic", 3, {"r": 700}, OverflowError, "class ceiling"),
+    ("star", 10 ** 200, {}, OverflowError, "class ceiling"),
+    ("nonrepetitive-vertex", 10 ** 48, {}, ValueError, "delta below"),
+    ("nonrepetitive-edge", 10 ** 48, {}, ValueError, "delta below"),
+], ids=["v1-alpha-5e-324", "v1-alpha-1e-320", "r-acyclic-r-700", "star-1e200",
+        "nonrep-vertex-1e48", "nonrep-edge-1e48"])
+def test_presets_refuse_their_float_range_by_name(problem, delta, kwargs,
+                                                  error, message):
+    # every preset builds Q through `_q`, which refuses an infinite ceiling
+    # before the pinned point or the display is computed; a nonrepetitive
+    # pinned point that rounds onto the tail's radius is refused by delta
+    with pytest.raises(error, match=message):
+        kappa_preset(problem, delta, **kwargs)
 
 
 def test_root_search_reads_an_overflowing_q_as_inf():

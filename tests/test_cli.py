@@ -229,6 +229,29 @@ def test_bound_pair_forbidden_powers_past_float_range(capsys, argv):
     assert "a class ceiling is past the float range" in err, err
 
 
+# a ceiling past the float range is refused by name, as in every preset:
+# alpha 5e-324 once printed a NaN conversion, r 700 and 10^200 raw texts
+CEILING = "a class ceiling is past the float range"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["acyclic-v1", "--delta", "24", "--alpha", "5e-324"], CEILING),
+    (["acyclic-v1", "--delta", "24", "--alpha", "1e-320"], CEILING),
+    (["r-acyclic", "--delta", "3", "--r", "700"], CEILING),
+    (["star", "--delta", str(10 ** 200)], CEILING),
+    # the pinned point rounds onto the tail's radius: once a division by 0
+    (["nonrepetitive-vertex", "--delta", str(10 ** 48)], "delta below"),
+    (["nonrepetitive-edge", "--delta", str(10 ** 48)], "delta below"),
+], ids=["v1-alpha-5e-324", "v1-alpha-1e-320", "r-acyclic-r-700", "star-1e200",
+        "nonrep-vertex-1e48", "nonrep-edge-1e48"])
+def test_bound_preset_refusals_are_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, "bound", "--problem", *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and message in err, err
+    for word in ("nan", "infinity", "Traceback"):
+        assert word not in err, err
+
+
 def test_bound_family_file_huge_ceiling_keeps_its_minimizer(capsys, tmp_path):
     # (s - 1) C passes the float maximum, (s - 1) (C x^s) does not: the
     # minimizer sits near 1.77e-103 instead of underflowing to 0
@@ -928,6 +951,13 @@ _SHAPES = st.lists(st.one_of(
     max_size=3).map(" ".join)
 
 
+# degrees at the float range's edges: a nonrepetitive preset's pinned point
+# rounds onto its radius near 10^46, 10^200 cubed is past the float maximum,
+# and 10^400 itself is
+_DELTAS = st.one_of(st.integers(-1, 10 ** 6), st.sampled_from(
+    [10 ** 48, 10 ** 100, 10 ** 200, 10 ** 400]))
+
+
 def _exit_code(argv):
     try:
         return main(argv)
@@ -953,10 +983,10 @@ def test_bound_fuzzed_argv_keeps_exit_codes(tmp_path, data):
         argv = ["bound", f"--family-file={path}"]
     else:
         argv = ["bound", f"--problem={data.draw(st.sampled_from(PROBLEMS))}",
-                f"--delta={data.draw(st.integers(-1, 10 ** 6))}",
+                f"--delta={data.draw(_DELTAS)}",
                 f"--alpha={data.draw(st.floats())!r}",
                 f"--gamma={data.draw(st.integers(-1, 5))}",
-                f"--r={data.draw(st.integers(-1, 8))}",
+                f"--r={data.draw(st.integers(-1, 1000))}",
                 f"--form={data.draw(st.sampled_from(('vertex', 'edge')))}"]
         if data.draw(st.booleans(), label="exact n"):
             argv.append(f"--exact-n={data.draw(st.integers(-1, 30))}")
