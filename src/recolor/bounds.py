@@ -407,7 +407,9 @@ def _power(d, e) -> float:
 
 class _Series(NamedTuple):
     """``terms(n)`` yields a series' (ceiling, size) pairs on n objects,
-    lazily (with n None, those ``tail()``'s closed form leaves out)."""
+    lazily (with n None, those ``tail()``'s closed form leaves out);
+    ``tail()`` is None where the closed form's constants are past the float
+    range."""
 
     terms: Callable
     tail: Callable[[], ClosedTail]
@@ -430,7 +432,9 @@ def _geometric(first, base, p, s, a=1, b=0, p0=0, s0=0, over=1,
     def tail():
         i = first + len(lead)
         k, e, c = _power(base, p * i + p0) / over, s * i + s0, a + b * (i - 1)
-        b2, e1, r = 2 * b, e - 1, float(base ** p)
+        b2, e1, r = 2 * b, e - 1, _power(base, p)
+        if k == math.inf or r == math.inf:
+            return None
 
         def value(x: float) -> float:
             w = 1 / (1 - r * x ** s)
@@ -441,7 +445,7 @@ def _geometric(first, base, p, s, a=1, b=0, p0=0, s0=0, over=1,
             return k * x ** e1 * w * (e * (c + b * w)
                                       + s * (w - 1) * (c + b2 * w))
 
-        return ClosedTail(value, slope, 1 / base ** (p / s))
+        return ClosedTail(value, slope, 1 / _power(base, p / s))
 
     return _Series(terms, tail)
 
@@ -482,23 +486,27 @@ def _exponential(base, p) -> _Series:
 
 
 # each family problem's head terms and series (first type, base, p, s, ...)
-# at maximum degree d; an int base keeps acyclic-gamma's powers exact
+# at maximum degree d; an int base keeps acyclic-gamma's powers exact, and
+# every power is read through `_power`, so one past the float range is inf
 _FAMILY_CEILINGS = {
     "acyclic-gamma": lambda d, gamma, alpha: (
-        [(float(d), 1)], _geometric(2, d, 2, 2, a=0.5 * gamma, p0=-2, s0=-2)),
+        [(_power(d, 1), 1)],
+        _geometric(2, d, 2, 2, a=0.5 * gamma, p0=-2, s0=-2)),
     "acyclic-v1": lambda d, gamma, alpha: (
-        [(float(d), 1), (alpha * d ** (4 / 3), 1),
-         (d ** (8 / 3) / (8 * alpha), 2), (0.5 * d * (d - 1) ** 4, 4)], None),
+        [(_power(d, 1), 1), (alpha * _power(d, 4 / 3), 1),
+         (_power(d, 8 / 3) / (8 * alpha), 2),
+         (0.5 * _power(d, 1) * _power(d - 1, 4), 4)], None),
     "acyclic-v2": lambda d, gamma, alpha: (
-        [(float(d), 1), (alpha * d ** (4 / 3), 1)],
+        [(_power(d, 1), 1), (alpha * _power(d, 4 / 3), 1)],
         _geometric(2, d, 2, 2, p0=-4 / 3, s0=-2, over=2 * alpha,
-                   lead=(d ** (8 / 3) / (8 * alpha),))),
+                   lead=(_power(d, 8 / 3) / (8 * alpha),))),
     "nonrepetitive-vertex": lambda d, gamma, alpha: (
-        [], _geometric(1, float(d), 2, 1, a=0, b=1, p0=-1)),
+        [], _geometric(1, _power(d, 1), 2, 1, a=0, b=1, p0=-1)),
     "nonrepetitive-edge": lambda d, gamma, alpha: (
-        [], _geometric(1, float(d), 2, 1, a=0, b=2, p0=-1)),
+        [], _geometric(1, _power(d, 1), 2, 1, a=0, b=2, p0=-1)),
     "facial-thue-vertex": lambda d, gamma, alpha: (
-        [(float(d), 1)], _geometric(2, float(d), 0, 1, a=0, b=2, p0=1)),
+        [(_power(d, 1), 1)],
+        _geometric(2, _power(d, 1), 0, 1, a=0, b=2, p0=1)),
     "facial-thue-edge": lambda d, gamma, alpha: (
         [], _geometric(1, 1.0, 0, 1, b=2)),
 }
@@ -527,7 +535,12 @@ def _q(head, series=None, n: int | None = None) -> QPolynomial:
             raise OverflowError("a class ceiling is past the float range")
         finite.append((c, s))
     _require(finite or n is None, f"n = {n} leaves no event type")
-    return QPolynomial(finite, series.tail() if series and n is None else None)
+    if series is None or n is not None:
+        return QPolynomial(finite)
+    tail = series.tail()
+    if tail is None:
+        raise OverflowError("a class ceiling is past the float range")
+    return QPolynomial(finite, tail)
 
 
 def _family_q(problem, delta, n, gamma=1, alpha=0.5) -> QPolynomial:
@@ -564,7 +577,9 @@ def _acyclic_v1(delta: int, alpha: float) -> PresetBound:
     # ceiling and drops the type when no vertex fits
     terms = [neighbor]
     if special >= 1:
-        terms.append((math.floor(special), size))
+        # an infinite ceiling stays for `_q` to refuse
+        terms.append((special if special == math.inf else math.floor(special),
+                      size))
     q = _q(terms + rest)
     x = 2 * math.sqrt(2 * alpha) / delta ** (4 / 3)
     if alpha == 0.5:
@@ -631,11 +646,12 @@ def _r_acyclic(delta: int, r: int) -> PresetBound:
     _require(delta >= 3, f"r-acyclic requires delta >= 3, got {delta}")
     _require(r >= 4, f"r-acyclic requires r >= 4, got {r}")
     ell = r // 2
-    c_paths = 0.5 * (r + 2) ** 6 * _power(float(delta), r + 1)
-    terms = [(_power(float(delta), ell), 1), (c_paths, 3)]
+    d = _power(delta, 1)
+    c_paths = 0.5 * (r + 2) ** 6 * _power(d, r + 1)
+    terms = [(_power(d, ell), 1), (c_paths, 3)]
     if r % 2:
-        terms += [(_power(float(delta), (r + 1) / 3), 1),
-                  (ell * _power(float(delta), 2 * (r + 1) / 3), 2)]
+        terms += [(_power(d, (r + 1) / 3), 1),
+                  (ell * _power(d, 2 * (r + 1) / 3), 2)]
     q = _q(terms)
     if r % 2 == 0:
         x = (1 / (2 * c_paths)) ** (1 / 3)

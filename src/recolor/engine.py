@@ -127,6 +127,9 @@ class BadEventFamily(Protocol):
     was colored, and ``released(target)`` that the objects in ``target``
     were uncolored.  ``pick()`` must always equal ``next_uncolored`` of the
     colored set those calls describe, which stays the specification.  The
+    engine reports a step once its event is known: a step whose event
+    uncolors only its own object leaves the colored set as it was, and the
+    frontier hears of neither the coloring nor the uncoloring.  The
     engine builds one frontier per run and per decode and never stores it on
     the family, since one family may serve many runs; what a family keeps
     for its frontiers is family data fixed by its structure, such as the
@@ -351,17 +354,19 @@ def _checked_target(fam, metas, j, k, v, colored, exc) -> tuple[int, ...]:
     meta = metas.get(j)
     if meta is None:
         raise exc(f"family {fam.name!r} emitted unknown event type {j}")
-    if not (isinstance(k, int) and 1 <= k and k <= meta.cost):
-        raise exc(f"family {fam.name!r} emitted class {k} outside 1..{meta.cost} for type {j}")
-    size = meta.uncolor_size
+    type_id, cost, size = meta
+    if not (isinstance(k, int) and 1 <= k and k <= cost):
+        raise exc(f"family {fam.name!r} emitted class {k} outside 1..{cost} for type {j}")
     if size > len(colored):
         raise exc(
             f"family {fam.name!r}: a type {j} event at {v} uncolors "
             f"{size} objects, but only {len(colored)} are colored")
     try:
-        target = tuple(fam.uncolor_set(meta.type_id, v, colored, k))
+        target = tuple(fam.uncolor_set(type_id, v, colored, k))
     except ValueError as err:
         raise exc(f"family {fam.name!r}: {err}") from None
+    if size == 1 and target == (v,):
+        return target  # the anchor alone, which is colored
     distinct = set(target)
     if len(distinct) != len(target) or len(target) != size:
         raise exc(
@@ -385,7 +390,10 @@ def run(g, fam: BadEventFamily, inp: EngineInput) -> RunResult:
     metas = {m.type_id: m for m in fam.metas}
     n = fam.n_objects
     pc = PartialColoring(n)
-    colored, assign, unassign = pc.colored, pc.assign, pc.unassign
+    # the pick check makes `assign`'s checks, and a drawn index is a color
+    # >= 1, so the loop writes the coloring itself
+    colors, colored = pc.colors, pc.colored
+    add, drop = colored.add, colored.difference_update
     frontier = frontier_of(fam)
     pick, took, released = frontier.pick, frontier.took, frontier.released
     detect = fam.detect
@@ -401,24 +409,31 @@ def run(g, fam: BadEventFamily, inp: EngineInput) -> RunResult:
         if not (isinstance(v, int) and 1 <= v <= n) or v in colored:
             raise _bad_pick(fam, v, FamilyContractError)
         if lists is None:
-            color = idx
+            colors[v] = idx
         else:
             try:
                 color = lists[v][idx - 1]
             except KeyError:
                 raise ValueError(f"no color list for object {v}") from None
-        assign(v, color)
-        took(v)
+            # a list changed after `EngineInput` checked it
+            if color < 1:
+                raise ValueError(f"bad assignment {v} <- {color}")
+            colors[v] = color
+        add(v)
         last_step[v] = i
         hit = detect(pc, v)
         if hit is None:
+            took(v)
             append(None)
             continue
         j, k = hit
         target = _checked_target(fam, metas, j, k, v, colored, FamilyContractError)
         for u in target:
-            unassign(u)
-        released(target)
+            colors[u] = 0
+        drop(target)
+        if len(target) > 1:
+            took(v)
+            released(target)
         append((j, k))
     else:
         v = pick()
@@ -457,14 +472,16 @@ def replay_colored_sets(fam: BadEventFamily,
         if not (isinstance(v, int) and 1 <= v <= n) or v in colored:
             raise _bad_pick(fam, v, DecodeError)
         add(v)
-        took(v)
         if step is None:
+            took(v)
             append((v, ()))
             continue
         j, k = step
         target = _checked_target(fam, metas, j, k, v, colored, DecodeError)
         drop(target)
-        released(target)
+        if len(target) > 1:
+            took(v)
+            released(target)
         append((v, target))
     return out
 
@@ -483,30 +500,24 @@ def decode(g, fam: BadEventFamily, final: PartialColoring, record: Record,
     walk must end at the empty coloring.
     """
     pairs = replay_colored_sets(fam, record)
-    colored: set[int] = set()
+    replayed: set[int] = set()
+    add, drop = replayed.add, replayed.difference_update
     for v, target in pairs:
-        colored.add(v)
-        colored.difference_update(target)
-    if colored != final.colored:
+        add(v)
+        if target:
+            drop(target)
+    if replayed != final.colored:
         raise DecodeError("final coloring does not match the record's replay")
     pc = final.copy()
+    colors, colored = pc.colors, pc.colored
     steps = record.steps
-    live = set(pc.colored)
+    live = set(colored)
     values = [0] * len(pairs)
-
-    def value_of(v: int, color: int) -> int:
-        if lists is None:
-            return color
-        try:
-            return lists[v].index(color) + 1
-        except (KeyError, ValueError):
-            raise DecodeError(f"color {color} not in the list of object {v}") from None
-
     for i in range(len(pairs) - 1, -1, -1):
         v, target = pairs[i]
         step = steps[i]
         if step is None:
-            if v not in pc.colored:
+            if v not in colored:
                 raise DecodeError(f"step {i + 1} colored {v} but it is gone")
         else:
             j, k = step
@@ -521,10 +532,21 @@ def decode(g, fam: BadEventFamily, final: PartialColoring, record: Record,
                     pc.assign(u, c)
                 except ValueError as exc:
                     raise DecodeError(f"rebuilt event at step {i + 1}: {exc}") from None
-        values[i] = value_of(v, pc.color_of(v))
-        pc.unassign(v)
+        color = colors[v]
+        if lists is None:
+            values[i] = color
+        else:
+            try:
+                values[i] = lists[v].index(color) + 1
+            except (KeyError, ValueError):
+                raise DecodeError(
+                    f"color {color} not in the list of object {v}") from None
+        # v is colored here: a surviving step checked it, an event's target
+        # holds it and was just assigned
+        colors[v] = 0
+        colored.discard(v)
         live.discard(v)
-    if pc.colored:
+    if colored:
         raise DecodeError("backward walk did not end at the empty coloring")
     return values
 

@@ -27,10 +27,12 @@ from .base import Family, alternating_widths, arms
 
 
 def first_equal(colors, anchor_color, candidates):
-    """Index of the first candidate object carrying ``anchor_color``, or -1."""
-    for i, obj in enumerate(candidates):
+    """Index of the first candidate object carrying ``anchor_color``, or -1.
+    The loop reads objects only and looks the hit's index up once: the
+    first occurrence of the hit object is the first candidate of its color."""
+    for obj in candidates:
         if colors[obj] == anchor_color:
-            return i
+            return candidates.index(obj)
     return -1
 
 

@@ -31,8 +31,8 @@ A face walk that repeats no vertex has only simple windows, which
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 
 from ..errors import MedialConnectivityError
 from ..planar import PlaneGraph, medial_graph
@@ -138,14 +138,6 @@ class _FacialEdgeFamily(_FacialFamily):
         # `_LeafFrontier._rebuild` that sees that state
         self.leaf_tree = None
 
-    def _uncolored_neighbor(self, e: int, colored) -> int:
-        for u in self.medial[e]:
-            if u not in colored:
-                return u
-        raise MedialConnectivityError(
-            f"anchor edge {e} has no uncolored facial neighbor"
-        )
-
     def next_uncolored(self, colored):
         """Smallest-index leaf of the breadth-first spanning tree of the
         medial subgraph induced by the uncolored edges, rooted at the
@@ -160,12 +152,19 @@ class _FacialEdgeFamily(_FacialFamily):
         return _LeafFrontier(self)
 
     def _classes(self, e, j, colored):
-        """Type j's classes at e with its uncolored facial neighbor e'
-        skipped, in order: the medial table entry for type 1, the witness
-        rows for the rest.  A hit is fully colored, so it avoids e'."""
-        ep = self._uncolored_neighbor(e, colored)
+        """Type j's classes at e with its smallest uncolored facial neighbor
+        e' skipped, in order: the medial table entry without e' for type 1,
+        the witness rows avoiding e' for the rest.  A hit is fully colored,
+        so it avoids e'."""
+        near = self.medial[e]
+        for p, ep in enumerate(near):
+            if ep not in colored:
+                break
+        else:
+            raise MedialConnectivityError(
+                f"anchor edge {e} has no uncolored facial neighbor")
         if j == 1:
-            return [f for f in self.medial[e] if f != ep]
+            return near[:p] + near[p + 1:]
         return [row for row in self.witness_rows(e, j)[0] if ep not in row]
 
 
@@ -175,27 +174,25 @@ class _LeafFrontier:
     colored set.
 
     Holds the breadth-first tree of the uncolored medial subgraph rooted at
-    the reserved edge, with a min-heap of its leaves (entries whose node has
-    since gained a child or been colored are dropped lazily).  Coloring a
+    the reserved edge, with a min-heap of exactly its leaves.  Coloring a
     leaf leaves exactly the tree of the remaining edges, since the leaf
-    discovered nothing, so `took` detaches it and its parent becomes a leaf
-    when it was the only child.  Releasing exactly the leaf just taken puts
-    it back; any other release marks the tree stale, and the next `pick`
-    rebuilds it from scratch: `_rebuild` is the one breadth-first search
-    and raises both `MedialConnectivityError` refusals.  The tree of the
-    all-uncolored state depends on the family alone: the first search that
-    succeeds from it leaves a copy on the family (``leaf_tree``), and later
-    rebuilds from that state copy it back instead of searching again.
+    discovered nothing, so `took` pops it and pushes its parent when it was
+    the only child.  A release marks the tree stale, and the next `pick`
+    rebuilds it from scratch (the engine reports no event that erases only
+    the leaf just taken, see `BadEventFamily`): `_rebuild` is the one
+    breadth-first search and raises both `MedialConnectivityError`
+    refusals.  The tree of the all-uncolored state depends on the family
+    alone: the first search that succeeds from it leaves a copy on the
+    family (``leaf_tree``), and later rebuilds from that state copy it back
+    instead of searching again.
     """
 
-    __slots__ = ("fam", "uncolored", "parent", "children", "heap", "queued",
-                 "stale", "last")
+    __slots__ = ("fam", "uncolored", "parent", "children", "heap", "stale")
 
     def __init__(self, fam: _FacialEdgeFamily):
         self.fam = fam
         self.uncolored = bytearray(b"\0" + b"\1" * fam.n_objects)
         self.stale = True
-        self.last = None  # the leaf `took` detached, until the next release
 
     def _rebuild(self) -> None:
         fam = self.fam
@@ -204,10 +201,9 @@ class _LeafFrontier:
             raise MedialConnectivityError("the reserved edge must stay uncolored")
         full = uncolored.count(0) == 1
         if full and fam.leaf_tree is not None:
-            parent, children, heap, queued = fam.leaf_tree
+            parent, children, heap = fam.leaf_tree
             self.parent, self.children = list(parent), list(children)
             self.heap = list(heap)
-            self.queued = bytearray(queued)
             self.stale = False
             return
         parent = self.parent = [0] * len(uncolored)
@@ -228,51 +224,31 @@ class _LeafFrontier:
                 "uncolored edges induce a disconnected medial subgraph"
             )
         self.children = children
+        # ascending, so already a heap
         self.heap = [x for x in range(1, len(parent))
                      if reached[x] and not children[x] and x != root]
-        self.queued = bytearray(len(parent))
-        for x in self.heap:
-            self.queued[x] = 1
         self.stale = False
         if full:
-            fam.leaf_tree = (tuple(parent), tuple(children), tuple(self.heap),
-                             bytes(self.queued))
+            fam.leaf_tree = (tuple(parent), tuple(children), tuple(self.heap))
 
     def pick(self):
         if self.stale:
             self._rebuild()
-        heap, uncolored, children = self.heap, self.uncolored, self.children
-        while heap:
-            x = heap[0]
-            if uncolored[x] and not children[x]:
-                return x
-            heapq.heappop(heap)
-            self.queued[x] = 0
-        return None
+        return self.heap[0] if self.heap else None
 
     def took(self, v: int) -> None:
-        heapq.heappop(self.heap)
-        self.queued[v] = 0
+        heappop(self.heap)
         self.uncolored[v] = 0
         p = self.parent[v]
-        self.children[p] -= 1
-        if not self.children[p] and p != self.fam.e_star and not self.queued[p]:
-            heapq.heappush(self.heap, p)
-            self.queued[p] = 1
-        self.last = v
+        children = self.children
+        children[p] -= 1
+        if not children[p] and p != self.fam.e_star:
+            heappush(self.heap, p)
 
     def released(self, target) -> None:
-        last, self.last = self.last, None
         for u in target:
             self.uncolored[u] = 1
-        if self.stale:
-            return
-        if len(target) == 1 and target[0] == last:
-            self.children[self.parent[last]] += 1
-            heapq.heappush(self.heap, last)
-            self.queued[last] = 1
-        else:
-            self.stale = True
+        self.stale = True
 
 
 def facial_thue_edge_family(pg: PlaneGraph, e_star: int) -> _FacialEdgeFamily:

@@ -113,6 +113,28 @@ def assert_roundtrip(g, fam, inp):
     return res
 
 
+def run_states(fam, record, inp):
+    """Replay a finished run of ``inp`` step by step from the colored sets
+    `replay_colored_sets` gives and the drawn values alone, yielding per
+    step (its record entry, the coloring at detection or None for a
+    surviving color, the coloring the step leaves), each a dict of object
+    to color.  The last coloring is the run's final one; the dict yielded
+    as the third item is updated in place by the next step."""
+    from recolor.engine import replay_colored_sets
+
+    phi = {}
+    draws = inp.draws()
+    for (v, target), step in zip(replay_colored_sets(fam, record), record.steps):
+        idx = next(draws)
+        phi[v] = idx if inp.lists is None else inp.lists[v][idx - 1]
+        at_detection = None
+        if step is not None:
+            at_detection = dict(phi)
+            for u in target:
+                del phi[u]
+        yield step, at_detection, phi
+
+
 def plane_with_long_faces(n: int, drop: int, rng: random.Random):
     """A random stacked triangulation on n vertices with up to `drop` edges
     deleted from its rotation system, keeping the graph connected; each

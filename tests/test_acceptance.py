@@ -45,6 +45,7 @@ from _util import (
     grid_embedding,
     plane_with_long_faces,
     random_graph,
+    run_states,
 )
 
 
@@ -82,30 +83,81 @@ def _fuzz_pools(rng):
     return pools
 
 
-def test_decode_inverts_run_on_1000_fuzzed_triples():
+def _fuzzed_triples(count=1000):
+    """Guarantee 1's (graph, family, input) triples, the same on every call:
+    every ninth draws from per-object permutations of one palette."""
     rng = random.Random(20240901)
-    started = time.monotonic()
     pools = _fuzz_pools(rng)
-    checked = 0
-    while checked < 1000:
-        g, fam = rng.choice(pools[checked % len(pools)])
+    for i in range(count):
+        g, fam = rng.choice(pools[i % len(pools)])
         kappa = rng.choice((3, 4, 6, _family_kappa(fam)))
         budget = rng.randint(10, 120)
         lists = None
-        if checked % 9 == 0:
+        if i % 9 == 0:
             palette = list(range(1, kappa + 1))
             lists = {}
             for obj in range(1, fam.n_objects + 1):
                 rng.shuffle(palette)
                 lists[obj] = tuple(palette)
-        inp = EngineInput(kappa, seed=rng.randrange(2 ** 30), budget=budget,
-                          lists=lists)
+        yield g, fam, EngineInput(kappa, seed=rng.randrange(2 ** 30),
+                                  budget=budget, lists=lists)
+
+
+def test_decode_inverts_run_on_1000_fuzzed_triples():
+    started = time.monotonic()
+    checked = 0
+    for g, fam, inp in _fuzzed_triples():
         res = run(g, fam, inp)
-        recovered = decode(g, fam, res.coloring, res.record, lists=lists)
+        recovered = decode(g, fam, res.coloring, res.record, lists=inp.lists)
         assert tuple(recovered) == inp.make_vector()[:res.steps_used]
         checked += 1
     assert checked == 1000
     assert time.monotonic() - started < 60.0
+
+
+# event types whose set may be colored properly at detection: a repeat in a
+# special set, and (v1) the open bicolored six-vertex path, both kept out so
+# that the cycle bound holds
+PREVENTIVE = {"acyclic-v1": {2, 4}, "acyclic-v2": {2}}
+
+
+def _independent_check(g, fam):
+    """The validator of the family's property, which shares no code with
+    the family: phi -> CheckResult."""
+    if fam.problem.startswith("acyclic"):
+        return lambda phi: check_acyclic(g, phi)
+    objects = "edge" if fam.on_edges else "vertex"
+    facial = getattr(fam, "pg", None)
+    return lambda phi: check_nonrepetitive(g, phi, objects=objects,
+                                           facial=facial)
+
+
+def test_every_state_of_a_fuzzed_run_passes_the_validator():
+    """A seeded fifth of guarantee 1's triples, each run replayed state by
+    state (`run_states`): every step leaves a coloring the independent
+    validator accepts, and every event of a type that is not preventive
+    fires on a coloring it rejects.  `decode(run(V)) == V` cannot see a
+    `detect` that misses a violation later erased; this can."""
+    share = random.Random("every state")
+    states = Counter()
+    for g, fam, inp in _fuzzed_triples():
+        if share.random() >= 0.2:
+            continue
+        res = run(g, fam, inp)
+        check = _independent_check(g, fam)
+        preventive = PREVENTIVE.get(fam.problem, ())
+        phi = {}
+        for i, (step, at_detection, phi) in enumerate(
+                run_states(fam, res.record, inp)):
+            if at_detection is not None and step[0] not in preventive:
+                assert not check(at_detection), (fam.name, i, step)
+                states[fam.problem, "events"] += 1
+            verdict = check(phi)
+            assert verdict, (fam.name, i, verdict.message)
+            states[fam.problem, "steps"] += 1
+        assert phi == res.coloring.as_dict()
+    # each of the seven families ran, and had events checked at detection
+    assert len(states) == 14 and min(states.values()) >= 100, states
 
 
 @pytest.mark.parametrize("name", FAMILY_CASES)

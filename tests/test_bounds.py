@@ -624,12 +624,23 @@ def test_exact_presets_refuse_the_first_infinite_ceiling(
     ("star", 10 ** 200, {}, OverflowError, "class ceiling"),
     ("nonrepetitive-vertex", 10 ** 48, {}, ValueError, "delta below"),
     ("nonrepetitive-edge", 10 ** 48, {}, ValueError, "delta below"),
+    ("acyclic-v1", 10 ** 80, {}, OverflowError, "class ceiling"),
+    ("acyclic-v2", 10 ** 120, {}, OverflowError, "class ceiling"),
+    ("acyclic-gamma", 10 ** 160, {}, OverflowError, "class ceiling"),
+    ("nonrepetitive-vertex", 10 ** 160, {}, OverflowError, "class ceiling"),
+    ("nonrepetitive-edge", 10 ** 160, {}, OverflowError, "class ceiling"),
+    ("facial-thue-vertex", 10 ** 310, {}, OverflowError, "class ceiling"),
+    ("r-acyclic", 10 ** 310, {"r": 5}, OverflowError, "class ceiling"),
 ], ids=["v1-alpha-5e-324", "v1-alpha-1e-320", "r-acyclic-r-700", "star-1e200",
-        "nonrep-vertex-1e48", "nonrep-edge-1e48"])
+        "nonrep-vertex-1e48", "nonrep-edge-1e48", "v1-1e80", "v2-1e120",
+        "gamma-1e160", "nonrep-vertex-1e160", "nonrep-edge-1e160",
+        "facial-vertex-1e310", "r-acyclic-1e310"])
 def test_presets_refuse_their_float_range_by_name(problem, delta, kwargs,
                                                   error, message):
     # every preset builds Q through `_q`, which refuses an infinite ceiling
-    # before the pinned point or the display is computed; a nonrepetitive
+    # before the pinned point or the display is computed; the ceilings read
+    # every power through `_power`, and a closed form whose rate or first
+    # ceiling is past the float range is refused there too; a nonrepetitive
     # pinned point that rounds onto the tail's radius is refused by delta
     with pytest.raises(error, match=message):
         kappa_preset(problem, delta, **kwargs)

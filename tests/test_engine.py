@@ -7,6 +7,7 @@ their own test modules; these exist to pin the engine's contract.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +118,25 @@ class OverreachingFamily(DistanceTwoFamily):
 
     def rebuild_event(self, j, v, colored, k, after):
         return {**super().rebuild_event(j, v, colored, k, after), v + 1: 1}
+
+
+class ErasingFamily(DistanceTwoFamily):
+    """`DistanceTwoFamily` whose rebuild also uncolors object 1 on the
+    coloring it is handed, which it must only read."""
+
+    def rebuild_event(self, j, v, colored, k, after):
+        rebuilt = super().rebuild_event(j, v, colored, k, after)
+        after.unassign(1)
+        return rebuilt
+
+
+class PlantingFamily(DistanceTwoFamily):
+    """`DistanceTwoFamily` whose rebuild also colors the last object on the
+    coloring it is handed, which it must only read."""
+
+    def rebuild_event(self, j, v, colored, k, after):
+        after.assign(self.n_objects, 1)
+        return super().rebuild_event(j, v, colored, k, after)
 
 
 K3 = load_graph(K3_TEXT)
@@ -230,6 +250,26 @@ class TestReplayAndDecode:
         wrong.assign(1, 1)
         with pytest.raises(DecodeError, match="does not match"):
             decode(K3, fam, wrong, res.record)
+
+    def test_refusals_by_message(self):
+        # step 3 repeats color 1 at distance two and uncolors {2, 3}, so the
+        # backward walk meets one event, then steps 2 and 1
+        res = run(None, DistanceTwoFamily(5, 2),
+                  EngineInput(kappa=2, vector=(1, 2, 1)))
+        assert res.record.steps == (None, None, (1, 2))
+        wrong = PartialColoring(5)
+        wrong.assign(2, 1)
+        with pytest.raises(DecodeError, match=re.escape(
+                "final coloring does not match the record's replay")):
+            decode(None, DistanceTwoFamily(5, 2), wrong, res.record)
+        with pytest.raises(DecodeError, match=re.escape(
+                "step 1 colored 1 but it is gone")):
+            decode(None, ErasingFamily(5, 2), res.coloring, res.record)
+        with pytest.raises(DecodeError, match=re.escape(
+                "backward walk did not end at the empty coloring")):
+            decode(None, PlantingFamily(5, 2), res.coloring, res.record)
+        # the final coloring is the caller's: decode works on a copy
+        assert res.coloring.as_dict() == {1: 1}
 
     @given(st.integers(0, 10 ** 9), st.integers(3, 15), st.integers(0, 400))
     @settings(max_examples=120, deadline=None)
@@ -347,6 +387,20 @@ class TestListMode:
         res = run(g, fam, EngineInput(kappa=2, vector=(1,), lists={1: (5, 6)}))
         with pytest.raises(DecodeError, match="color 5 not in the list of object 1"):
             decode(g, fam, res.coloring, res.record, lists={1: (6, 7)})
+        with pytest.raises(DecodeError, match="color 5 not in the list of object 1"):
+            decode(g, fam, res.coloring, res.record, lists={2: (5, 6)})
+
+    def test_run_refuses_a_list_changed_below_1(self):
+        # `EngineInput` checks the lists it is given; one changed afterwards
+        # is refused when its color is drawn, as `assign` refuses it
+        lists = {1: [1, 2], 2: [1, 2], 3: [1, 2, 3]}
+        inp = EngineInput(kappa=2, vector=(1, 2, 1), lists=lists)
+        lists[2][1] = 0
+        with pytest.raises(ValueError, match=re.escape("bad assignment 2 <- 0")):
+            run(K3, MonoEdgeFamily(K3), inp)
+        lists[2][1] = -3
+        with pytest.raises(ValueError, match=re.escape("bad assignment 2 <- -3")):
+            run(K3, MonoEdgeFamily(K3), inp)
 
 
 class TestEngineInput:

@@ -141,7 +141,7 @@ class TestEdgeFamilyRows:
         # neighbor other than 1, edge 2: class 1 erases 3, and classes 0
         # and 2 name no event (0 must not wrap around to the last one)
         fam = facial_thue_edge_family(load_rotation(K3_ROT), 1)
-        assert fam._classes(3, 1, {2, 3}) == [2]
+        assert fam._classes(3, 1, {2, 3}) == (2,)
         assert fam.uncolor_set(1, 3, {2, 3}, 1) == (3,)
         for k in (0, 2):
             with pytest.raises(ValueError, match="names no event"):

@@ -125,7 +125,8 @@ def test_duck_typed_family_uses_next_uncolored():
 def test_facial_edge_frontier_rebuilds_on_long_faces(monkeypatch):
     # windows of 2j >= 4 edges need faces of length >= 5: the resulting
     # type >= 2 events release more than the leaf just taken, so the tree is
-    # rebuilt; on triangulations only type 1 fires and `released` undoes
+    # rebuilt; on triangulations only type 1 fires, which uncolors the leaf
+    # alone and is reported to no frontier
     rebuilds = Counter()
     rebuild = _LeafFrontier._rebuild
 

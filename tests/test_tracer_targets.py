@@ -5,7 +5,10 @@
 `witness_rows`).  A refactor that renames or drops one breaks traced
 benchmark runs (`perfbench/run.py --trace 1`) without failing anything
 else, so each name is resolved here, and one instrumented run per family
-must record spans of the family methods the engine calls.
+must record spans of the family methods the engine calls.  Table probes
+are traced only while `Family.detect` reads `first_equal` through the
+`acyclic` module at call time, so a run of a family with a candidate table
+must also record one `_kernels.scan` span per `detect` call at least.
 """
 
 import importlib.util
@@ -60,3 +63,8 @@ def test_family_methods_resolve_and_trace(name):
     # `next_uncolored` is not called
     called = {m for m in spans.FAMILY_METHODS if tracer.calls[f"families.{m}"]}
     assert {"detect", "uncolor_set", "rebuild_event"} <= called, (name, called)
+    # every `detect` call probes the first candidate table, if any, first
+    if fam.tables:
+        detects = tracer.calls["families.detect"]
+        assert tracer.calls["_kernels.scan"] >= detects, name
+
